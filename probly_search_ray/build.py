@@ -103,19 +103,19 @@ def _finalize_file(path: str, num_fields: int):
 
 
 def _count_docs_le(index_dir: str, doc_id: int) -> int:
-    """Count docs with id <= doc_id — one predicate-pushdown count over
-    the docmeta files (rare path: only needed when some field's last
+    """Count docs with id <= doc_id — one predicate-pushdown read of the
+    docmeta ids (rare path: only needed when some field's last
     doc-with-values is not the corpus max, i.e. trailing docs with
     empty multi-value lists)."""
-    import glob as globmod
-
-    import pyarrow.dataset as pads
     meta_dir = os.path.join(index_dir, "docmeta")
     files = sorted(globmod.glob(os.path.join(meta_dir, "*.parquet")))
     if not files:
         return 0
-    return pads.dataset(files).count_rows(
-        filter=pads.field("doc_id") <= doc_id)
+    # distinct ids, not rows: a crash between compact_groups' manifest
+    # commit and its file cleanup leaves a doc's docmeta row twice
+    ids = pads.dataset(files).to_table(
+        columns=["doc_id"], filter=pads.field("doc_id") <= doc_id)["doc_id"]
+    return len(np.unique(ids.to_numpy()))
 
 
 def finalize_stats(index_dir: str, groups: dict, num_fields: int) -> None:

@@ -52,13 +52,15 @@ def hash_tokens_u64(tokens: np.ndarray) -> np.ndarray:
     # first factorized (C-level hash table): natural-language token
     # vocab ≪ token count, so only the distinct tokens pay the
     # encode and the stream gets a cheap int gather.
-    # (pd.factorize normalizes None -> nan, which would hash as 'nan'
-    # here but 'None' on the direct path — batch-size-dependent hashes
-    # would break partition routing — so null-bearing arrays take the
-    # direct path, matching the historical str() behavior exactly)
+    # Only all-str uniques take this path: pd.factorize groups by
+    # object equality (1 == 1.0 == True share a code; None becomes
+    # nan) while the direct path hashes each value's str() — so any
+    # other value takes the direct path, or a token's hash would depend
+    # on its batch and break partition routing.
     if tokens.dtype.kind == "O" and len(tokens) > 4096:
         codes, uniq = pd.factorize(tokens, use_na_sentinel=False)
-        if len(uniq) < len(tokens) and not pd.isna(uniq).any():
+        if len(uniq) < len(tokens) and all(isinstance(u, str)
+                                           for u in uniq):
             return hash_tokens_u64(
                 np.asarray(uniq, dtype=object))[codes]
     if tokens.dtype.kind == "O":

@@ -8,10 +8,11 @@ Distributed query model (SURVEY.md §3.2 "Ray shape"):
   list and global df live in exactly one shard (rows of the same term
   from all build groups are merged at load; df = sum of partials,
   first_pos = min of partials).
-- a query runs on a coordinator: per query term it (1) gathers prefix
-  expansions from the shards, (2) reconstructs the reference's
-  trie-DFS expansion order from ``first_pos`` (children in reverse
-  creation order, ``/root/reference/src/query.rs:130-147``),
+- a query runs on a coordinator: per query term it (1) looks up the
+  prefix's expansions — one contiguous range of the sorted dictionary
+  per shard, (2) orders them by the precomputed trie rank, the
+  reference's trie-DFS order (children in reverse creation order,
+  reference ``src/query.rs:130-147``; see ``trie_rank``),
   (3) computes BM25 ``before_each`` inputs from global stats
   (``src/score/default/bm25.rs:34-58``), (4) has shards score posting
   lists vectorized, and (5) merges with the exact
@@ -29,8 +30,9 @@ removed docs are skipped and df is reduced by their occurrence counts
 from __future__ import annotations
 
 import bisect
-import math
 import os
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -131,6 +133,66 @@ def _score_ub(tfm, lmn, idf_boosts, fields_boost, avgs, k1, b):
         s += bb * ((k1 + 1.0) * tf) / (
             k1 * ((1.0 - b) + b * (lmn[:, f] / avgs[f])) + tf)
     return s * np.asarray(idf_boosts, dtype=np.float64)
+
+
+def trie_rank(terms: list[str], first_pos, first_off,
+              depth: int = 0) -> np.ndarray:
+    """Position of each term in the reference trie's DFS order
+    (reference ``src/query.rs:130-147``): a node's own term comes
+    first, then its child subtrees newest first — descending minimum
+    ``(first_pos, first_off)`` over the subtree, ties by char ascending.
+    ``terms`` are sorted, distinct and share their first ``depth``
+    chars.  Vectorized level by level: a subtree is a contiguous run of
+    the sorted terms, so each level sorts the child runs under each node
+    and lays out their position blocks.  The DFS order inside a subtree
+    depends only on the subtree, so ranking the whole dictionary once
+    orders every prefix's range: argsort the rank slice."""
+    n = len(terms)
+    rank = np.empty(n, np.uint32)  # stored in the CSR cache: 4 B/term
+    if not n:
+        return rank
+    lens = np.fromiter(map(len, terms), np.int64, count=n)
+    # code-point matrix of the leading chars, capped like the fuzzy
+    # matrix; deeper levels (rare long terms) read chars one by one
+    width = min(int(lens.max()), ShardData._FUZZY_WIDTH_CAP)
+    cps = np.array([t[:width] for t in terms]).view(np.uint32) \
+        .reshape(n, -1)
+    fp = np.asarray(first_pos, np.uint64)
+    fo = np.asarray(first_off, np.uint32)
+    alive = np.arange(n)
+    node = np.zeros(n, np.int64)       # node of each alive term
+    node_pos = np.zeros(1, np.int64)   # first position of each node
+    d = depth
+    while len(alive):
+        own = lens[alive] == d
+        rank[alive[own]] = node_pos[node[own]]
+        has_own = np.zeros(len(node_pos), np.int64)
+        has_own[node[own]] = 1
+        alive, node = alive[~own], node[~own]
+        if not len(alive):
+            break
+        c = cps[alive, d] if d < width else np.fromiter(
+            (ord(terms[i][d]) for i in alive), np.uint32, count=len(alive))
+        new = np.ones(len(alive), bool)
+        new[1:] = (node[1:] != node[:-1]) | (c[1:] != c[:-1])
+        st = np.flatnonzero(new)
+        size = np.diff(np.append(st, len(alive)))
+        afp = fp[alive]
+        mfp = np.minimum.reduceat(afp, st)
+        mfo = np.minimum.reduceat(np.where(
+            afp == np.repeat(mfp, size), fo[alive], np.uint32(0xFFFFFFFF)),
+            st)
+        par = node[st]
+        o = np.lexsort((c[st], ~mfo, ~mfp, par))
+        sz, po = size[o], par[o]
+        before = np.cumsum(sz) - sz
+        first = np.flatnonzero(np.r_[True, po[1:] != po[:-1]])
+        before -= np.repeat(before[first], np.diff(np.append(first, len(o))))
+        child_pos = np.empty(len(st), np.int64)
+        child_pos[o] = node_pos[po] + has_own[po] + before
+        node, node_pos = np.repeat(np.arange(len(st)), size), child_pos
+        d += 1
+    return rank
 
 
 def _levenshtein_capped(a: bytes, b: bytes, cap: int) -> int:
@@ -241,6 +303,7 @@ class ShardData:
         self.df: np.ndarray = np.empty(0, np.int64)
         self.first_pos: np.ndarray = np.empty(0, np.uint64)
         self.first_off: np.ndarray = np.empty(0, np.uint32)
+        self.trie_rank: np.ndarray = np.empty(0, np.uint32)
         self.post_off: np.ndarray = np.zeros(1, np.int64)
         self.p_docs: np.ndarray = np.empty(0, np.uint64)
         self.p_tf: list[np.ndarray] = [np.empty(0, np.uint32)] * F
@@ -257,6 +320,8 @@ class ShardData:
         if not len(full):
             return
         self._load_csr(full, F)
+        self.trie_rank = trie_rank(self.terms, self.first_pos,
+                                   self.first_off)
         if self._cache_dir:
             # also for doc-mod views: at this point the arrays ARE the
             # full-range cache content (the view filter applies below),
@@ -273,7 +338,7 @@ class ShardData:
         import json as _json
         from probly_search_ray.functions.codec import FORMAT_VERSION
         sig_src = _json.dumps([
-            4,  # cache layout version (v4: v3 + first_pos doc/off split)
+            5,  # cache layout version (v5: v4 + trie_rank)
             FORMAT_VERSION,
             [(r["group"], r["path"], r["rows"]) for r in man.term_files()],
         ], sort_keys=True)
@@ -281,12 +346,12 @@ class ShardData:
         rng = hashlib.md5(repr((term_lo, term_hi)).encode()).hexdigest()[:8]
         return os.path.join(index_dir, "cache", f"csr-{rng}-{sig}")
 
-    _CACHE_ARRAYS = ("df", "first_pos", "first_off", "post_off",
-                     "p_docs")
+    _CACHE_ARRAYS = ("df", "first_pos", "first_off", "trie_rank",
+                     "post_off", "p_docs")
 
     def _write_cache(self, cdir: str) -> None:
         _write_cache_arrays(cdir, self.num_fields, self.terms, self.df,
-                            self.first_pos, self.first_off,
+                            self.first_pos, self.first_off, self.trie_rank,
                             self.post_off, self.p_docs,
                             self.p_tf, self.p_len, self.tf_max,
                             self.len_min, self.fr)
@@ -301,20 +366,23 @@ class ShardData:
             offs = np.concatenate(([0], np.cumsum(lens)))
             terms = [raw[offs[i]:offs[i + 1]].decode()
                      for i in range(len(lens))]
+            # posting arrays stay mmap'd but as plain ndarray views (no
+            # copy, same pages): memmap slicing pays __array_finalize__
+            # on every per-query slice
+            def mapped(name):
+                return np.load(os.path.join(cdir, name + ".npy"),
+                               mmap_mode="r").view(np.ndarray)
             for name in self._CACHE_ARRAYS:
-                setattr(self, name, np.load(
-                    os.path.join(cdir, name + ".npy"), mmap_mode="r"))
-            self.p_tf = [np.load(os.path.join(cdir, f"p_tf_{f}.npy"),
-                                 mmap_mode="r")
-                         for f in range(self.num_fields)]
-            self.p_len = [np.load(os.path.join(cdir, f"p_len_{f}.npy"),
-                                  mmap_mode="r")
+                setattr(self, name, mapped(name))
+            self.p_tf = [mapped(f"p_tf_{f}") for f in range(self.num_fields)]
+            self.p_len = [mapped(f"p_len_{f}")
                           for f in range(self.num_fields)]
             # small (per-term) metadata arrays are hot — materialize them
             self.terms = terms
             self.df = np.array(self.df)
             self.first_pos = np.array(self.first_pos)
             self.first_off = np.array(self.first_off)
+            self.trie_rank = np.array(self.trie_rank)
             self.tf_max = [np.load(os.path.join(cdir, f"tf_max_{f}.npy"))
                            for f in range(self.num_fields)]
             self.len_min = [np.load(os.path.join(cdir, f"len_min_{f}.npy"))
@@ -337,6 +405,7 @@ class ShardData:
                 self.df = self.df[i0:i1]
                 self.first_pos = self.first_pos[i0:i1]
                 self.first_off = self.first_off[i0:i1]
+                self.trie_rank = self.trie_rank[i0:i1]
                 self.tf_max = [t[i0:i1] for t in self.tf_max]
                 self.len_min = [l[i0:i1] for l in self.len_min]
                 fr = {}
@@ -665,46 +734,44 @@ class ShardData:
             del chunks
         return total
 
-    def _fp(self, i: int) -> int:
-        """Reference insertion-stream position of term i's first
-        occurrence, as an arbitrary-precision Python int — exact for
-        full-range uint64 doc ids (a packed uint64 would wrap)."""
-        from probly_search_ray.stages.segment import POS_BITS
-        return (int(self.first_pos[i]) << POS_BITS) | int(self.first_off[i])
-
     # -- dictionary --------------------------------------------------------
 
-    def expand(self, prefix: str) -> list[tuple[str, int, int]]:
-        """All stored terms with this prefix → (term, raw_df, first_pos).
-        Enumerating them mirrors the reference's trie DFS collection
-        (``src/query.rs:108-126``); order is canonicalized later."""
-        i = bisect.bisect_left(self.terms, prefix)
-        out = []
-        while i < len(self.terms) and self.terms[i].startswith(prefix):
-            out.append((self.terms[i], int(self.df[i]), self._fp(i)))
-            i += 1
-        return out
-
-    def expand_with_bounds(self, prefix: str):
-        """``expand`` fused with the per-expansion impact bounds — one
-        RPC instead of two for the top-k query path (expansions with
-        a shared prefix are contiguous in the sorted dictionary, so
-        the bounds are plain array slices)."""
+    def range_of(self, prefix: str, exact: bool = False) -> tuple[int, int]:
+        """Dictionary positions ``[i0, i1)`` of the stored terms with this
+        prefix (or equal to it, ``exact``): one contiguous range of the
+        sorted dictionary, found by two bisects."""
         i0 = bisect.bisect_left(self.terms, prefix)
+        if exact:
+            return i0, i0 + (i0 < len(self.terms)
+                             and self.terms[i0] == prefix)
+        if prefix and ord(prefix[-1]) < 0x10FFFF:
+            succ = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+            return i0, bisect.bisect_left(self.terms, succ, i0)
         i1 = i0
         while i1 < len(self.terms) and self.terms[i1].startswith(prefix):
             i1 += 1
-        exp = [(self.terms[i], int(self.df[i]), self._fp(i))
-               for i in range(i0, i1)]
-        F = self.num_fields
-        if i1 == i0:
-            z = np.zeros((0, F), dtype=np.float64)
-            return exp, z, z.copy()
-        tfm = np.stack([self.tf_max[f][i0:i1] for f in range(F)],
-                       axis=1).astype(np.float64)
-        lmn = np.stack([self.len_min[f][i0:i1] for f in range(F)],
-                       axis=1).astype(np.float64)
-        return exp, tfm, lmn
+        return i0, i1
+
+    def _entries(self, idx: np.ndarray) -> "DictRange":
+        return DictRange(idx, [self.terms[i] for i in idx], self.df[idx],
+                         self.trie_rank[idx], self.first_pos[idx],
+                         self.first_off[idx])
+
+    def expand(self, prefix: str, exact: bool = False) -> "DictRange":
+        """The stored terms with this prefix (the term itself, ``exact``)
+        with raw df, trie rank and first occurrence: the reference's
+        trie DFS collection (``src/query.rs:108-126``) as one dictionary
+        range."""
+        i0, i1 = self.range_of(prefix, exact)
+        return DictRange(np.arange(i0, i1), self.terms[i0:i1],
+                         self.df[i0:i1], self.trie_rank[i0:i1],
+                         self.first_pos[i0:i1], self.first_off[i0:i1])
+
+    def expand_with_bounds(self, prefix: str, exact: bool = False):
+        """``expand`` fused with the entries' impact bounds — one RPC
+        instead of two for an actor pool's prefetch."""
+        r = self.expand(prefix, exact)
+        return (r, *self.bounds_arrays(r.idx))
 
     # padded-matrix width cap: one pathological kilobyte-long dictionary
     # term must not inflate the whole vocab's padding (10M terms × 1KB
@@ -738,9 +805,9 @@ class ShardData:
             dm = self._dmat = (mat, lens, short, long_idx)
         return dm
 
-    def expand_fuzzy(self, term: str, d: int) -> list[tuple[str, int, int]]:
+    def expand_fuzzy(self, term: str, d: int) -> "DictRange":
         """Dictionary terms within byte-level Levenshtein distance ≤ d
-        of ``term`` → (term, raw_df, first_pos).  An EXTENSION beyond
+        of ``term``, as dictionary entries in term order.  An EXTENSION beyond
         the reference (its trie only supports prefix expansion,
         ``src/query.rs:108-126``); distance is over UTF-8 bytes (≡
         characters for ASCII terms).  Vectorized banded-free DP: the
@@ -750,18 +817,15 @@ class ShardData:
         mat, lens, short, long_idx = self._dict_matrix()
         # over-cap dictionary terms: candidates only when the length
         # window allows (|len - len(q)| <= d) — a handful at most
-        tail_hits = []
-        if len(long_idx):
-            qb = term.encode()
-            for i in long_idx:
-                t = self.terms[i]
-                if abs(len(t.encode()) - len(qb)) <= d \
-                        and _levenshtein_capped(qb, t.encode(), d) <= d:
-                    tail_hits.append((t, int(self.df[i]),
-                                      self._fp(i)))
+        qb = term.encode()
+        tail_hits = np.asarray(
+            [i for i in long_idx
+             if abs(len(self.terms[i].encode()) - len(qb)) <= d
+             and _levenshtein_capped(qb, self.terms[i].encode(), d) <= d],
+            np.int64)
         cand = np.flatnonzero(np.abs(lens - len(q)) <= d)
         if not len(cand):
-            return tail_hits
+            return self._entries(tail_hits)
         sub = mat[cand]
         sl = lens[cand]
         n, width = sub.shape
@@ -786,16 +850,14 @@ class ShardData:
                 if not len(alive):
                     # over-cap terms were matched by the tail scan and
                     # are independent of the in-matrix DP — keep them
-                    return tail_hits
+                    return self._entries(tail_hits)
                 cur = cur[keep]
                 sub = sub[keep]
             prev = cur
         dist = prev[np.arange(len(alive)), sl[alive]]
         hit = alive[dist <= d]
-        out = [(self.terms[short[i]], int(self.df[short[i]]),
-                self._fp(int(short[i])))
-               for i in cand[hit]]
-        return out + tail_hits
+        return self._entries(np.sort(np.concatenate(
+            (short[cand[hit]], tail_hits))))
 
     def _term_index(self, term: str) -> int:
         i = bisect.bisect_left(self.terms, term)
@@ -803,32 +865,45 @@ class ShardData:
             return -1
         return i
 
-    def _postings(self, term: str):
-        i = self._term_index(term)
-        if i < 0:
-            return None
-        lo, hi = self.post_off[i], self.post_off[i + 1]
-        tfs = [t[lo:hi].astype(np.float64) for t in self.p_tf]
-        occ = np.zeros(hi - lo, dtype=np.float64)
-        for t in tfs:
-            occ += t
-        return (self.p_docs[lo:hi], occ, tfs,
-                [l[lo:hi].astype(np.float64) for l in self.p_len])
+    def _span(self, idx):
+        """Posting positions of dictionary entries ``idx`` and each
+        entry's posting count: a plain slice of the CSR arrays when
+        ``idx`` is one ascending run (a prefix range), else a gather."""
+        idx = np.asarray(idx, np.int64)
+        lo = self.post_off[idx]
+        n = self.post_off[idx + 1] - lo
+        if len(idx) and (np.diff(idx) == 1).all():
+            return slice(int(lo[0]), int(lo[0] + n.sum())), n
+        return np.repeat(lo, n) + _grouped_arange(n), n
+
+    def tomb_hits_many(self, idx, tomb: np.ndarray) -> np.ndarray:
+        """Occurrence-counted df mass that tombstoned docs carry in this
+        shard's postings of each entry ``idx``: one membership test over
+        the entries' concatenated postings, summed per entry.  The
+        coordinator subtracts the sum over every shard holding the
+        entries' postings from the dictionary df (``src/index.rs:281-297``;
+        a doc's postings live wholly in one shard)."""
+        out = np.zeros(len(idx), dtype=np.int64)
+        if not len(tomb) or not len(idx):
+            return out
+        g, n = self._span(idx)
+        hit = np.flatnonzero(_in_sorted(self.p_docs[g], tomb))
+        if len(hit):
+            occ = sum(t[g][hit].astype(np.int64) for t in self.p_tf)
+            np.add.at(out, np.searchsorted(np.cumsum(n), hit, "right"), occ)
+        return out
+
+    def df_adjusted_many(self, idx, tomb: np.ndarray) -> np.ndarray:
+        """Dictionary df of entries ``idx`` less their tombstoned
+        occurrences in this shard."""
+        idx = np.asarray(idx, np.int64)
+        return self.df[idx] - self.tomb_hits_many(idx, tomb)
 
     def df_adjusted(self, term: str, tomb: np.ndarray) -> int:
         """Occurrence-counted df excluding tombstoned docs
         (``src/index.rs:281-297``)."""
-        i = self._term_index(term)
-        if i < 0:
-            return 0
-        if len(tomb) == 0:
-            return int(self.df[i])
-        lo, hi = self.post_off[i], self.post_off[i + 1]
-        mask = _in_sorted(self.p_docs[lo:hi], tomb)
-        occ = np.zeros(int(mask.sum()), dtype=np.int64)
-        for t in self.p_tf:
-            occ += t[lo:hi][mask].astype(np.int64)
-        return int(self.df[i] - occ.sum())
+        i0, i1 = self.range_of(term, exact=True)
+        return int(self.df_adjusted_many(np.arange(i0, i1), tomb).sum())
 
     # -- scoring -----------------------------------------------------------
 
@@ -844,7 +919,8 @@ class ShardData:
         slices, concatenate, score the whole concatenation with numpy —
         no per-expansion Python in the hot loop.  Returns
         ``(rank_idx, docs, scores)`` parallel arrays, where rank_idx is
-        the position in ``terms``.
+        the position in ``terms`` (or in their dictionary positions
+        ``term_idx``, which callers holding them pass instead).
 
         ``keep_nonpositive=True`` also returns docs whose score is <= 0
         (where the reference's ``score()`` returns ``None``): the
@@ -857,14 +933,12 @@ class ShardData:
         else:
             idx = np.fromiter((self._term_index(t) for t in terms),
                               dtype=np.int64, count=len(terms))
+        idx = np.asarray(idx, np.int64)
         present = np.flatnonzero(idx >= 0)
         if not len(present):
             return (np.empty(0, np.int64), np.empty(0, np.uint64),
                     np.empty(0, np.float64))
-        ti = idx[present]
-        seg_lo = self.post_off[ti]
-        seg_n = self.post_off[ti + 1] - seg_lo
-        gidx = np.repeat(seg_lo, seg_n) + _grouped_arange(seg_n)
+        gidx, seg_n = self._span(idx[present])
         ranks = np.repeat(present, seg_n)
         docs = self.p_docs[gidx]
         coef = np.repeat(np.asarray(idf_boosts, dtype=np.float64)[present],
@@ -873,6 +947,8 @@ class ShardData:
             # TAAT suffix restriction: remaining terms can only rescore
             # docs already in the accumulator (sorted broadcast array)
             m = _in_sorted(docs, only_docs)
+            if isinstance(gidx, slice):
+                gidx = np.arange(gidx.start, gidx.stop)
             gidx, ranks, docs, coef = gidx[m], ranks[m], docs[m], coef[m]
         s = np.zeros(len(docs), dtype=np.float64)
         for x in range(self.num_fields):
@@ -910,39 +986,19 @@ class ShardData:
             return np.zeros(len(d_u), np.int64), d_u, s_u
         return ranks, docs, s
 
-    def score_bm25_topk_pruned(self, terms: list[str], idf_boosts,
-                               fields_boost, avgs, k1: float, b: float,
-                               tomb: np.ndarray, k: int,
-                               prefix: str | None = None):
-        """Single-term exact top-k with impact-bound pruning, run
-        ENTIRELY shard-local — the coordinator's adaptive chunk loop
-        (see ``SearchEngine._query_bm25``) pays one actor RPC round per
-        chunk (64, 128, 256, ... expansions), which dominates warm
-        latency for hot/prefix terms whose bounds never prune (5+
-        sequential round-trips).  When term-range routing resolves the
-        term's whole expansion block to ONE shard, that loop moves
-        here: same bounds, same descending-upper-bound order, same
-        tie-safe kth cutoff, same per-doc max-merge — byte-identical
-        accumulator, one round-trip.  Returns ``(docs, scores)``.
-
-        ``prefix``: when set (the non-fuzzy expand path), the terms are
-        a permutation of the dictionary's contiguous ``[prefix, succ)``
-        block, so ALL indices resolve with one range scan instead of a
-        bisect per expansion (2.5k bisects ≈ 2 ms on a hot prefix)."""
+    def score_bm25_topk_pruned(self, idx, idf_boosts, fields_boost,
+                               avgs, k1: float, b: float,
+                               tomb: np.ndarray, k: int):
+        """Single-term exact top-k over dictionary entries ``idx`` with
+        impact-bound pruning, run shard-local: the adaptive chunk loop
+        (64, 128, 256, ... expansions in descending upper-bound order,
+        tie-safe kth cutoff, per-doc max-merge) costs one call per shard
+        instead of one RPC round per chunk.  Returns ``(docs, scores)``:
+        this shard's top-k with ties kept, which holds every globally
+        top-k doc whose best expansion lives here, so a coordinator
+        merges shards by per-doc max."""
+        idx_all = np.asarray(idx, np.int64)
         idf = np.asarray(idf_boosts, dtype=np.float64)
-        if prefix is not None:
-            i0 = bisect.bisect_left(self.terms, prefix)
-            i1 = i0
-            nt = len(self.terms)
-            while i1 < nt and self.terms[i1].startswith(prefix):
-                i1 += 1
-            pos = {t: i for i, t in enumerate(self.terms[i0:i1],
-                                              start=i0)}
-            idx_all = np.fromiter((pos.get(t, -1) for t in terms),
-                                  dtype=np.int64, count=len(terms))
-        else:
-            idx_all = np.fromiter((self._term_index(t) for t in terms),
-                                  dtype=np.int64, count=len(terms))
         # Two bounds, two jobs.  ORDER by the loose tf_max/len_min
         # cross-combination (``_score_ub``): its idf dominance front-
         # loads rare SMALL-df expansions, so round 1 scores few postings
@@ -957,8 +1013,8 @@ class ShardData:
         # 536k → 159k postings, 27 → 9 ms).
         ub_tight = self.frontier_ub(idx_all, idf, fields_boost, avgs,
                                     k1, b)
-        _, tfm, lmn = self.bounds_arrays(terms, term_idx=idx_all)
-        ub_loose = _score_ub(tfm, lmn, idf, fields_boost, avgs, k1, b)
+        ub_loose = _score_ub(*self.bounds_arrays(idx_all), idf,
+                             fields_boost, avgs, k1, b)
         order_ub = np.argsort(-ub_loose, kind="stable")
         g_docs = np.empty(0, dtype=np.uint64)
         g_scores = np.empty(0, dtype=np.float64)
@@ -986,9 +1042,8 @@ class ShardData:
             # ordering key, so later chunks may still qualify
             if len(sel):
                 _, d, s = self.score_bm25_batch(
-                    [terms[i] for i in sel], idf[sel], fields_boost,
-                    avgs, k1, b, tomb, False, k, float(kth),
-                    term_idx=idx_all[sel])
+                    None, idf[sel], fields_boost, avgs, k1, b, tomb,
+                    False, k, float(kth), term_idx=idx_all[sel])
                 if len(d):
                     g_docs, g_scores = _merge_max(
                         g_docs, g_scores, *_reduce_max_by_doc(d, s))
@@ -996,10 +1051,11 @@ class ShardData:
             chunk_n *= 2
         return g_docs, g_scores
 
-    def score_bm25_reduced(self, terms: list[str], idf_boosts,
-                           fields_boost, avgs, k1: float, b: float,
-                           tomb: np.ndarray, only_docs=None):
-        """Multi-term building block: like ``score_bm25_batch`` with
+    def score_bm25_reduced(self, idx, pos, idf_boosts, fields_boost,
+                           avgs, k1: float, b: float, tomb: np.ndarray,
+                           only_docs=None):
+        """Multi-term building block over dictionary entries ``idx``
+        whose expansion ranks are ``pos``: like ``score_bm25_batch`` with
         ``keep_nonpositive=True``, but REDUCED PER DOC shard-side so the
         coordinator receives one row per touched doc instead of one per
         (expansion, posting) — the expansion multiplicity never crosses
@@ -1015,8 +1071,9 @@ class ShardData:
         q, so ``rest_max`` excludes exactly the one globally-first
         record (``src/query.rs:150-164``)."""
         ranks, docs, s = self.score_bm25_batch(
-            terms, idf_boosts, fields_boost, avgs, k1, b, tomb,
-            keep_nonpositive=True, only_docs=only_docs)
+            None, idf_boosts, fields_boost, avgs, k1, b, tomb,
+            keep_nonpositive=True, only_docs=only_docs, term_idx=idx)
+        ranks = np.asarray(pos, np.int64)[ranks]
         if not len(docs):
             e = np.empty(0, np.float64)
             return (np.empty(0, np.uint64), np.empty(0, np.int64), e,
@@ -1030,95 +1087,69 @@ class ShardData:
         q_u = np.maximum.reduceat(pos, st)
         return d_s[st], r_s[st], s_s[st], p_u, q_u
 
-    def df_adjusted_many(self, terms: list[str], tomb: np.ndarray) -> list[int]:
-        return [self.df_adjusted(t, tomb) for t in terms]
+    def bounds_arrays(self, idx):
+        """Impact-bound inputs of dictionary entries ``idx``: (tf_max,
+        len_min), each (n, F) float64 — the BM25 score upper bounds of
+        the top-k prune and the multi-term suffix restriction."""
+        idx = np.asarray(idx, np.int64)
+        return tuple(np.stack([a[idx] for a in arrs], axis=1)
+                     .astype(np.float64)
+                     for arrs in (self.tf_max, self.len_min))
 
-    def tomb_hits_many(self, terms: list[str], tomb: np.ndarray) -> np.ndarray:
-        """Occurrence-counted df mass carried by THIS shard's
-        tombstoned postings, per term.  A doc-sharded coordinator sums
-        these across shards and subtracts from the global dictionary df
-        (each doc's postings live wholly in one shard, so the sum is
-        exactly the global adjustment of ``df_adjusted``)."""
-        out = np.zeros(len(terms), dtype=np.int64)
-        if not len(tomb):
-            return out
-        for j, t in enumerate(terms):
-            i = self._term_index(t)
-            if i < 0:
-                continue
-            lo, hi = self.post_off[i], self.post_off[i + 1]
-            mask = _in_sorted(self.p_docs[lo:hi], tomb)
-            acc = 0
-            for tf in self.p_tf:
-                acc += int(tf[lo:hi][mask].astype(np.int64).sum())
-            out[j] = acc
-        return out
+    def gather_postings_many(self, idx, tomb: np.ndarray):
+        """Live postings of dictionary entries ``idx``, concatenated in
+        entry order: (entry of each posting, docs, tfs[F], lens[F]) —
+        one slice of the entries' CSR span, tombstoned docs dropped.
+        Raw inputs for the scorer plugins (zero_to_one etc.)."""
+        g, n = self._span(idx)
+        ent = np.repeat(np.arange(len(n)), n)
+        docs = self.p_docs[g]
+        tfs = [t[g] for t in self.p_tf]
+        lens = [ln[g] for ln in self.p_len]
+        if len(tomb) and len(docs):
+            keep = ~_in_sorted(docs, tomb)
+            ent, docs = ent[keep], docs[keep]
+            tfs = [t[keep] for t in tfs]
+            lens = [ln[keep] for ln in lens]
+        return ent, docs, tfs, lens
 
-    def bounds_arrays(self, terms: list[str],
-                      term_idx: np.ndarray | None = None):
-        """Per-term impact-bound inputs as ARRAYS: (present bool[n],
-        tf_max (n,F), len_min (n,F)) — the coordinator turns these into
-        BM25 score upper bounds for top-k pruning.  Absent terms carry
-        zeros (present=False)."""
-        if term_idx is not None:
-            idx = term_idx
-        else:
-            idx = np.fromiter((self._term_index(t) for t in terms),
-                              dtype=np.int64, count=len(terms))
-        present = idx >= 0
-        ic = np.maximum(idx, 0)
-        F = self.num_fields
-        tfm = np.zeros((len(terms), F), dtype=np.float64)
-        lmn = np.zeros((len(terms), F), dtype=np.float64)
-        if not len(self.terms):
-            # empty shard (e.g. a vacuumed-empty term range): np.where
-            # evaluates arr[ic] eagerly, so size-0 arrays need the guard
-            return np.zeros(len(terms), dtype=bool), tfm, lmn
-        for f in range(F):
-            tfm[:, f] = np.where(present, self.tf_max[f][ic], 0)
-            lmn[:, f] = np.where(present, self.len_min[f][ic], 0)
-        return present, tfm, lmn
+    def gather_postings(self, term: str, tomb: np.ndarray):
+        """Live (docs, tfs, lens) of one stored term, or None."""
+        i0, i1 = self.range_of(term, exact=True)
+        if i0 == i1:
+            return None
+        return self.gather_postings_many(np.arange(i0, i1), tomb)[1:]
 
-    def gather_postings_many(self, terms: list[str], tomb: np.ndarray):
-        return [(i, self.gather_postings(t, tomb))
-                for i, t in enumerate(terms)]
-
-    def union_docs(self, terms: list[str], tomb: np.ndarray) -> np.ndarray:
-        """Sorted-unique live doc ids appearing in ANY of ``terms``'
-        postings (used by the conjunctive-query candidate build: one
-        call per query term covering all its expansions; traffic is
-        O(df), the term-sharded layout's floor for cross-term
-        intersection — doc-sharded serving localizes it, see
-        SCALE.md)."""
-        parts = []
-        for t in terms:
-            i = self._term_index(t)
-            if i >= 0:
-                parts.append(self.p_docs[self.post_off[i]:
-                                         self.post_off[i + 1]])
-        if not parts:
-            return np.empty(0, np.uint64)
-        d = np.unique(np.concatenate(parts))
-        if len(tomb):
+    def union_docs(self, idx, tomb: np.ndarray) -> np.ndarray:
+        """Sorted-unique live doc ids in ANY of entries ``idx``' postings
+        (the conjunctive candidates and the exclude set: one call per
+        query term covering all its expansions; O(df) ids)."""
+        g, _ = self._span(idx)
+        d = np.unique(self.p_docs[g])
+        if len(tomb) and len(d):
             d = d[~_in_sorted(d, tomb)]
         return d
 
-    def gather_postings(self, term: str, tomb: np.ndarray):
-        """Raw (docs, tfs, lens) for scorer plugins (zero_to_one etc.)."""
-        p = self._postings(term)
-        if p is None:
-            return None
-        docs, occ, tfs, lens = p
-        if len(tomb):
-            keep = ~_in_sorted(docs, tomb)
-            docs = docs[keep]
-            tfs = [t[keep] for t in tfs]
-            lens = [l[keep] for l in lens]
-        return docs, tfs, lens
+
+@dataclass(slots=True)
+class DictRange:
+    """A shard's dictionary entries for one query term: positions
+    ``idx`` (ascending) with their terms, raw df, trie rank and first
+    occurrence ``(first_pos, first_off)``.  ``len`` is the entry
+    count."""
+    idx: np.ndarray
+    terms: list
+    df: np.ndarray
+    rank: np.ndarray
+    first_pos: np.ndarray
+    first_off: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.terms)
 
 
 def _write_cache_arrays(cdir: str, num_fields: int, terms, df, first_pos,
-                        first_off,
+                        first_off, rank,
                         post_off, p_docs, p_tf, p_len, tf_max,
                         len_min, fr) -> None:
     """Persist decoded-CSR arrays as the mmap cache dir (atomic rename;
@@ -1135,8 +1166,8 @@ def _write_cache_arrays(cdir: str, num_fields: int, terms, df, first_pos,
                 shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
         tmp = tempfile.mkdtemp(dir=parent)
         for name, arr in zip(ShardData._CACHE_ARRAYS,
-                             (df, first_pos, first_off, post_off,
-                              p_docs)):
+                             (df, first_pos, first_off, rank,
+                              post_off, p_docs)):
             np.save(os.path.join(tmp, name + ".npy"), arr)
         for f in range(num_fields):
             np.save(os.path.join(tmp, f"p_tf_{f}.npy"), p_tf[f])
@@ -1306,8 +1337,15 @@ def build_csr_cache(index_dir: str) -> bool:
     cnt_m = np.add.reduceat(cnt_o, runs)
     tfm_m = [np.maximum.reduceat(t[order], runs).astype(np.uint32)
              for t in tfm]
-    lmn_m = [np.minimum.reduceat(l[order], runs).astype(np.uint32)
+    # df-0 witness rows own no postings: their len_min 0 must not drag
+    # a merged term's bound down, so they carry the uint32 max instead
+    # (a term with ONLY witness rows keeps 0, like _compute_bounds)
+    wit = cnt_o == 0
+    lmn_m = [np.minimum.reduceat(np.where(wit, np.uint32(0xFFFFFFFF),
+                                          l[order]), runs).astype(np.uint32)
              for l in lmn]
+    for l in lmn_m:
+        l[cnt_m == 0] = 0
     # merge per-part Pareto frontier candidates: union each merged
     # term's candidates across parts, re-filter (dictionary-scale work
     # — candidate width per term is ≤ #distinct tf values; a posting's
@@ -1364,6 +1402,8 @@ def build_csr_cache(index_dir: str) -> bool:
         np.save(os.path.join(tmp, "df.npy"), df_m)
         np.save(os.path.join(tmp, "first_pos.npy"), fp_m)
         np.save(os.path.join(tmp, "first_off.npy"), fo_m)
+        np.save(os.path.join(tmp, "trie_rank.npy"),
+                trie_rank(terms_m, fp_m, fo_m))
         np.save(os.path.join(tmp, "post_off.npy"), post_off)
         for f in range(F):
             np.save(os.path.join(tmp, f"tf_max_{f}.npy"), tfm_m[f])
@@ -1425,35 +1465,41 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[idx] == values
 
 
-def trie_expansion_order(expansions: list[tuple[str, int, int]],
-                         prefix: str) -> list[str]:
-    """Order expansion terms exactly as the reference trie DFS would
-    (``/root/reference/src/query.rs:130-147``): emit the prefix term
-    first if present, then children in reverse creation order (newest
-    first), where a child subtree's creation position is the minimum
-    ``first_pos`` of its terms.  Ties (possible only past the 2^20
-    per-doc position cap) break by char ascending, deterministically."""
-    out: list[str] = []
+class _Exp(NamedTuple):
+    """A query term's live expansions in reference trie order with
+    their adjusted df and UTF-8 byte lengths.  ``parts`` are the shards
+    holding their postings as (shard, dictionary positions, positions in
+    ``terms``); ``meta`` holds one such triple per distinct dictionary
+    (doc shards share one), for per-term metadata such as bounds."""
+    terms: list
+    df: np.ndarray
+    blen: np.ndarray
+    parts: list
+    meta: list
 
-    def rec(p: str, items: list[tuple[str, int]]):
-        # items: (term, first_pos) all having prefix p, sorted by term
-        rest = []
-        for t, fp in items:
-            if t == p:
-                out.append(t)
-            else:
-                rest.append((t, fp))
-        groups: dict[str, list] = {}
-        for t, fp in rest:
-            groups.setdefault(t[len(p)], []).append((t, fp))
-        ordered = sorted(
-            groups.items(),
-            key=lambda kv: (-min(fp for _, fp in kv[1]), kv[0]))
-        for ch, sub in ordered:
-            rec(p + ch, sub)
 
-    rec(prefix, sorted((t, fp) for t, _, fp in expansions))
-    return out
+_NO_EXP = _Exp([], np.empty(0, np.int64), np.empty(0), [], [])
+
+
+def _top_k(docs, scores, k, restrict=None, exclude=None):
+    """The one result finisher of every scorer: drop docs outside
+    ``restrict`` or inside ``exclude`` (sorted arrays), cut to the top
+    k keeping every tie of the kth score, and return canonical (score
+    desc, doc id asc) order — no Python pass over the full result."""
+    keep = np.ones(len(docs), dtype=bool)
+    if restrict is not None and len(docs):
+        keep &= _in_sorted(docs, restrict)
+    if exclude is not None and len(exclude) and len(docs):
+        keep &= ~_in_sorted(docs, exclude)
+    docs, scores = docs[keep], scores[keep]
+    if k is not None and len(docs) > k:
+        kth = -np.partition(-scores, k - 1)[k - 1]
+        keep = scores >= kth  # tie-safe candidate cut
+        docs, scores = docs[keep], scores[keep]
+    order = np.lexsort((docs, -scores))
+    if k is not None:
+        order = order[:k]
+    return [(int(d), float(s)) for d, s in zip(docs[order], scores[order])]
 
 
 class SearchEngine:
@@ -1579,7 +1625,8 @@ class SearchEngine:
     def _reload_tombstones(self):
         tids = Tombstones(self.index_dir).doc_ids
         self.tomb = np.sort(np.asarray(tids, dtype=np.uint64))
-        # expansion cache is df-dependent; only valid with no tombstones
+        # cached entries carry df adjusted for THIS tombstone set (and
+        # bounds for this snapshot): a new set starts a new cache
         self._exp_cache: dict[tuple, tuple] = {}
 
     def _shard_bounds(self, man: Manifest, num_shards: int):
@@ -1601,14 +1648,18 @@ class SearchEngine:
 
     # -- shard fan-out helpers --------------------------------------------
 
-    def _call(self, method: str, *args):
-        return self._call_shards(self.shards, method, *args)
-
-    def _call_shards(self, shards, method: str, *args):
+    def _submit(self, calls):
+        """Start ``[(shard, method, args)]``: actor refs, all in flight
+        at once; in-process shards just run."""
         if self.use_actors:
-            refs = [getattr(s, method).remote(*args) for s in shards]
-            return self._ray.get(refs)
-        return [getattr(s, method)(*args) for s in shards]
+            return [getattr(s, m).remote(*a) for s, m, a in calls]
+        return [getattr(s, m)(*a) for s, m, a in calls]
+
+    def _collect(self, handles):
+        return self._ray.get(handles) if self.use_actors else handles
+
+    def _fan(self, calls):
+        return self._collect(self._submit(calls))
 
     def _route(self, term: str):
         """Shards whose term range can contain ``term`` or any term
@@ -1630,23 +1681,6 @@ class SearchEngine:
         out = [s for (lo, hi), s in zip(ranges, self.shards)
                if (hi is None or term < hi) and (lo is None or lo < hi_t)]
         return out or [self.shards[0]]
-
-    def _call_term(self, term: str, method: str, *args):
-        """Fan a per-term call out to only the shards that can own it."""
-        return self._call_shards(self._route(term), method, *args)
-
-    def _term_call(self, term: str, fuzzy: int, method: str, *args):
-        """Per-term fan-out honoring fuzzy expansion: fuzzy variants can
-        start with any byte, so term-range routing doesn't apply — every
-        shard's dictionary slice may own a match."""
-        if fuzzy:
-            return self._call(method, *args)
-        return self._call_term(term, method, *args)
-
-    def _call_one(self, shard, method: str, *args):
-        if self.use_actors:
-            return self._ray.get(getattr(shard, method).remote(*args))
-        return getattr(shard, method)(*args)
 
     # -- string keys (reference generic T, src/index.rs:35) ----------------
 
@@ -1719,347 +1753,216 @@ class SearchEngine:
                                                      and len(excl)) else k,
                                             restrict_docs=restrict,
                                             fuzzy=fuzzy)
-            if excl is not None and len(docs):
-                keep = ~_in_sorted(docs, excl) if len(excl) else \
-                    np.ones(len(docs), bool)
-                docs, scores = docs[keep], scores[keep]
-            # canonical (score desc, doc_id asc) + top-k in numpy — no
-            # Python materialization of the full result set
-            if k is not None and len(docs) > k:
-                kth = -np.partition(-scores, k - 1)[k - 1]
-                keep = scores >= kth  # tie-safe candidate cut
-                docs, scores = docs[keep], scores[keep]
-            order = np.lexsort((docs, -scores))
-            if k is not None:
-                order = order[:k]
-            return [(int(d), float(s))
-                    for d, s in zip(docs[order], scores[order])]
         elif scorer == "zero_to_one":
-            res = self._query_zero_to_one(query_terms, qlen, expand)
+            docs, scores = self._query_zero_to_one(query_terms, qlen, expand)
         elif hasattr(scorer, "score"):  # custom calculator (U3)
-            res = self._query_custom(scorer, query_terms, qlen, fields_boost,
-                                     avgs, n_docs, expand)
+            docs, scores = self._query_custom(scorer, query_terms, qlen,
+                                              fields_boost, avgs, n_docs,
+                                              expand)
         else:
             raise ValueError(f"unknown scorer {scorer!r}")
-        if restrict is not None:
-            keep = set(int(d) for d in restrict)
-            res = [r for r in res if int(r[0]) in keep]
-        if excl is not None and len(excl):
-            drop = set(int(d) for d in excl)
-            res = [r for r in res if int(r[0]) not in drop]
-        res.sort(key=lambda r: (-r[1], r[0]))
-        return res[:k] if k is not None else res
+        return _top_k(docs, scores, k, restrict, excl)
 
     def complete(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
         """Query autocomplete (an extension; the reference trie walks
         prefixes but exposes no completion API): the stored dictionary
         terms with this prefix ranked by (tombstone-adjusted df desc,
         term asc), top-k.  Term-sharded pools route to only the shards
-        whose range can hold the prefix; the per-shard range scan is
+        whose range can hold the prefix; the per-shard range lookup is
         the same one prefix expansion uses."""
-        ordered, df_map = self._expansions_for(prefix, expand=True)
-        ranked = sorted(((t, d) for t, d in df_map.items() if d > 0),
-                        key=lambda x: (-x[1], x[0]))
-        return [(t, int(d)) for t, d in ranked[:k]]
+        e = self._exp(prefix, True)
+        if not e.terms:
+            return []
+        top = np.lexsort((np.asarray(e.terms), -e.df))[:k]
+        return [(e.terms[i], int(e.df[i])) for i in top]
+
+    def _docs_matching(self, term, expand, fuzzy) -> np.ndarray:
+        """Sorted-unique live doc ids in any of the term's expansions'
+        postings: one ``union_docs`` call per shard holding them."""
+        parts = [d for d in self._fan(
+            [(s, "union_docs", (idx, self.tomb))
+             for s, idx, _ in self._exp(term, expand, fuzzy).parts
+             if len(idx)]) if len(d)]
+        return np.unique(np.concatenate(parts)) if parts else \
+            np.empty(0, np.uint64)
 
     def _excluded_docs(self, excl_terms, expand, fuzzy=0) -> np.ndarray:
-        """Sorted-unique doc ids matching ANY exclude term (a doc
-        matches a term if it appears in any of its expansions'
-        postings) — the NOT side of a boolean query.  Same shape as the
-        conjunctive fan-out: one ``union_docs`` call per term (O(df)
-        ids per shard), union folded on the coordinator."""
-        parts = []
-        seen = set()
-        for term in excl_terms:
-            if term == "" or term in seen:
-                continue
-            seen.add(term)
-            ordered, _ = self._expansions_for(term, expand, fuzzy)
-            if not ordered:
-                continue
-            parts.extend(d for d in self._term_call(
-                term, fuzzy, "union_docs", ordered, self.tomb) if len(d))
+        """Doc ids matching ANY exclude term — the NOT side of a boolean
+        query."""
+        parts = [self._docs_matching(t, expand, fuzzy)
+                 for t in dict.fromkeys(excl_terms) if t != ""]
         return np.unique(np.concatenate(parts)) if parts else \
             np.empty(0, np.uint64)
 
     def _conjunctive_candidates(self, query_terms, expand, fuzzy=0):
-        """Doc ids matching EVERY distinct non-empty query term (a doc
-        matches a term if it appears in any of its expansions'
-        postings).  One ``union_docs`` fan-out per term (O(df) ids per
-        shard), intersections folded on the coordinator; the result is
-        O(min df) and restricts all later scoring."""
+        """Doc ids matching EVERY distinct non-empty query term, folded
+        by intersection on the coordinator; the result is O(min df) and
+        restricts all later scoring.  None for a query with no terms."""
         cand = None
-        seen = set()
-        for term in query_terms:
-            if term == "" or term in seen:
+        for term in dict.fromkeys(query_terms):
+            if term == "":
                 continue
-            seen.add(term)
-            ordered, _ = self._expansions_for(term, expand, fuzzy)
-            if not ordered:
-                return np.empty(0, np.uint64)
-            parts = [d for d in self._term_call(term, fuzzy, "union_docs",
-                                                ordered, self.tomb)
-                     if len(d)]
-            docs = np.unique(np.concatenate(parts)) if parts else \
-                np.empty(0, np.uint64)
+            docs = self._docs_matching(term, expand, fuzzy)
             cand = docs if cand is None else \
                 np.intersect1d(cand, docs, assume_unique=True)
-            if cand is not None and not len(cand):
+            if not len(cand):
                 return cand
         return cand
 
-    # .. BM25 ..............................................................
+    # .. expansions ........................................................
 
     def _prefetch_expansions(self, query_terms, expand: bool) -> None:
-        """Actor-pool RTT eliminator: for every uncached query term,
-        fire ONE fused ``expand_with_bounds`` RPC per routed shard —
-        all terms' requests in flight CONCURRENTLY — and populate both
-        the expansion cache and the bounds cache from the responses.
-        A k-term top-k query then costs k parallel metadata RPCs + the
-        scoring rounds, instead of 2k sequential rounds.  No-ops
-        in-process (no RTT to save), under tombstones (df needs the
-        adjusted fan-out), and for doc-sharded pools (shard 0 already
-        answers everything there)."""
+        """Actor-pool RTT eliminator: for every uncached query term, fire
+        ONE fused ``expand_with_bounds`` RPC per routed shard — all
+        terms' requests in flight CONCURRENTLY — and populate both the
+        expansion cache and the bounds cache from the responses.  No-ops
+        in-process (no RTT to save) and under tombstones (the responses
+        carry raw df; the adjusted df needs the tombstone fan-out)."""
         if not self.use_actors or len(self.tomb):
             return
-        todo, seen = [], set()
-        for t in query_terms:
-            if t and t not in seen \
-                    and (t, expand, 0) not in self._exp_cache:
-                seen.add(t)
-                todo.append(t)
-        if not todo:
-            return
-        if self.doc_shards:
-            # doc shards share one global dictionary: shard 0 answers
-            # all metadata — fire every term's fused RPC concurrently
-            self._prefetch_doc_sharded(todo, expand)
-            return
-        if not expand:
-            # exact-term mode: the adjusted-df probes, all in flight
-            in_flight = [(t, [s.df_adjusted.remote(t, self.tomb)
-                              for s in self._route(t)]) for t in todo]
-            for t, refs in in_flight:
-                d = max(self._ray.get(refs), default=0)
-                entry = ([t], {t: int(d)}) if d > 0 else ([], {})
-                if len(self._exp_cache) < 65536:
-                    self._exp_cache[(t, False, 0)] = entry
-            return
-        in_flight = [(t, [s.expand_with_bounds.remote(t)
-                          for s in self._route(t)]) for t in todo]
-        for t, refs in in_flight:
-            res = self._ray.get(refs)
-            all_exp = [e for (lst, _, _) in res for e in lst]
-            if not all_exp:
-                entry = ([], {})
-            else:
-                ordered = trie_expansion_order(all_exp, t)
-                df_map = {e: raw for e, raw, _ in all_exp}
-                ordered = [e for e in ordered if df_map.get(e, 0) > 0]
-                entry = (ordered, df_map)
-                F = self.num_fields
-                tfm = np.zeros((len(ordered), F), dtype=np.float64)
-                lmn = np.zeros((len(ordered), F), dtype=np.float64)
-                pos = {e: i for i, e in enumerate(ordered)}
-                for (lst, t_s, l_s) in res:
-                    for j, (e, _, _) in enumerate(lst):
-                        i = pos.get(e)
-                        if i is not None:
-                            tfm[i] = t_s[j]
-                            lmn[i] = l_s[j]
-                if len(self._exp_cache) < 65536:
-                    self._exp_cache[("__bounds__", t, True, 0)] = (tfm, lmn)
-            if len(self._exp_cache) < 65536:
-                self._exp_cache[(t, True, 0)] = entry
+        todo = [t for t in dict.fromkeys(query_terms)
+                if t and (t, expand, 0) not in self._exp_cache]
+        asked = {t: self._dict_shards(t, 0) for t in todo}
+        refs = {t: [s.expand_with_bounds.remote(t, not expand)
+                    for s in asked[t]] for t in todo}
+        F = self.num_fields
+        for t in todo:
+            res = self._ray.get(refs[t])
+            e = self._entry(t, 0, asked[t], [r for r, _, _ in res])
+            res = [x for x in res if len(x[0])]
+            if len(self._exp_cache) >= 65536:
+                return
+            self._exp_cache[(t, expand, 0)] = e
+            if e.terms:
+                tfm = np.zeros((len(e.terms), F), dtype=np.float64)
+                lmn = np.zeros((len(e.terms), F), dtype=np.float64)
+                for (_, idx, pos), (r, t_s, l_s) in zip(e.meta, res):
+                    rows = np.searchsorted(r.idx, idx)
+                    tfm[pos], lmn[pos] = t_s[rows], l_s[rows]
+                self._exp_cache[("__bounds__", t, expand, 0)] = (tfm, lmn)
 
-    def _prefetch_doc_sharded(self, todo, expand: bool) -> None:
-        s0 = self.shards[0]
-        if not expand:
-            refs = [(t, s0.df_adjusted.remote(t, np.empty(0, np.uint64)))
-                    for t in todo]
-            for t, r in refs:
-                d = int(self._ray.get(r))
-                entry = ([t], {t: d}) if d > 0 else ([], {})
-                if len(self._exp_cache) < 65536:
-                    self._exp_cache[(t, False, 0)] = entry
-            return
-        refs = [(t, s0.expand_with_bounds.remote(t)) for t in todo]
-        for t, r in refs:
-            all_exp, t_s, l_s = self._ray.get(r)
-            if not all_exp:
-                entry = ([], {})
-            else:
-                ordered = trie_expansion_order(all_exp, t)
-                df_map = {e: raw for e, raw, _ in all_exp}
-                ordered = [e for e in ordered if df_map.get(e, 0) > 0]
-                entry = (ordered, df_map)
-                F = self.num_fields
-                tfm = np.zeros((len(ordered), F), dtype=np.float64)
-                lmn = np.zeros((len(ordered), F), dtype=np.float64)
-                pos = {e: i for i, e in enumerate(ordered)}
-                for j, (e, _, _) in enumerate(all_exp):
-                    i = pos.get(e)
-                    if i is not None:
-                        tfm[i] = t_s[j]
-                        lmn[i] = l_s[j]
-                if len(self._exp_cache) < 65536:
-                    self._exp_cache[("__bounds__", t, True, 0)] = (tfm, lmn)
+    def _dict_shards(self, term: str, fuzzy: int):
+        """Shards whose dictionary answers for ``term``: shard 0 of a
+        doc-sharded pool (one global dictionary), every shard for fuzzy
+        expansion (variants need not share the term's prefix range),
+        else the term-range routed shards."""
+        if self.doc_shards:
+            return [self.shards[0]]
+        return self.shards if fuzzy else self._route(term)
+
+    def _exp(self, term: str, expand: bool, fuzzy: int = 0) -> "_Exp":
+        """A query term's expansion entry, memoized per engine snapshot:
+        the dictionary is immutable between refreshes and the adjusted
+        df is valid for the tombstone set it was computed under, which
+        only ``_reload_tombstones`` changes — and it empties the cache."""
+        key = (term, expand, fuzzy)
+        e = self._exp_cache.get(key)
+        if e is None:
+            e = self._expansions_for_uncached(term, expand, fuzzy)
             if len(self._exp_cache) < 65536:
-                self._exp_cache[(t, True, 0)] = entry
+                self._exp_cache[key] = e
+        return e
 
     def _expansions_for(self, term: str, expand: bool, fuzzy: int = 0):
-        """Global expansion list in reference trie order, with
-        tombstone-adjusted df; terms with df == 0 are skipped
-        (``src/query.rs:44-48``) but still shape the order.
+        """(live expansions in reference order, {expansion: adjusted
+        df}) — terms with df == 0 are skipped (``src/query.rs:44-48``)
+        but still shape the order."""
+        e = self._exp(term, expand, fuzzy)
+        return e.terms, dict(zip(e.terms, e.df.tolist()))
 
-        Results are memoized per engine instance while no tombstones
-        exist (the dictionary is immutable between refreshes): repeated
-        hot prefixes skip the expand fan-out and the Python trie-order
-        reconstruction, which dominate warm-query time for
-        expansion-heavy prefixes."""
-        key = (term, expand, fuzzy)
-        if not len(self.tomb) and key in self._exp_cache:
-            return self._exp_cache[key]
+    def _expansions_for_uncached(self, term: str, expand: bool,
+                                 fuzzy: int = 0) -> "_Exp":
+        asked = self._dict_shards(term, fuzzy)
         if fuzzy:
-            res = self._expansions_for_fuzzy(term, fuzzy)
+            calls = [(s, "expand_fuzzy", (term, fuzzy)) for s in asked]
         else:
-            res = self._expansions_for_uncached(term, expand)
-        if not len(self.tomb) and len(self._exp_cache) < 65536:
-            self._exp_cache[key] = res
-        return res
+            calls = [(s, "expand", (term, not expand)) for s in asked]
+        return self._entry(term, fuzzy, asked, self._fan(calls))
 
-    def _expansions_for_fuzzy(self, term: str, d: int):
-        """Fuzzy (Levenshtein ≤ d) expansion list: deterministic order =
-        the exact term first (if stored), then the variants sorted
-        lexicographically.  The dictionary scan fans out to EVERY shard
-        (variants don't share the term's prefix range); doc-sharded
-        pools ask shard 0's full dictionary once."""
+    def _entry(self, term, fuzzy, asked, ranges) -> "_Exp":
+        """A term's expansion entry from the dictionary ranges the
+        ``asked`` shards returned.  One range (in-process, doc-sharded,
+        or a prefix inside one term-range shard) is ordered by its
+        stored trie rank; ranges from several shards are merged by term
+        and ranked afresh over the merged list — the global trie order
+        restricted to a prefix's subtree is the subtree's own order.
+        Fuzzy expansions order the exact term first, then by term."""
+        got = [(s, r) for s, r in zip(asked, ranges) if len(r)]
+        if not got:
+            return _NO_EXP
         if self.doc_shards:
-            all_exp = self._call_one(self.shards[0], "expand_fuzzy",
-                                     term, d)
+            # one global dictionary: every shard holds postings of
+            # shard 0's entries
+            got = [(s, got[0][1]) for s in self.shards]
+        distinct = list({id(r): (s, r) for s, r in reversed(got)}.values())
+        distinct.reverse()
+        if len(distinct) == 1:
+            r = distinct[0][1]
+            terms_all, raw, rank = r.terms, r.df, r.rank
+            where = {id(r): np.arange(len(r))}
         else:
-            per_shard = self._call("expand_fuzzy", term, d)
-            all_exp = [e for lst in per_shard for e in lst]
-        if not all_exp:
-            return [], {}
-        ordered = sorted(t for t, _, _ in all_exp if t != term)
-        if any(t == term for t, _, _ in all_exp):
-            ordered.insert(0, term)
-        if self.doc_shards:
-            df_map = {t: raw for t, raw, _ in all_exp}
-            if len(self.tomb):
-                terms_list = list(df_map)
-                hits = self._call("tomb_hits_many", terms_list, self.tomb)
-                total = np.sum(np.stack(hits), axis=0)
-                df_map = {t: int(df_map[t] - h)
-                          for t, h in zip(terms_list, total)}
-        elif len(self.tomb):
-            terms_list = [t for t, _, _ in all_exp]
-            per_shard = self._call("df_adjusted_many", terms_list,
-                                   self.tomb)
-            df_map = {}
-            for lst in per_shard:
-                for t, dd in zip(terms_list, lst):
-                    if dd > 0:
-                        df_map[t] = dd  # a term lives in one shard
-        else:
-            df_map = {t: raw for t, raw, _ in all_exp}
-        df_map = {t: dd for t, dd in df_map.items() if dd > 0}
-        ordered = [t for t in ordered if t in df_map]
-        return ordered, df_map
+            cat = np.concatenate([np.asarray(r.terms) for _, r in distinct])
+            u, first, inv = np.unique(cat, return_index=True,
+                                      return_inverse=True)
+            terms_all = u.tolist()
 
-    def _expansions_for_uncached(self, term: str, expand: bool):
-        if self.doc_shards:
-            return self._expansions_for_doc_sharded(term, expand)
-        per_shard = self._call_term(term, "expand", term) if expand else None
-        if expand:
-            all_exp = [e for lst in per_shard for e in lst]
-        else:
-            all_exp = []
-            for shard in self._route(term):
-                d = self._call_one(shard, "df_adjusted", term, self.tomb)
-                if d > 0:
-                    all_exp.append((term, d, 0))
-        if not all_exp:
-            return [], {}
-        ordered = trie_expansion_order(all_exp, term) if expand \
-            else [t for t, _, _ in all_exp]
-        # adjusted df (only needs decode when tombstones exist)
-        df_map = {}
+            def merged(field):
+                return np.concatenate([getattr(r, field)
+                                       for _, r in distinct])[first]
+            raw = merged("df")
+            rank = None if fuzzy else trie_rank(
+                terms_all, merged("first_pos"), merged("first_off"),
+                len(term))
+            offs = np.cumsum([0] + [len(r) for _, r in distinct])
+            where = {id(r): inv[o:o + len(r)]
+                     for (_, r), o in zip(distinct, offs)}
+        if fuzzy:
+            rank = np.arange(len(terms_all))
+            i = bisect.bisect_left(terms_all, term)
+            if i < len(terms_all) and terms_all[i] == term:
+                rank[i] = -1
+        df = np.array(raw, dtype=np.int64)
         if len(self.tomb):
-            terms_list = [t for t, _, _ in all_exp]
-            per_shard = self._call_term(term, "df_adjusted_many",
-                                        terms_list, self.tomb)
-            for lst in per_shard:
-                for t, d in zip(terms_list, lst):
-                    if d > 0:
-                        df_map[t] = d
-        else:
-            for t, raw_df, _ in all_exp:
-                df_map[t] = raw_df
-        ordered = [t for t in ordered if df_map.get(t, 0) > 0]
-        return ordered, df_map
+            hits = self._fan([(s, "tomb_hits_many", (r.idx, self.tomb))
+                              for s, r in got])
+            for (_, r), h in zip(got, hits):
+                df[where[id(r)]] -= h
+        order = np.argsort(rank, kind="stable")
+        order = order[df[order] > 0]
+        pos_all = np.full(len(terms_all), -1, dtype=np.int64)
+        pos_all[order] = np.arange(len(order))
+        terms = [terms_all[i] for i in order]
 
-    def _expansions_for_doc_sharded(self, term: str, expand: bool):
-        """Doc-sharded metadata path: every shard holds the FULL
-        dictionary with global raw df, so expansions come from ONE
-        shard (no fan-out, no dedup); under tombstones the adjusted df
-        is ``raw_df - Σ_shards local tombstone hits`` (each doc's
-        postings are shard-local, so the sum is exact)."""
-        if expand:
-            all_exp = self._call_one(self.shards[0], "expand", term)
-        else:
-            d = self._call_one(self.shards[0], "df_adjusted", term,
-                               np.empty(0, np.uint64))
-            all_exp = [(term, int(d), 0)] if d > 0 else []
-        if not all_exp:
-            return [], {}
-        ordered = trie_expansion_order(all_exp, term) if expand \
-            else [t for t, _, _ in all_exp]
-        df_map = {t: raw for t, raw, _ in all_exp}
-        if len(self.tomb):
-            terms_list = [t for t, _, _ in all_exp]
-            hits = self._call("tomb_hits_many", terms_list, self.tomb)
-            total = np.sum(np.stack(hits), axis=0)
-            df_map = {t: int(df_map[t] - h)
-                      for t, h in zip(terms_list, total)}
-        df_map = {t: d for t, d in df_map.items() if d > 0}
-        ordered = [t for t in ordered if t in df_map]
-        return ordered, df_map
+        def part(s, r):
+            p = pos_all[where[id(r)]]
+            live = p >= 0
+            return s, np.asarray(r.idx, np.int64)[live], p[live]
+        return _Exp(terms, df[order],
+                    np.fromiter((len(t.encode()) for t in terms),
+                                np.float64, count=len(terms)),
+                    [part(s, r) for s, r in got],
+                    [part(s, r) for s, r in distinct])
 
-    def _bounds_for(self, term: str, expand: bool, ordered: list[str],
-                    fuzzy: int = 0):
+    def _bounds_for(self, term: str, expand: bool, fuzzy: int = 0):
         """Impact-bound matrices (tf_max, len_min — each (n, F) float64,
-        aligned to ``ordered``) for top-k pruning; fetched LAZILY (only
-        bm25 top-k queries pay the extra shard round-trip) and memoized
-        with the expansion cache.  A term lives in exactly one shard;
-        absent shards contribute zeros."""
+        aligned to the term's live expansions) for the multi-term
+        suffix restriction; fetched LAZILY (only top-k queries pay the
+        shard round-trip) and memoized with the expansion cache."""
         key = ("__bounds__", term, expand, fuzzy)
-        if not len(self.tomb) and key in self._exp_cache:
+        if key in self._exp_cache:
             return self._exp_cache[key]
-        if self.doc_shards:
-            # doc shards keep the GLOBAL per-term bounds — one shard
-            # answers for all
-            per_shard = [self._call_one(self.shards[0], "bounds_arrays",
-                                        ordered)]
-        else:
-            per_shard = self._term_call(term, fuzzy, "bounds_arrays",
-                                        ordered)
-        tfm = np.zeros((len(ordered), self.num_fields), dtype=np.float64)
-        lmn = np.zeros((len(ordered), self.num_fields), dtype=np.float64)
-        for present, t_s, l_s in per_shard:
-            m = present
-            tfm[m] = t_s[m]
-            lmn[m] = l_s[m]
-        res = (tfm, lmn)
-        if not len(self.tomb) and len(self._exp_cache) < 65536:
-            self._exp_cache[key] = res
-        return res
+        e = self._exp(term, expand, fuzzy)
+        tfm = np.zeros((len(e.terms), self.num_fields), dtype=np.float64)
+        lmn = np.zeros((len(e.terms), self.num_fields), dtype=np.float64)
+        meta = [m for m in e.meta if len(m[1])]
+        for (_, _, pos), (t_s, l_s) in zip(meta, self._fan(
+                [(s, "bounds_arrays", (idx,)) for s, idx, _ in meta])):
+            tfm[pos], lmn[pos] = t_s, l_s
+        if len(self._exp_cache) < 65536:
+            self._exp_cache[key] = (tfm, lmn)
+        return tfm, lmn
 
-    @staticmethod
-    def _score_ub_vec(tfm, lmn, idf_boosts, fields_boost, avgs, k1, b):
-        """See module-level ``_score_ub`` (kept as a method alias)."""
-        return _score_ub(tfm, lmn, idf_boosts, fields_boost, avgs, k1, b)
+    # .. BM25 ..............................................................
 
     def _query_bm25(self, query_terms, fields_boost, n_docs, avgs, k1, b,
                     expand, k=None, restrict_docs=None, fuzzy=0):
@@ -2069,144 +1972,69 @@ class SearchEngine:
         for term in query_terms:
             if term == "":
                 continue
-            ordered, df_map = self._expansions_for(term, expand, fuzzy)
-            if not ordered:
+            e = self._exp(term, expand, fuzzy)
+            if not e.terms:
                 continue
             # vectorized idf × byte-length expansion boost (bit-identical
             # to the scalar formulas: same float64 op order, np.log is
-            # the same libm log as math.log) — the scalar loop was ~3 ms
-            # per hot prefix term (2.5k expansions × log+encode+min)
-            n = len(ordered)
-            dfs = np.fromiter((df_map[e] for e in ordered),
-                              dtype=np.float64, count=n)
-            freq = np.minimum(float(n_docs), dfs)
+            # the same libm log as math.log)
+            freq = np.minimum(float(n_docs), e.df.astype(np.float64))
             idf = np.log(1.0 + (n_docs - freq + 0.5) / (freq + 0.5))
-            tb = len(term.encode())
-            bl = np.fromiter((len(e.encode()) for e in ordered),
-                             dtype=np.float64, count=n)
-            boost = np.log(1.0 + 1.0 / (1.0 + np.abs(bl - tb)))
-            exact = np.fromiter((e == term for e in ordered),
-                                dtype=bool, count=n)
-            boost[exact] = 1.0
-            term_infos.append((term, ordered, idf * boost))
-        # Exact top-k pruning is valid only when ONE query term
-        # contributes postings: the merge is then a pure per-doc max
-        # over expansions (prev is always None, so expansion order
-        # cannot affect scores).
-        prune = k is not None and len(term_infos) == 1
-        # short multi-term queries: dispatch every term's reduced-
-        # scoring RPC CONCURRENTLY — the sequential per-term round-trips
-        # dominate warm latency, while the TAAT suffix restriction they
-        # enable (a shard-traffic optimization that never changes
-        # scores: docs outside the accumulator provably cannot enter
-        # the top-k, so scoring them anyway is rank-identical) rarely
-        # fires this early — measured 1 restricted call in 240 over
-        # 4-6-term queries on the 600k bench index.  The merge below
-        # still consumes results in term order, so the ranking is
-        # byte-identical.  7+-term queries keep the sequential loop:
-        # the restriction's traffic savings compound with term count
-        # and the remaining-UB sum shrinks as terms are consumed.
-        concurrent_refs = None
+            boost = np.log(1.0 + 1.0 / (1.0 + np.abs(
+                e.blen - len(term.encode()))))
+            if e.terms[0] == term:  # the exact term leads its expansions
+                boost[0] = 1.0
+            term_infos.append((term, e, idf * boost))
+        parts = [[(s, idx, pos, w[pos]) for s, idx, pos in e.parts
+                  if len(idx)] for _, e, w in term_infos]
+        if k is not None and len(term_infos) == 1:
+            # Exact top-k pruning is valid only when ONE query term
+            # contributes postings: the merge is then a pure per-doc max
+            # over expansions (prev is always None, so expansion order
+            # cannot affect scores).  Every shard runs the prune loop
+            # over its own entries in one concurrent round; a doc's best
+            # expansion lives in one shard, whose local top-k (ties
+            # kept) holds it, so the per-doc max of the union is exact.
+            res = self._fan([(s, "score_bm25_topk_pruned",
+                              (idx, w, fields_boost, avgs, k1, b,
+                               self.tomb, k))
+                             for s, idx, _, w in parts[0]])
+            if len(res) == 1:
+                return res[0]
+            return _reduce_max_by_doc(np.concatenate([d for d, _ in res]),
+                                      np.concatenate([s for _, s in res]))
+
+        def reduced(ti, only_docs):
+            return [(s, "score_bm25_reduced",
+                     (idx, pos, w, fields_boost, avgs, k1, b, self.tomb,
+                      only_docs)) for s, idx, pos, w in parts[ti]]
+        # short multi-term queries on an actor pool: dispatch every
+        # term's reduced-scoring RPC CONCURRENTLY — the sequential
+        # per-term round-trips dominate warm latency, while the TAAT
+        # suffix restriction they enable (a shard-traffic optimization
+        # that never changes scores: docs outside the accumulator
+        # provably cannot enter the top-k) rarely fires this early.  The
+        # merge below still consumes results in term order, so the
+        # ranking is byte-identical.  7+-term queries keep the
+        # sequential loop: the restriction's savings compound with term
+        # count and the remaining-UB sum shrinks as terms are consumed.
+        concurrent = None
         if self.use_actors and 2 <= len(term_infos) <= 6:
-            concurrent_refs = []
-            for term, ordered, idf_boosts in term_infos:
-                shards = self.shards if fuzzy else self._route(term)
-                concurrent_refs.append(
-                    [s.score_bm25_reduced.remote(
-                        ordered, idf_boosts, fields_boost, avgs, k1, b,
-                        self.tomb, restrict_docs) for s in shards])
+            concurrent = [self._submit(reduced(ti, restrict_docs))
+                          for ti in range(len(term_infos))]
         # per-term score upper bounds for the multi-term TAAT suffix
         # restriction (bounds fetched lazily — only top-k queries pay)
         term_ubs = None
-        if k is not None and len(term_infos) > 1 and concurrent_refs is None:
-            term_ubs = []
-            for term, ordered, idf_boosts in term_infos:
-                tfm, lmn = self._bounds_for(term, expand, ordered, fuzzy)
-                term_ubs.append(float(self._score_ub_vec(
-                    tfm, lmn, idf_boosts, fields_boost, avgs, k1, b).max()))
+        if k is not None and len(term_infos) > 1 and concurrent is None:
+            term_ubs = [float(_score_ub(
+                *self._bounds_for(term, expand, fuzzy), w, fields_boost,
+                avgs, k1, b).max()) for term, _, w in term_infos]
         g_docs = np.empty(0, dtype=np.uint64)
         g_scores = np.empty(0, dtype=np.float64)
         # conjunctive restriction (if any) applies from the first term;
         # the TAAT suffix restriction below can only tighten it further
         only_docs = restrict_docs
-        for ti, (term, ordered, idf_boosts) in enumerate(term_infos):
-            if prune:
-                routed = self.shards if fuzzy else self._route(term)
-                pfx = term if expand and not fuzzy else None
-                if len(routed) == 1:
-                    # the whole expansion block lives on one shard: run
-                    # the identical prune loop THERE — one RPC round
-                    # instead of one per adaptive chunk (the dominant
-                    # warm-latency cost for hot/prefix single-term
-                    # queries whose bounds never prune)
-                    g_docs, g_scores = self._call_one(
-                        routed[0], "score_bm25_topk_pruned", ordered,
-                        idf_boosts, fields_boost, avgs, k1, b,
-                        self.tomb, k, pfx)
-                    break
-                if self.doc_shards:
-                    # doc-sharded pool: every doc's postings live on
-                    # exactly ONE shard, so each shard's LOCAL pruned
-                    # top-k (ties kept) provably contains every
-                    # globally-top-k doc it owns — run the loop on all
-                    # shards in ONE concurrent round and union, instead
-                    # of fanning each adaptive chunk to the whole pool
-                    if self.use_actors:
-                        parts = self._ray.get(
-                            [s.score_bm25_topk_pruned.remote(
-                                ordered, idf_boosts, fields_boost, avgs,
-                                k1, b, self.tomb, k, pfx)
-                             for s in self.shards])
-                    else:
-                        parts = [s.score_bm25_topk_pruned(
-                            ordered, idf_boosts, fields_boost, avgs,
-                            k1, b, self.tomb, k, pfx)
-                            for s in self.shards]
-                    d_all = np.concatenate([p[0] for p in parts])
-                    s_all = np.concatenate([p[1] for p in parts])
-                    o = np.argsort(d_all, kind="stable")
-                    g_docs, g_scores = d_all[o], s_all[o]
-                    break
-                # process expansions in descending score upper bound;
-                # stop when the bound can no longer enter the top-k
-                tfm, lmn = self._bounds_for(term, expand, ordered, fuzzy)
-                ub_each = self._score_ub_vec(tfm, lmn, idf_boosts,
-                                             fields_boost, avgs, k1, b)
-                order_ub = np.argsort(-ub_each, kind="stable")
-                # chunks double each round: tight early cutoff when hot
-                # terms can be pruned, few RPC rounds when they can't
-                CHUNK = 64
-                pos = 0
-                while pos < len(order_ub):
-                    if len(g_scores) >= k:
-                        kth = np.partition(g_scores, len(g_scores) - k)[
-                            len(g_scores) - k]
-                    else:
-                        kth = -np.inf
-                    cand = order_ub[pos:pos + CHUNK]
-                    # >= with the ulp-safe floor, mirroring the
-                    # shard-local loop: a bound equaling the kth may be
-                    # a real score whose doc wins the doc-id tie-break
-                    chunk = cand[
-                        ub_each[cand] >= _tie_floor(kth)].tolist()
-                    if not chunk:
-                        break
-                    terms_c = [ordered[i] for i in chunk]
-                    coefs_c = [idf_boosts[i] for i in chunk]
-                    per_shard = self._term_call(
-                        term, fuzzy,
-                        "score_bm25_batch", terms_c, coefs_c, fields_boost,
-                        avgs, k1, b, self.tomb, False, k, float(kth))
-                    dp = [d for _, d, _ in per_shard if len(d)]
-                    sp = [s for _, _, s in per_shard if len(s)]
-                    if dp:
-                        d_u, s_u = _reduce_max_by_doc(
-                            np.concatenate(dp), np.concatenate(sp))
-                        g_docs, g_scores = _merge_max(g_docs, g_scores,
-                                                     d_u, s_u)
-                    pos += CHUNK
-                    CHUNK *= 2
-                break
+        for ti in range(len(term_infos)):
             if term_ubs is not None and only_docs is None \
                     and ti > 0 and len(g_scores) >= k:
                 # docs outside the accumulator can gain at most the sum
@@ -2225,13 +2053,10 @@ class SearchEngine:
             # with expansion multiplicity.  Docs whose score would be
             # None in the reference are still *visited* (src/query.rs:88)
             # — f carries the raw first-record score, sign and all.
-            if concurrent_refs is not None:
-                per_shard = self._ray.get(concurrent_refs[ti])
+            if concurrent is not None:
+                per_shard = self._collect(concurrent[ti])
             else:
-                per_shard = self._term_call(
-                    term, fuzzy, "score_bm25_reduced", ordered,
-                    idf_boosts, fields_boost, avgs, k1, b, self.tomb,
-                    only_docs)
+                per_shard = self._fan(reduced(ti, only_docs))
             per_shard = [t for t in per_shard if len(t[0])]
             if not per_shard:
                 continue
@@ -2285,6 +2110,23 @@ class SearchEngine:
             g_docs, g_scores = md[o], ms[o]
         return g_docs, g_scores
 
+    def _gather(self, e: "_Exp"):
+        """Live postings of all of ``e``'s expansions, one
+        ``gather_postings_many`` call per shard holding them:
+        (expansion rank of each posting, docs, tfs[F], lens[F])."""
+        live = [(s, idx, pos) for s, idx, pos in e.parts if len(idx)]
+        res = self._fan([(s, "gather_postings_many", (idx, self.tomb))
+                         for s, idx, _ in live])
+        F = self.num_fields
+        if not res:
+            z = np.empty(0, np.int64)
+            return z, z.astype(np.uint64), [z] * F, [z] * F
+        return (np.concatenate([pos[r[0]] for (_, _, pos), r
+                                in zip(live, res)]),
+                np.concatenate([r[1] for r in res]),
+                [np.concatenate([r[2][x] for r in res]) for x in range(F)],
+                [np.concatenate([r[3][x] for r in res]) for x in range(F)])
+
     # .. custom ScoreCalculator (U3 hook, src/score/calculator.rs:33-70) ....
 
     def _query_custom(self, calc, query_terms, qlen, fields_boost, avgs,
@@ -2312,42 +2154,29 @@ class SearchEngine:
         for qti, term in enumerate(query_terms):
             if term == "":
                 continue
-            ordered, df_map = self._expansions_for(term, expand)
+            e = self._exp(term, expand)
             visited: set[int] = set()
-            per_shard = self._call_term(term, "gather_postings_many",
-                                        ordered, self.tomb)
-            by_rank: dict[int, list] = {}
-            for lst in per_shard:
-                for i, p in lst:
-                    if p is not None:
-                        by_rank.setdefault(i, []).append(p)
-            for rank in sorted(by_rank):
-                parts = by_rank[rank]
-                if len(parts) == 1:
-                    by_rank[rank] = parts[0]
-                else:
-                    # doc-sharded: shards return doc-disjoint slices of
-                    # the same posting list — restore ascending-doc
-                    # order so the newest-first walk below is faithful
-                    d_all = np.concatenate([p[0] for p in parts])
-                    o = np.argsort(d_all, kind="stable")
-                    by_rank[rank] = (
-                        d_all[o],
-                        [np.concatenate([p[1][x] for p in parts])[o]
-                         for x in range(self.num_fields)],
-                        [np.concatenate([p[2][x] for p in parts])[o]
-                         for x in range(self.num_fields)])
-                e = ordered[rank]
-                uid = node_uid.setdefault(e, len(node_uid))
-                td = TermData(qti, qlen, term, e)
-                pre = calc.before_each(td, df_map[e], docs_proxy)
-                docs, tfs, lens = by_rank[rank]
+            rank, docs, tfs, lens = self._gather(e)
+            # expansion rank order, postings ascending by doc id within
+            # an expansion (doc shards return doc-disjoint slices)
+            o = np.lexsort((docs, rank))
+            rank, docs = rank[o], docs[o]
+            tfs = [t[o] for t in tfs]
+            lens = [ln[o] for ln in lens]
+            bounds = np.flatnonzero(np.r_[True, rank[1:] != rank[:-1]])
+            for a, z in zip(bounds, np.append(bounds[1:], len(rank))):
+                if a == z:
+                    continue
+                ex = e.terms[rank[a]]
+                uid = node_uid.setdefault(ex, len(node_uid))
+                td = TermData(qti, qlen, term, ex)
+                pre = calc.before_each(td, int(e.df[rank[a]]), docs_proxy)
                 # newest-first = descending doc id (postings prepended,
                 # src/index.rs:422-433); one score() call per occurrence
-                for di in range(len(docs) - 1, -1, -1):
+                for di in range(z - 1, a - 1, -1):
                     key = int(docs[di])
                     tf = [int(t[di]) for t in tfs]
-                    fl = [int(l[di]) for l in lens]
+                    fl = [int(ln[di]) for ln in lens]
                     n_vis = int(sum(tf))
                     for _ in range(max(n_vis, 1)):
                         if is_z2o:
@@ -2366,74 +2195,68 @@ class SearchEngine:
                         visited.add(key)
         results = [[k, v] for k, v in scores.items()]
         calc.finalize(results)
-        return [(k, v) for k, v in results]
+        return (np.asarray([r[0] for r in results], dtype=np.uint64),
+                np.asarray([r[1] for r in results], dtype=np.float64))
 
     # .. zero_to_one ........................................................
 
     def _query_zero_to_one(self, query_terms, qlen, expand):
         """Vectorized record gathering + per-(doc,field) pool consumption
-        (``src/score/default/zero_to_one.rs:84-126``).
+        (``src/score/default/zero_to_one.rs:84-126``) over the
+        concatenated postings of every query term's expansions.
 
         Record order within a (doc, field) group must equal the
         reference's stable sort: score desc, ties in insertion order =
-        (query term index asc, trie-expansion rank asc) — encoded here
-        as a global sequence number per (qti, expansion) batch."""
+        (query term index asc, trie-expansion rank asc)."""
         self._prefetch_expansions(query_terms, expand)
-        node_uid: dict[str, int] = {}
-        a_doc, a_field, a_score, a_qti, a_uid, a_tf, a_flen, a_seq = \
-            [], [], [], [], [], [], [], []
-        cand_parts = []
-        seq = 0
-        for qti, term in enumerate(query_terms):
-            if term == "":
-                continue
-            ordered, df_map = self._expansions_for(term, expand)
+        ents = [(qti, t, self._exp(t, expand))
+                for qti, t in enumerate(query_terms) if t != ""]
+        ents = [x for x in ents if x[2].terms]
+        if not ents:
+            return np.empty(0, np.uint64), np.empty(0, np.float64)
+        # node uid: one id per distinct expansion term, across query terms
+        _, uid_cat = np.unique(
+            np.concatenate([np.asarray(e.terms) for _, _, e in ents]),
+            return_inverse=True)
+        F = self.num_fields
+        cols = {n: [] for n in ("doc", "rank", "qti", "score", "uid")}
+        tf_p, fl_p = [[] for _ in range(F)], [[] for _ in range(F)]
+        u0 = 0
+        for qti, term, e in ents:
+            rank, docs, tfs, lens = self._gather(e)
             tl = float(len(term.encode()))
-            per_shard = self._call_term(term, "gather_postings_many",
-                                        ordered, self.tomb)
-            flat = [(i, p) for lst in per_shard for i, p in lst if p is not None]
-            flat.sort(key=lambda x: x[0])  # expansion rank order
-            for i, p in flat:
-                e = ordered[i]
-                uid = node_uid.setdefault(e, len(node_uid))
-                te = float(len(e.encode()))
-                e_score = 1.0 - abs(te - tl) / te
-                docs, tfs, lens = p
-                cand_parts.append(docs)
-                for x in range(self.num_fields):
-                    tf = tfs[x]
-                    m = tf > 0
-                    if not m.any():
-                        continue
-                    n = int(m.sum())
-                    a_doc.append(docs[m])
-                    a_field.append(np.full(n, x, np.int32))
-                    a_score.append(np.full(n, e_score, np.float64))
-                    a_qti.append(np.full(n, qti, np.int32))
-                    a_uid.append(np.full(n, uid, np.int64))
-                    a_tf.append(tf[m])
-                    a_flen.append(lens[x][m])
-                    a_seq.append(np.full(n, seq, np.int64))
-                seq += 1
-        if not cand_parts:
-            return []
-        candidates = np.unique(np.concatenate(cand_parts))
-        if not a_doc:
-            return [(int(d), 0.0) for d in candidates]
-        doc = np.concatenate(a_doc)
-        fld = np.concatenate(a_field)
-        sc = np.concatenate(a_score)
-        qti_a = np.concatenate(a_qti)
-        uid_a = np.concatenate(a_uid)
-        tf_a = np.concatenate(a_tf).astype(np.int64)
-        fl_a = np.concatenate(a_flen).astype(np.int64)
-        seq_a = np.concatenate(a_seq)
-        order = np.lexsort((seq_a, -sc, fld, doc))
+            cols["doc"].append(docs)
+            cols["rank"].append(rank)
+            cols["qti"].append(np.full(len(docs), qti, np.int64))
+            cols["score"].append((1.0 - np.abs(e.blen - tl) / e.blen)[rank])
+            cols["uid"].append(uid_cat[u0 + rank])
+            u0 += len(e.terms)
+            for x in range(F):
+                tf_p[x].append(tfs[x])
+                fl_p[x].append(lens[x])
+        P = {n: np.concatenate(v) for n, v in cols.items()}
+        candidates = np.unique(P["doc"])
+        # one record per (posting, field with tf > 0)
+        TF = [np.concatenate(v) for v in tf_p]
+        FL = [np.concatenate(v) for v in fl_p]
+        sel = [np.flatnonzero(TF[x] > 0) for x in range(F)]
+        pi = np.concatenate(sel)
+        if not len(pi):
+            return candidates, np.zeros(len(candidates))
+        fld = np.repeat(np.arange(F, dtype=np.int64), [len(m) for m in sel])
+        tf_a = np.concatenate([TF[x][m] for x, m in enumerate(sel)]) \
+            .astype(np.int64)
+        fl_a = np.concatenate([FL[x][m] for x, m in enumerate(sel)]) \
+            .astype(np.int64)
+        doc, sc, qti_a, uid_a = (P["doc"][pi], P["score"][pi],
+                                 P["qti"][pi], P["uid"][pi])
+        order = np.lexsort((P["rank"][pi], qti_a, -sc, fld, doc))
         doc, fld, sc = doc[order], fld[order], sc[order]
         qti_a, uid_a, tf_a, fl_a = (qti_a[order], uid_a[order],
                                     tf_a[order], fl_a[order])
         # group boundaries per (doc, field); records within a group are
-        # already in the reference walk order (score desc, seq asc)
+        # already in the reference walk order (score desc, then
+        # (query term, expansion rank) asc)
         newgrp = np.concatenate(
             ([True], (doc[1:] != doc[:-1]) | (fld[1:] != fld[:-1])))
         starts = np.flatnonzero(newgrp)
@@ -2492,12 +2315,13 @@ class SearchEngine:
                 accv += min(sc[i] / tf_a[i], 1.0) * tf_a[i] / float(
                     max(fl_a[i], qlen))
             acc[g] = accv
-        # doc score = max over its (doc, field) pools
+        # doc score = max over its (doc, field) pools; candidates with
+        # no positive record score 0
         d0 = doc[starts]
         o = np.argsort(d0, kind="stable")
         d_s, v_s = d0[o], acc[o]
         st2 = np.flatnonzero(np.concatenate(([True], d_s[1:] != d_s[:-1])))
-        dmax = np.maximum.reduceat(v_s, st2)
-        scores = dict(zip((int(x) for x in d_s[st2]),
-                          (float(x) for x in dmax)))
-        return [(int(d), scores.get(int(d), 0.0)) for d in candidates]
+        scores = np.zeros(len(candidates))
+        scores[np.searchsorted(candidates, d_s[st2])] = \
+            np.maximum.reduceat(v_s, st2)
+        return candidates, scores

@@ -215,7 +215,7 @@ class SegmentEncoder:
         # kept as two columns because the packed doc_id<<20|pos single
         # uint64 wraps for doc ids >= 2^44 (hashed string keys are
         # full-range uint64) and the wrap scrambles the cross-doc order
-        # that trie_expansion_order reconstructs
+        # that the trie rank (search.trie_rank) is computed from
         pos_cap = np.minimum(pos_field_major, POS_MASK).astype(np.uint32)
 
         # --- vocabulary + per-(doc, term) aggregation --------------------

@@ -364,7 +364,7 @@ def test_prefetch_populates_reader_cache_keys(tmp_path):
     for t in terms:
         ordered, df_map = eng._expansions_for(t, True)
         assert ordered and df_map
-        eng._bounds_for(t, True, ordered)
+        eng._bounds_for(t, True)
     # exact-term mode writes/reads the same shape
     eng._exp_cache.clear()
     eng._prefetch_expansions(terms, False)
@@ -408,10 +408,10 @@ def test_topk_pruning_exact(tmp_path):
 def test_topk_pushdown_vs_fanout(tmp_path):
     """Single-term top-k via the shard-local pushed-down prune loop
     (one RPC when term-range routing resolves to one shard) must equal
-    the coordinator's chunked fan-out loop — forced by disabling
-    routing, which is a traffic optimization, never a semantics
-    change.  Also exercises the contiguous prefix-range index mapping
-    against the per-term bisect fallback (exact-term mode)."""
+    the same query with routing disabled, where every shard is asked
+    for the term's dictionary range — routing is a traffic
+    optimization, never a semantics change.  Covers prefix ranges and
+    exact-term mode."""
     import types
     rng = np.random.default_rng(23)
     vocab = np.array([p + s for p in ["ba", "be", "bo", "ga"]
@@ -423,6 +423,7 @@ def test_topk_pushdown_vs_fanout(tmp_path):
     exact = [eng.query(q, "bm25", k=4, expand=False) for q in queries]
     orig = eng._route
     eng._route = types.MethodType(lambda self, t: self.shards, eng)
+    eng._exp_cache.clear()
     fanned = [eng.query(q, "bm25", k=4) for q in queries]
     fanned_exact = [eng.query(q, "bm25", k=4, expand=False)
                     for q in queries]
@@ -435,7 +436,10 @@ def test_topk_pushdown_vs_fanout(tmp_path):
     # round; sound because doc sets are disjoint) must also match
     dse = SearchEngine(eng.index_dir, doc_shards=3)
     ds_new = [dse.query(q, "bm25", k=4) for q in queries]
-    dse.doc_shards = 0          # falls back to the chunked fan-out loop
+    # as a term-sharded pool: every shard answers the same range, which
+    # the coordinator merges by term and ranks afresh
+    dse.doc_shards = 0
+    dse._exp_cache.clear()
     ds_old = [dse.query(q, "bm25", k=4) for q in queries]
     for q, a, b in zip(queries, ds_new, ds_old):
         assert_results(a, b, f"pushdown-docsharded:{q!r}")

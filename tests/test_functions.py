@@ -57,6 +57,17 @@ def test_token_hash_deterministic_and_distinct():
     assert len(np.unique(h1)) == len(toks)
 
 
+def test_token_hash_mixed_types_batch_independent():
+    """An object array past the factorize cutoff hashes each value's
+    str() like the direct path: 1, 1.0 and True share a pandas code
+    but not a string, so they must not share a hash."""
+    big = np.array([1, 1.0, True, "1", "a"] * 1000, dtype=object)
+    want = np.concatenate([hash_tokens_u64(big[i:i + 5])
+                           for i in range(0, len(big), 5)])
+    assert (hash_tokens_u64(big) == want).all()
+    assert len(np.unique(want[:5])) == 4   # "1", "1.0", "True", "a"
+
+
 def test_shingles_and_minhash_similarity():
     def sig_of(tokens):
         h = hash_tokens_u64(np.asarray(tokens))

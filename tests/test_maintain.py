@@ -273,3 +273,21 @@ def test_compact_groups(tmp_path):
     assert all(d != 100 for d, _ in res)
     # second compaction is a no-op (single group)
     assert compact_groups(idx) == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_count_docs_le_ignores_duplicate_docmeta_rows(tmp_path):
+    """A crash between compact_groups' manifest commit and its cleanup
+    of the old group files leaves a doc's docmeta row twice; the stale-
+    avg rank must count distinct ids, not rows."""
+    import shutil
+
+    from probly_search_ray.build import _count_docs_le
+    f1 = str(tmp_path / "part1.parquet")
+    idx = str(tmp_path / "index")
+    _write_file(f1, [(0, "a b"), (1, "c"), (2, "d e f"), (7, "g")])
+    build_index([f1], idx, field_cols=["f0"], files_per_group=1)
+    meta = sorted(glob.glob(os.path.join(idx, "docmeta", "*.parquet")))
+    shutil.copy(meta[0], os.path.join(idx, "docmeta", "group=stale.parquet"))
+    assert _count_docs_le(idx, 2) == 3
+    assert _count_docs_le(idx, 7) == 4

@@ -76,6 +76,9 @@ def _check(eng, ref, rng, nfields, ctx):
         expz = ref.query(q, ZeroToOne(), tok, boosts)
         assert_results(eng.query(q, "zero_to_one", fields_boost=boosts),
                        expz, f"z2o {ctx} q={q!r}")
+        assert_results(eng.query(q, "zero_to_one", k=kk,
+                                 fields_boost=boosts),
+                       expz, f"z2ok {ctx} q={q!r} k={kk}", k=kk)
 
 
 def run_seed(seed, workdir):
