@@ -14,11 +14,15 @@ from __future__ import annotations
 def auto_pool(lo: int = 2, hi_cap: int = 16) -> tuple[int, int]:
     """(min, max) actor-pool bounds: min ``lo`` actors, max scaled to
     the session's CPUs (capped so one stage never monopolizes a node —
-    other stages of the same pipeline need cores too)."""
+    other stages of the same pipeline need cores too).  The minimum
+    leaves at least one CPU free: on a 2-CPU session two 1-CPU actors
+    would hold every CPU, and the pipeline's next stage (a groupby, say)
+    could never schedule."""
     try:
         import ray
         cpus = int(ray.cluster_resources().get("CPU", 8)) \
             if ray.is_initialized() else 8
     except Exception:
         cpus = 8
+    lo = max(1, min(lo, cpus - 1))
     return (lo, max(lo, min(hi_cap, cpus // 2)))

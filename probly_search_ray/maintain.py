@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from probly_search_ray.sources.readers import read_parquet_clean
-from probly_search_ray.search import _grouped_arange
+from probly_search_ray.search import _grouped_arange, _in_sorted
 from probly_search_ray.stages.segment import SEGMENT_SCHEMA, docmeta_ipc, read_docmeta_ipc
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 
@@ -36,8 +36,8 @@ def remove_document(index_dir: str, doc_id: int) -> bool:
 
 
 def remove_documents(index_dir: str, doc_ids) -> int:
-    """Tombstone a batch of docs with ONE docmeta scan and one write per
-    state file.  Returns the number of docs actually removed.
+    """Tombstone a batch of docs with one docmeta lookup and one write
+    per state file.  Returns the number of docs actually removed.
 
     Crash-safety ordering: tombstones are written *before* the stats
     update — a crash in between leaves the doc excluded from scoring
@@ -69,25 +69,55 @@ def remove_documents_by_key(index_dir: str, keys) -> int:
     return remove_documents(index_dir, [int(h) for h in hash_keys(list(keys))])
 
 
+# docmeta dir → {file: ((st_ino, st_mtime_ns, st_size), sorted doc ids,
+# [len_f in id order])}; a file's entry is re-read once its stat changes
+_DOCMETA_MEMO: dict[str, dict] = {}
+_DOCMETA_MEMO_DIRS = 8
+
+
+def _docmeta_lengths(path: str, old):
+    """A docmeta file's ``doc_id`` column sorted, with each ``len_*``
+    column in the same order — ``old`` when the file is unchanged.  A
+    duplicated id keeps its last row."""
+    st = os.stat(path)
+    key = (st.st_ino, st.st_mtime_ns, st.st_size)
+    if old is not None and old[0] == key:
+        return old
+    pf = pq.ParquetFile(path)
+    cols = [c for c in pf.schema_arrow.names if c.startswith("len_")]
+    t = pf.read(columns=["doc_id", *cols])
+    ids = t["doc_id"].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    s = ids[order]
+    last = order[np.r_[s[1:] != s[:-1], True]] if len(s) else order
+    return (key, ids[last],
+            [t[f"len_{f}"].to_numpy()[last] for f in range(len(cols))])
+
+
 def _docs_field_lengths(index_dir: str, doc_ids) -> dict[int, list[int]]:
-    """Field lengths for a batch of doc ids — one predicate-pushdown scan
-    over the docmeta files (not one scan per doc)."""
-    import pyarrow.dataset as pads
+    """Field lengths for a batch of doc ids: a binary search in each
+    docmeta file's memoized id column, so a removal costs O(removed
+    docs) once the files are read.  Later files win for an id present
+    in several (a crash between a compaction's commit and its cleanup
+    leaves it twice).  The memo keeps only the current listing."""
     meta_dir = os.path.join(index_dir, "docmeta")
     files = sorted(glob.glob(os.path.join(meta_dir, "*.parquet"))) \
         if os.path.isdir(meta_dir) else []
-    if not files or not doc_ids:
+    if not files or not len(doc_ids):
         return {}
-    ds = pads.dataset(files)
-    ids_arr = pa.array([int(d) for d in doc_ids], type=pa.uint64())
-    t = ds.to_table(filter=pads.field("doc_id").isin(ids_arr))
-    if len(t) == 0:
-        return {}
-    nf = sum(1 for c in t.column_names if c.startswith("len_"))
-    ids = t["doc_id"].to_numpy()
-    lens = [t[f"len_{f}"].to_numpy() for f in range(nf)]
-    return {int(d): [int(lens[f][i]) for f in range(nf)]
-            for i, d in enumerate(ids)}
+    old = _DOCMETA_MEMO.pop(meta_dir, {})
+    memo = _DOCMETA_MEMO[meta_dir] = {
+        p: _docmeta_lengths(p, old.get(p)) for p in files}
+    while len(_DOCMETA_MEMO) > _DOCMETA_MEMO_DIRS:
+        del _DOCMETA_MEMO[next(iter(_DOCMETA_MEMO))]
+    want = np.asarray([int(d) for d in doc_ids], dtype=np.uint64)
+    out: dict[int, list[int]] = {}
+    for p in files:
+        _, ids, lens = memo[p]
+        found = want[_in_sorted(want, ids)]
+        for d, j in zip(found.tolist(), np.searchsorted(ids, found).tolist()):
+            out[d] = [int(ln[j]) for ln in lens]
+    return out
 
 
 class _Compactor:
@@ -229,14 +259,6 @@ class _Compactor:
         if meta_out is not None:
             out = pa.concat_tables([meta_out, out])
         return out
-
-
-def _in_sorted(values, sorted_arr):
-    if len(sorted_arr) == 0:
-        return np.zeros(len(values), dtype=bool)
-    idx = np.searchsorted(sorted_arr, values)
-    idx = np.minimum(idx, len(sorted_arr) - 1)
-    return sorted_arr[idx] == values
 
 
 def _gc_unreferenced_group_dirs(index_dir: str, man: Manifest) -> None:

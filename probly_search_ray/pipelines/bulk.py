@@ -123,6 +123,10 @@ def bulk_search(queries_ds, index_dir: str, scorer: str = "bm25",
                                   doc_shards=doc_shards or 0,
                                   use_actors=True)
         _POOLS[key] = pool_owner
+    else:
+        # the borrowing coordinators refuse a pool that serves another
+        # snapshot: move the pool to the index's current state first
+        pool_owner.refresh()
     return queries_ds.map_batches(
         ShardedBulkSearcher,
         fn_constructor_args=(index_dir, pool_owner.shards, scorer, k,

@@ -22,9 +22,12 @@ Distributed query model (SURVEY.md §3.2 "Ray shape"):
   in trie order — the reference's (quirky) behaviour, reproduced
   faithfully.
 
-Tombstones (``src/index.rs:30-32``): a small broadcast set; postings of
-removed docs are skipped and df is reduced by their occurrence counts
-(``src/index.rs:281-297``), matching latent-delete semantics exactly.
+Tombstones (``src/index.rs:30-32``): shard state per snapshot.
+``refresh()`` hands each shard the removed-doc set once; the shard marks
+the new docs' postings dead and keeps their occurrence counts per
+dictionary entry, so queries skip dead postings with a mask gather and
+read df less those counts (``src/index.rs:281-297``), matching
+latent-delete semantics exactly.
 """
 
 from __future__ import annotations
@@ -238,6 +241,10 @@ class ShardData:
         with no quantile estimation.  Mutually exclusive with a term
         range; the view is derived from the full-range CSR cache (or a
         fresh decode) and never writes range-specific caches."""
+        self._open(index_dir, term_lo, term_hi, use_cache, doc_mod)
+        self._index_docs()
+
+    def _open(self, index_dir, term_lo, term_hi, use_cache, doc_mod):
         from probly_search_ray.functions.codec import FORMAT_VERSION
         from probly_search_ray.functions.mem import tune_allocator
         tune_allocator()  # shard actors are fresh processes; reuse arena
@@ -454,6 +461,64 @@ class ShardData:
         self.p_docs = docs[idx]
         self.p_tf = [np.asarray(t)[idx] for t in self.p_tf]
         self.p_len = [np.asarray(li)[idx] for li in self.p_len]
+
+    # -- tombstones ----------------------------------------------------------
+
+    def _index_docs(self) -> None:
+        """Doc-ordered posting index, built once at load and never
+        persisted: ``_doc_perm`` lists posting positions grouped by doc,
+        the postings of ``_doc_ids[j]`` being
+        ``_doc_perm[_doc_off[j]:_doc_off[j + 1]]``.  It makes applying a
+        removal O(the removed docs' postings).  uint32 where it fits:
+        4 B a posting plus a few per doc.  Starts with no tombstones."""
+        docs = np.asarray(self.p_docs)
+        wide = len(docs) >= 1 << 32
+        perm = np.argsort(docs)
+        s = docs[perm]
+        st = np.flatnonzero(np.r_[True, s[1:] != s[:-1]]) if len(s) \
+            else np.empty(0, np.int64)
+        self._doc_perm = perm if wide else perm.astype(np.uint32)
+        self._doc_ids = s[st]
+        self._doc_off = np.append(st, len(s)).astype(
+            np.int64 if wide else np.uint32)
+        self._tomb = np.empty(0, np.uint64)
+        self._dead = None       # per-posting mask, once a posting dies
+        self._tomb_occ = None   # per-entry df mass of dead postings
+
+    def set_tombstones(self, tomb) -> None:
+        """Serve the snapshot whose removed docs are ``tomb`` (sorted,
+        unique).  A superset of the current set marks only the new
+        docs' postings dead and adds their occurrence counts to
+        ``_tomb_occ``; any other set (vacuum clears it) starts again
+        from no tombstones.  Queries then skip dead postings with one
+        mask gather and read live df as ``df - _tomb_occ``
+        (``src/index.rs:281-297``)."""
+        tomb = np.asarray(tomb, np.uint64)
+        old = self._tomb
+        if not _in_sorted(old, tomb).all():
+            self._dead = self._tomb_occ = None
+            old = old[:0]
+        new = tomb[~_in_sorted(tomb, old)]
+        self._tomb = tomb
+        j = np.searchsorted(self._doc_ids, new)[_in_sorted(new,
+                                                          self._doc_ids)]
+        lo = self._doc_off[j].astype(np.int64)
+        n = self._doc_off[j + 1] - lo
+        g = self._doc_perm[np.repeat(lo, n) + _grouped_arange(n)] \
+            .astype(np.int64)
+        if not len(g):
+            return
+        if self._dead is None:
+            self._dead = np.zeros(len(self.p_docs), dtype=bool)
+            self._tomb_occ = np.zeros(len(self.terms), dtype=np.int64)
+        self._dead[g] = True
+        occ = sum(t[g].astype(np.int64) for t in self.p_tf)
+        np.add.at(self._tomb_occ,
+                  np.searchsorted(self.post_off, g, "right") - 1, occ)
+
+    def tombstones(self) -> np.ndarray:
+        """The removed-doc set this shard serves (see ``set_tombstones``)."""
+        return self._tomb
 
     # rows per decode chunk: bounds the varint-scan temporaries (which
     # the tuned allocator then REUSES across chunks) — an unchunked scan
@@ -876,39 +941,34 @@ class ShardData:
             return slice(int(lo[0]), int(lo[0] + n.sum())), n
         return np.repeat(lo, n) + _grouped_arange(n), n
 
-    def tomb_hits_many(self, idx, tomb: np.ndarray) -> np.ndarray:
+    def tomb_hits_many(self, idx) -> np.ndarray:
         """Occurrence-counted df mass that tombstoned docs carry in this
-        shard's postings of each entry ``idx``: one membership test over
-        the entries' concatenated postings, summed per entry.  The
-        coordinator subtracts the sum over every shard holding the
-        entries' postings from the dictionary df (``src/index.rs:281-297``;
-        a doc's postings live wholly in one shard)."""
-        out = np.zeros(len(idx), dtype=np.int64)
-        if not len(tomb) or not len(idx):
-            return out
-        g, n = self._span(idx)
-        hit = np.flatnonzero(_in_sorted(self.p_docs[g], tomb))
-        if len(hit):
-            occ = sum(t[g][hit].astype(np.int64) for t in self.p_tf)
-            np.add.at(out, np.searchsorted(np.cumsum(n), hit, "right"), occ)
-        return out
+        shard's postings of each entry ``idx`` (kept by
+        ``set_tombstones``).  The coordinator subtracts the sum over
+        every shard holding the entries' postings from the dictionary df
+        (``src/index.rs:281-297``; a doc's postings live wholly in one
+        shard)."""
+        idx = np.asarray(idx, np.int64)
+        if self._tomb_occ is None:
+            return np.zeros(len(idx), dtype=np.int64)
+        return self._tomb_occ[idx]
 
-    def df_adjusted_many(self, idx, tomb: np.ndarray) -> np.ndarray:
+    def df_adjusted_many(self, idx) -> np.ndarray:
         """Dictionary df of entries ``idx`` less their tombstoned
         occurrences in this shard."""
         idx = np.asarray(idx, np.int64)
-        return self.df[idx] - self.tomb_hits_many(idx, tomb)
+        return self.df[idx] - self.tomb_hits_many(idx)
 
-    def df_adjusted(self, term: str, tomb: np.ndarray) -> int:
+    def df_adjusted(self, term: str) -> int:
         """Occurrence-counted df excluding tombstoned docs
         (``src/index.rs:281-297``)."""
         i0, i1 = self.range_of(term, exact=True)
-        return int(self.df_adjusted_many(np.arange(i0, i1), tomb).sum())
+        return int(self.df_adjusted_many(np.arange(i0, i1)).sum())
 
     # -- scoring -----------------------------------------------------------
 
     def score_bm25_batch(self, terms: list[str], idf_boosts, fields_boost,
-                         avgs, k1: float, b: float, tomb: np.ndarray,
+                         avgs, k1: float, b: float,
                          keep_nonpositive: bool = False,
                          topk: int | None = None,
                          floor: float = -np.inf,
@@ -962,8 +1022,8 @@ class ShardData:
                 k1 * ((1.0 - b) + b * (fl / avgs[x])) + tfp)
             s[pos] += tf_norm * (coef[pos] * fields_boost[x])
         keep = None
-        if len(tomb):
-            keep = ~_in_sorted(docs, tomb)
+        if self._dead is not None:
+            keep = ~self._dead[gidx]
         if not keep_nonpositive:
             keep = (s > 0.0) if keep is None else keep & (s > 0.0)
         if keep is not None:
@@ -987,8 +1047,7 @@ class ShardData:
         return ranks, docs, s
 
     def score_bm25_topk_pruned(self, idx, idf_boosts, fields_boost,
-                               avgs, k1: float, b: float,
-                               tomb: np.ndarray, k: int):
+                               avgs, k1: float, b: float, k: int):
         """Single-term exact top-k over dictionary entries ``idx`` with
         impact-bound pruning, run shard-local: the adaptive chunk loop
         (64, 128, 256, ... expansions in descending upper-bound order,
@@ -1042,7 +1101,7 @@ class ShardData:
             # ordering key, so later chunks may still qualify
             if len(sel):
                 _, d, s = self.score_bm25_batch(
-                    None, idf[sel], fields_boost, avgs, k1, b, tomb,
+                    None, idf[sel], fields_boost, avgs, k1, b,
                     False, k, float(kth), term_idx=idx_all[sel])
                 if len(d):
                     g_docs, g_scores = _merge_max(
@@ -1052,8 +1111,7 @@ class ShardData:
         return g_docs, g_scores
 
     def score_bm25_reduced(self, idx, pos, idf_boosts, fields_boost,
-                           avgs, k1: float, b: float, tomb: np.ndarray,
-                           only_docs=None):
+                           avgs, k1: float, b: float, only_docs=None):
         """Multi-term building block over dictionary entries ``idx``
         whose expansion ranks are ``pos``: like ``score_bm25_batch`` with
         ``keep_nonpositive=True``, but REDUCED PER DOC shard-side so the
@@ -1071,7 +1129,7 @@ class ShardData:
         q, so ``rest_max`` excludes exactly the one globally-first
         record (``src/query.rs:150-164``)."""
         ranks, docs, s = self.score_bm25_batch(
-            None, idf_boosts, fields_boost, avgs, k1, b, tomb,
+            None, idf_boosts, fields_boost, avgs, k1, b,
             keep_nonpositive=True, only_docs=only_docs, term_idx=idx)
         ranks = np.asarray(pos, np.int64)[ranks]
         if not len(docs):
@@ -1096,39 +1154,39 @@ class ShardData:
                      .astype(np.float64)
                      for arrs in (self.tf_max, self.len_min))
 
-    def gather_postings_many(self, idx, tomb: np.ndarray):
+    def gather_postings_many(self, idx):
         """Live postings of dictionary entries ``idx``, concatenated in
         entry order: (entry of each posting, docs, tfs[F], lens[F]) —
-        one slice of the entries' CSR span, tombstoned docs dropped.
+        one slice of the entries' CSR span, dead postings dropped.
         Raw inputs for the scorer plugins (zero_to_one etc.)."""
         g, n = self._span(idx)
         ent = np.repeat(np.arange(len(n)), n)
+        if self._dead is not None:
+            live = ~self._dead[g]
+            if isinstance(g, slice):
+                g = np.arange(g.start, g.stop)
+            g, ent = g[live], ent[live]
         docs = self.p_docs[g]
         tfs = [t[g] for t in self.p_tf]
         lens = [ln[g] for ln in self.p_len]
-        if len(tomb) and len(docs):
-            keep = ~_in_sorted(docs, tomb)
-            ent, docs = ent[keep], docs[keep]
-            tfs = [t[keep] for t in tfs]
-            lens = [ln[keep] for ln in lens]
         return ent, docs, tfs, lens
 
-    def gather_postings(self, term: str, tomb: np.ndarray):
+    def gather_postings(self, term: str):
         """Live (docs, tfs, lens) of one stored term, or None."""
         i0, i1 = self.range_of(term, exact=True)
         if i0 == i1:
             return None
-        return self.gather_postings_many(np.arange(i0, i1), tomb)[1:]
+        return self.gather_postings_many(np.arange(i0, i1))[1:]
 
-    def union_docs(self, idx, tomb: np.ndarray) -> np.ndarray:
+    def union_docs(self, idx) -> np.ndarray:
         """Sorted-unique live doc ids in ANY of entries ``idx``' postings
         (the conjunctive candidates and the exclude set: one call per
         query term covering all its expansions; O(df) ids)."""
         g, _ = self._span(idx)
-        d = np.unique(self.p_docs[g])
-        if len(tomb) and len(d):
-            d = d[~_in_sorted(d, tomb)]
-        return d
+        d = self.p_docs[g]
+        if self._dead is not None:
+            d = d[~self._dead[g]]
+        return np.unique(d)
 
 
 @dataclass(slots=True)
@@ -1460,6 +1518,8 @@ class _SizeOnlyDict(dict):
 
 def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     """Membership of values in a sorted array (vectorized anti-join)."""
+    if not len(sorted_arr):
+        return np.zeros(len(values), dtype=bool)
     idx = np.searchsorted(sorted_arr, values)
     idx = np.minimum(idx, len(sorted_arr) - 1)
     return sorted_arr[idx] == values
@@ -1476,9 +1536,12 @@ class _Exp(NamedTuple):
     blen: np.ndarray
     parts: list
     meta: list
+    raw: np.ndarray   # dictionary df of ``terms``, before tombstones
+    gen: int          # the engine's tombstone generation of ``df``
 
 
-_NO_EXP = _Exp([], np.empty(0, np.int64), np.empty(0), [], [])
+_NO_EXP = _Exp([], np.empty(0, np.int64), np.empty(0), [], [],
+               np.empty(0, np.int64), 0)
 
 
 def _top_k(docs, scores, k, restrict=None, exclude=None):
@@ -1547,8 +1610,16 @@ class SearchEngine:
         self.num_fields = cfg["num_fields"]
         self.tokenizer = get_tokenizer(cfg["tokenizer"])
         self.stats = Stats(self.index_dir)
-        self._reload_tombstones()
         self._manifest_sig = self._sig(man)
+        self._open_shards(man)
+        # new shards serve no tombstones and a new dictionary: start the
+        # snapshot state afresh
+        self.tomb = np.empty(0, np.uint64)
+        self._tomb_gen = 0
+        self._exp_cache: dict[tuple, tuple] = {}
+        self._reload_tombstones()
+
+    def _open_shards(self, man: Manifest):
         if self._shared_handles is not None:
             import ray
             self.shards = list(self._shared_handles)
@@ -1603,8 +1674,10 @@ class SearchEngine:
         add+query (``tests/integrations_tests.rs:151-168``): an engine
         serves a consistent snapshot, and ``refresh()`` moves it to the
         latest committed state.  Returns True if shards were reloaded
-        (manifest changed); tombstones/stats reload is always applied
-        (cheap)."""
+        (manifest changed), which also empties the expansion cache.
+        Otherwise it reloads stats and the tombstone set: each shard
+        applies only the newly removed docs, and cached expansion
+        entries stay, to be revalidated on their next lookup (``_exp``)."""
         man = Manifest(self.index_dir)
         if self._sig(man) != self._manifest_sig:
             if self._shared_handles is not None:
@@ -1623,11 +1696,32 @@ class SearchEngine:
         return False
 
     def _reload_tombstones(self):
-        tids = Tombstones(self.index_dir).doc_ids
-        self.tomb = np.sort(np.asarray(tids, dtype=np.uint64))
-        # cached entries carry df adjusted for THIS tombstone set (and
-        # bounds for this snapshot): a new set starts a new cache
-        self._exp_cache: dict[tuple, tuple] = {}
+        """Move the shards to the on-disk tombstone set, one
+        ``set_tombstones`` call per shard when it changed.  A pool
+        shared with other engines belongs to its owner: this engine only
+        checks that the pool serves the same set, and refuses to mix
+        snapshots otherwise.  A grown set bumps the tombstone
+        generation, which marks cached entries for revalidation; any
+        other change (a set that lost docs) empties the cache."""
+        tomb = np.unique(np.asarray(Tombstones(self.index_dir).doc_ids,
+                                    dtype=np.uint64))
+        same = np.array_equal(tomb, self.tomb)
+        if self._shared_handles is not None:
+            if not all(np.array_equal(t, tomb) for t in self._fan(
+                    [(s, "tombstones", ()) for s in self.shards])):
+                raise RuntimeError(
+                    "the shared shard pool serves a different tombstone "
+                    "set than this index; refresh the engine that owns "
+                    "the pool first")
+        elif not same:
+            self._fan([(s, "set_tombstones", (tomb,)) for s in self.shards])
+        if same:
+            return
+        if _in_sorted(self.tomb, tomb).all():
+            self._tomb_gen += 1
+        else:
+            self._exp_cache = {}
+        self.tomb = tomb
 
     def _shard_bounds(self, man: Manifest, num_shards: int):
         if num_shards <= 1:
@@ -1780,7 +1874,7 @@ class SearchEngine:
         """Sorted-unique live doc ids in any of the term's expansions'
         postings: one ``union_docs`` call per shard holding them."""
         parts = [d for d in self._fan(
-            [(s, "union_docs", (idx, self.tomb))
+            [(s, "union_docs", (idx,))
              for s, idx, _ in self._exp(term, expand, fuzzy).parts
              if len(idx)]) if len(d)]
         return np.unique(np.concatenate(parts)) if parts else \
@@ -1816,9 +1910,8 @@ class SearchEngine:
         ONE fused ``expand_with_bounds`` RPC per routed shard — all
         terms' requests in flight CONCURRENTLY — and populate both the
         expansion cache and the bounds cache from the responses.  No-ops
-        in-process (no RTT to save) and under tombstones (the responses
-        carry raw df; the adjusted df needs the tombstone fan-out)."""
-        if not self.use_actors or len(self.tomb):
+        in-process (no RTT to save)."""
+        if not self.use_actors:
             return
         todo = [t for t in dict.fromkeys(query_terms)
                 if t and (t, expand, 0) not in self._exp_cache]
@@ -1851,17 +1944,42 @@ class SearchEngine:
         return self.shards if fuzzy else self._route(term)
 
     def _exp(self, term: str, expand: bool, fuzzy: int = 0) -> "_Exp":
-        """A query term's expansion entry, memoized per engine snapshot:
-        the dictionary is immutable between refreshes and the adjusted
-        df is valid for the tombstone set it was computed under, which
-        only ``_reload_tombstones`` changes — and it empties the cache."""
+        """A query term's expansion entry, memoized until the manifest
+        changes (a reload empties the cache).  Removals only lower df,
+        so an entry made under an older tombstone generation is
+        revalidated on its next lookup: its live df is re-read as the
+        dictionary df less the shards' dead mass.  If every df stays
+        > 0 the entry is kept with the new df, and its bounds entry with
+        it (tf_max / len_min stay upper bounds under removal); if an
+        expansion fell to df 0 it leaves the term's list, so the entry
+        and its bounds are rebuilt."""
         key = (term, expand, fuzzy)
         e = self._exp_cache.get(key)
+        if e is not None and e.gen != self._tomb_gen:
+            df = self._live_df(e.raw, e.parts)
+            if (df > 0).all():
+                e = self._exp_cache[key] = e._replace(
+                    df=df, gen=self._tomb_gen)
+            else:
+                del self._exp_cache[key]
+                self._exp_cache.pop(("__bounds__", *key), None)
+                e = None
         if e is None:
             e = self._expansions_for_uncached(term, expand, fuzzy)
             if len(self._exp_cache) < 65536:
                 self._exp_cache[key] = e
         return e
+
+    def _live_df(self, raw, parts) -> np.ndarray:
+        """Dictionary df ``raw`` less the dead mass each of ``parts``
+        (shard, dictionary positions, positions in ``raw``) holds."""
+        df = np.array(raw, dtype=np.int64)
+        if len(self.tomb):
+            live = [p for p in parts if len(p[1])]
+            for (_, _, pos), h in zip(live, self._fan(
+                    [(s, "tomb_hits_many", (idx,)) for s, idx, _ in live])):
+                df[pos] -= h
+        return df
 
     def _expansions_for(self, term: str, expand: bool, fuzzy: int = 0):
         """(live expansions in reference order, {expansion: adjusted
@@ -1921,12 +2039,8 @@ class SearchEngine:
             i = bisect.bisect_left(terms_all, term)
             if i < len(terms_all) and terms_all[i] == term:
                 rank[i] = -1
-        df = np.array(raw, dtype=np.int64)
-        if len(self.tomb):
-            hits = self._fan([(s, "tomb_hits_many", (r.idx, self.tomb))
-                              for s, r in got])
-            for (_, r), h in zip(got, hits):
-                df[where[id(r)]] -= h
+        df = self._live_df(raw, [(s, r.idx, where[id(r)])
+                                 for s, r in got])
         order = np.argsort(rank, kind="stable")
         order = order[df[order] > 0]
         pos_all = np.full(len(terms_all), -1, dtype=np.int64)
@@ -1941,17 +2055,18 @@ class SearchEngine:
                     np.fromiter((len(t.encode()) for t in terms),
                                 np.float64, count=len(terms)),
                     [part(s, r) for s, r in got],
-                    [part(s, r) for s, r in distinct])
+                    [part(s, r) for s, r in distinct],
+                    np.asarray(raw, np.int64)[order], self._tomb_gen)
 
     def _bounds_for(self, term: str, expand: bool, fuzzy: int = 0):
         """Impact-bound matrices (tf_max, len_min — each (n, F) float64,
         aligned to the term's live expansions) for the multi-term
         suffix restriction; fetched LAZILY (only top-k queries pay the
         shard round-trip) and memoized with the expansion cache."""
+        e = self._exp(term, expand, fuzzy)   # first: may drop stale bounds
         key = ("__bounds__", term, expand, fuzzy)
         if key in self._exp_cache:
             return self._exp_cache[key]
-        e = self._exp(term, expand, fuzzy)
         tfm = np.zeros((len(e.terms), self.num_fields), dtype=np.float64)
         lmn = np.zeros((len(e.terms), self.num_fields), dtype=np.float64)
         meta = [m for m in e.meta if len(m[1])]
@@ -1996,8 +2111,7 @@ class SearchEngine:
             # expansion lives in one shard, whose local top-k (ties
             # kept) holds it, so the per-doc max of the union is exact.
             res = self._fan([(s, "score_bm25_topk_pruned",
-                              (idx, w, fields_boost, avgs, k1, b,
-                               self.tomb, k))
+                              (idx, w, fields_boost, avgs, k1, b, k))
                              for s, idx, _, w in parts[0]])
             if len(res) == 1:
                 return res[0]
@@ -2006,8 +2120,8 @@ class SearchEngine:
 
         def reduced(ti, only_docs):
             return [(s, "score_bm25_reduced",
-                     (idx, pos, w, fields_boost, avgs, k1, b, self.tomb,
-                      only_docs)) for s, idx, pos, w in parts[ti]]
+                     (idx, pos, w, fields_boost, avgs, k1, b, only_docs))
+                    for s, idx, pos, w in parts[ti]]
         # short multi-term queries on an actor pool: dispatch every
         # term's reduced-scoring RPC CONCURRENTLY — the sequential
         # per-term round-trips dominate warm latency, while the TAAT
@@ -2115,7 +2229,7 @@ class SearchEngine:
         ``gather_postings_many`` call per shard holding them:
         (expansion rank of each posting, docs, tfs[F], lens[F])."""
         live = [(s, idx, pos) for s, idx, pos in e.parts if len(idx)]
-        res = self._fan([(s, "gather_postings_many", (idx, self.tomb))
+        res = self._fan([(s, "gather_postings_many", (idx,))
                          for s, idx, _ in live])
         F = self.num_fields
         if not res:

@@ -675,7 +675,6 @@ def test_frontier_bounds(tmp_path, seed, nfields):
         for a, b_ in zip(raw.fr[ch], hit.fr[ch]):
             assert (np.asarray(a) == np.asarray(b_)).all(), ch
     nt = len(raw.terms)
-    tomb = np.empty(0, np.uint64)
     idx_all = np.arange(nt, dtype=np.int64)
     params = [(1.2, 0.75, [1.0] * nfields, [2.0, 7.0][:nfields]),
               (0.9, 0.3, ([1.0, 0.0] * 2)[:nfields], [11.0, 3.0][:nfields]),
@@ -694,7 +693,7 @@ def test_frontier_bounds(tmp_path, seed, nfields):
         ub = raw.frontier_ub(idx_all, idf, boosts, avgs, k1, b)
         for ti, term in enumerate(raw.terms):
             _, docs, s = raw.score_bm25_batch(
-                [term], [idf[ti]], boosts, avgs, k1, b, tomb,
+                [term], [idf[ti]], boosts, avgs, k1, b,
                 keep_nonpositive=True)
             actual = float(s.max()) if len(s) else 0.0
             assert ub[ti] >= actual - 1e-12, (term, k1, b, boosts)

@@ -191,3 +191,30 @@ def test_ref_hll_estimate_matches_stage():
         fast = hll_estimate(hll_registers(vals))
         ref = _ref_hll_estimate(vals.tolist())
         assert round(fast) == round(ref), (n, fast, ref)
+
+
+@pytest.mark.parametrize("cpus,want", [(1, (1, 1)), (2, (1, 1)),
+                                       (4, (2, 2)), (32, (2, 16))])
+def test_auto_pool_leaves_a_cpu(monkeypatch, cpus, want):
+    """The pool's minimum never takes every CPU of a small session, so
+    the pipeline's other stages can still schedule."""
+    import ray
+    from probly_search_ray.functions.sizing import auto_pool
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: {"CPU": float(cpus)})
+    assert auto_pool() == want
+    lo, hi = auto_pool()
+    assert lo <= hi and (cpus == 1 or lo <= cpus - 1)
+
+
+def test_in_sorted_empty_sorted_array():
+    """Membership in an empty sorted array is all-False, not an
+    IndexError (a vacuum refresh empties the tombstone set)."""
+    from probly_search_ray.search import _in_sorted
+    vals = np.array([3, 1, 7], dtype=np.uint64)
+    assert not _in_sorted(vals, np.empty(0, np.uint64)).any()
+    assert len(_in_sorted(vals, np.empty(0, np.uint64))) == 3
+    assert len(_in_sorted(np.empty(0, np.uint64), np.empty(0, np.uint64))) == 0
+    got = _in_sorted(vals, np.array([1, 7], dtype=np.uint64))
+    assert got.tolist() == [False, True, True]

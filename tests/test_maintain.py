@@ -291,3 +291,102 @@ def test_count_docs_le_ignores_duplicate_docmeta_rows(tmp_path):
     shutil.copy(meta[0], os.path.join(idx, "docmeta", "group=stale.parquet"))
     assert _count_docs_le(idx, 2) == 3
     assert _count_docs_le(idx, 7) == 4
+
+
+def _scan_field_lengths(index_dir, doc_ids):
+    """The one-scan docmeta lookup ``remove_documents`` used before its
+    lookups were memoized: the oracle for the memo tests."""
+    import pyarrow.dataset as pads
+    files = sorted(glob.glob(os.path.join(index_dir, "docmeta", "*.parquet")))
+    if not files or not doc_ids:
+        return {}
+    t = pads.dataset(files).to_table(filter=pads.field("doc_id").isin(
+        pa.array([int(d) for d in doc_ids], type=pa.uint64())))
+    nf = sum(1 for c in t.column_names if c.startswith("len_"))
+    lens = [t[f"len_{f}"].to_numpy() for f in range(nf)]
+    return {int(d): [int(ln[i]) for ln in lens]
+            for i, d in enumerate(t["doc_id"].to_numpy())}
+
+
+def _write_meta(path, ids, lens):
+    tmp = path + ".tmp"
+    pq.write_table(pa.table({
+        "doc_id": pa.array(ids, type=pa.uint64()),
+        "len_0": pa.array(lens, type=pa.uint32()),
+        "tot_0": pa.array(lens, type=pa.uint32())}), tmp)
+    os.replace(tmp, path)
+
+
+def test_docmeta_lookup_last_row_wins_and_rereads(tmp_path):
+    """The memoized docmeta lookup resolves a duplicated id to its last
+    row (within a file and across files, as the scan did), re-reads a
+    file rewritten in place or by rename, and forgets files that left
+    the listing."""
+    from probly_search_ray.maintain import _DOCMETA_MEMO, _docs_field_lengths
+    idx = str(tmp_path / "idx")
+    meta = os.path.join(idx, "docmeta")
+    os.makedirs(meta)
+    a, b = os.path.join(meta, "group=a.parquet"), \
+        os.path.join(meta, "group=b.parquet")
+    _write_meta(a, [9, 5, 2, 5], [1, 3, 4, 8])
+    ask = [5, 2, 9, 77, 2 ** 63 + 1]
+    assert _docs_field_lengths(idx, ask) == {5: [8], 2: [4], 9: [1]} \
+        == _scan_field_lengths(idx, ask)
+    _write_meta(b, [5, 2 ** 63 + 1], [6, 2])
+    assert _docs_field_lengths(idx, ask) == \
+        {5: [6], 2: [4], 9: [1], 2 ** 63 + 1: [2]} \
+        == _scan_field_lengths(idx, ask)
+    _write_meta(a, [9, 2], [11, 12])                # rewritten by rename
+    assert _docs_field_lengths(idx, ask) == _scan_field_lengths(idx, ask) \
+        == {5: [6], 2: [12], 9: [11], 2 ** 63 + 1: [2]}
+    pq.write_table(pa.table({                     # rewritten in place
+        "doc_id": pa.array([9, 2, 3], type=pa.uint64()),
+        "len_0": pa.array([21, 22, 23], type=pa.uint32())}), a)
+    assert _docs_field_lengths(idx, [9, 3]) == {9: [21], 3: [23]}
+    os.remove(b)
+    assert _docs_field_lengths(idx, ask) == {2: [22], 9: [21]}
+    assert set(_DOCMETA_MEMO[meta]) == {a}
+    assert _docs_field_lengths(idx, []) == {}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_remove_documents_memo_matches_scan(tmp_path, monkeypatch):
+    """A scripted removal sequence — duplicates, unknown and already
+    removed ids, a vacuum that rewrites docmeta, an append — gives the
+    same counts, ``stats.json`` and tombstones with the memoized lookup
+    as with the docmeta scan."""
+    import json
+    import shutil
+
+    import probly_search_ray.maintain as maintain
+    f1, f2 = str(tmp_path / "p1.parquet"), str(tmp_path / "p2.parquet")
+    _write_file(f1, [(i, " ".join(["w%d" % (i % 7)] * (1 + i % 4)))
+                     for i in range(40)])
+    _write_file(f2, [(100 + i, "x " * (1 + i % 3)) for i in range(10)])
+    a = str(tmp_path / "a")
+    build_index([f1], a, field_cols=["f0"], files_per_group=1)
+    b = str(tmp_path / "b")
+    shutil.copytree(a, b)
+    script = [[3, 7, 7, 999], [7, 12], "vacuum", [3, 12, 20, 21],
+              "append", [100, 105, 22], [0, 1, 2, 999, 105]]
+
+    def run(idx):
+        counts = []
+        for step in script:
+            if step == "vacuum":
+                vacuum(idx)
+            elif step == "append":
+                build_index([f1, f2], idx, field_cols=["f0"],
+                            files_per_group=1, resume=True)
+            else:
+                counts.append(remove_documents(idx, step))
+        with open(os.path.join(idx, "stats.json")) as fh:
+            stats = json.load(fh)
+        with open(os.path.join(idx, "tombstones.json")) as fh:
+            return counts, stats, json.load(fh)
+
+    got = run(a)
+    monkeypatch.setattr(maintain, "_docs_field_lengths", _scan_field_lengths)
+    want = run(b)
+    assert got == want
+    assert got[0] == [2, 1, 2, 3, 3]

@@ -18,6 +18,7 @@ from probly_search_ray.refmodel import (
     RefIndex, ZeroToOne, whitespace_tokenizer as tok)
 from probly_search_ray.search import SearchEngine, ShardData, trie_rank
 from probly_search_ray.stages.segment import POS_BITS
+from probly_search_ray.state.manifest import Tombstones
 from tests.test_custom_scorer import CountingScorer
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -245,3 +246,146 @@ def test_cache_len_min_ignores_vacuum_witness(tmp_path):
     assert hit.len_min[0][i] == raw.len_min[0][i] == 5
     assert (hit.len_min[0] == raw.len_min[0]).all()
     assert (hit.trie_rank == raw.trie_rank).all()
+
+
+def test_set_tombstones_delta_matches_rebuild(tmp_path):
+    """``ShardData.set_tombstones``: growing the set in steps, shrinking
+    it to empty (vacuum) and replacing it by a non-superset all leave
+    the same dead mask and per-entry dead mass as a brute-force pass
+    over the postings."""
+    rng = np.random.default_rng(5)
+    f = str(tmp_path / "p.parquet")
+    _write(f, _rows(rng, 0, 60))
+    idx = str(tmp_path / "index")
+    build_index([f], idx, field_cols=["f0"], batch_size=11)
+    sd = ShardData(idx)
+    docs = np.asarray(sd.p_docs)
+    ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
+
+    def check(tomb):
+        dead = np.isin(docs, tomb)
+        occ = np.bincount(ent[dead], weights=np.asarray(sd.p_tf[0])[dead],
+                          minlength=len(sd.terms)).astype(np.int64)
+        got_dead = sd._dead if sd._dead is not None \
+            else np.zeros(len(docs), bool)
+        assert (got_dead == dead).all(), tomb
+        every = np.arange(len(sd.terms))
+        assert (sd.tomb_hits_many(every) == occ).all(), tomb
+        assert (sd.df_adjusted_many(every) == sd.df - occ).all(), tomb
+        assert (sd.tombstones() == np.asarray(tomb, np.uint64)).all()
+
+    for tomb in ([3], [3, 8, 500], [1, 3, 8, 9, 40, 500], [], [9],
+                 [2, 9], [2, 59], list(range(60))):
+        sd.set_tombstones(np.asarray(tomb, np.uint64))
+        check(tomb)
+    assert not len(sd.union_docs(np.arange(len(sd.terms))))
+
+
+def _entry_state(eng, p):
+    e = eng._exp(p, True)
+    tfm, lmn = eng._bounds_for(p, True)
+    return (e.terms, e.df.tolist(), tfm.tolist(), lmn.tolist(),
+            eng.complete(p, k=50), eng.query(p, "bm25", k=5))
+
+
+LAYOUTS = {"plain": {}, "term_sharded": {"num_shards": 3},
+           "doc_sharded": {"doc_shards": 3}}
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_expansion_cache_survives_removals(tmp_path, layout):
+    """Warm every 1-3-char prefix, then remove docs in batches: after
+    each refresh the cached entries (terms, df, order, bounds),
+    ``complete()`` and a top-5 query equal a fresh engine's, entries are revalidated
+    rather than dropped, and only prefixes of a term whose live df fell
+    to 0 are rebuilt.  A vacuum, an append and a tombstone set that
+    lost docs each start the cache afresh."""
+    rng = np.random.default_rng(21)
+    idx = str(tmp_path / "index")
+    files = []
+
+    def append(rows):
+        f = str(tmp_path / f"p{len(files)}.parquet")
+        _write(f, rows)
+        files.append(f)
+        build_index(files, idx, field_cols=["f0"], files_per_group=1,
+                    resume=True, batch_size=9)
+
+    # "kaput" and "muzzle" are cold: one doc each
+    append(_rows(rng, 0, 40) + [(40, "kaput ka"), (41, "muzzle mu")])
+    append(_rows(rng, 100, 30))
+    kw = LAYOUTS[layout]
+    eng = SearchEngine(idx, **kw)
+    prefixes = _prefixes(ShardData(idx).terms)
+    for p in prefixes:
+        _entry_state(eng, p)
+    rebuilt = []
+    orig = eng._expansions_for_uncached
+
+    def counting(term, expand, fuzzy=0):
+        rebuilt.append(term)
+        return orig(term, expand, fuzzy)
+    eng._expansions_for_uncached = counting
+
+    def compare(when):
+        fresh = SearchEngine(idx, **kw)
+        for p in prefixes:
+            assert _entry_state(eng, p) == _entry_state(fresh, p), (when, p)
+
+    for batch, zeroed in (([40], "kaput"), ([3, 17, 105], None),
+                          ([41, 5, 120], "muzzle")):
+        assert remove_documents(idx, batch) == len(batch)
+        assert eng.refresh() is False
+        assert all((p, True, 0) in eng._exp_cache for p in prefixes)
+        rebuilt.clear()
+        compare(f"remove {batch}")
+        gone = {p for p in prefixes if zeroed and zeroed.startswith(p)}
+        assert set(rebuilt) == gone, (batch, rebuilt)
+        assert zeroed is None or all(
+            zeroed not in eng._exp(p, True).terms for p in gone)
+
+    vacuum(idx)                        # the set shrinks to empty
+    assert eng.refresh() is True
+    assert not eng._exp_cache and not len(eng.tomb)
+    compare("vacuum")
+    assert remove_documents(idx, [7, 8]) == 2
+    eng.refresh()
+    compare("remove after vacuum")
+    append(_rows(rng, 200, 10))        # the manifest changes
+    assert eng.refresh() is True
+    compare("append")
+    for p in prefixes:
+        _entry_state(eng, p)
+    Tombstones(idx).clear()            # a set that lost docs, same manifest
+    assert eng.refresh() is False
+    assert not eng._exp_cache
+    compare("tombstones cleared")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_shared_pool_refuses_other_tombstone_set(tmp_path):
+    """An engine over a pool it does not own never mixes snapshots: it
+    refuses to load or refresh while the pool serves another tombstone
+    set, and serves the new set once the owner has refreshed."""
+    rng = np.random.default_rng(8)
+    f = str(tmp_path / "p.parquet")
+    _write(f, _rows(rng, 0, 50))
+    idx = str(tmp_path / "index")
+    build_index([f], idx, field_cols=["f0"])
+    owner = SearchEngine(idx, num_shards=2, use_actors=True)
+    borrower = SearchEngine(idx, shard_handles=owner.shards)
+    assert remove_documents(idx, [1, 2, 30]) == 3
+    with pytest.raises(RuntimeError, match="tombstone set"):
+        borrower.refresh()
+    with pytest.raises(RuntimeError, match="tombstone set"):
+        SearchEngine(idx, shard_handles=owner.shards)
+    assert owner.refresh() is False
+    assert borrower.refresh() is False
+    plain = SearchEngine(idx)
+    for q in ("k", "ka mu", "the", "x"):
+        assert_results(borrower.query(q, "bm25"), plain.query(q, "bm25"),
+                       f"borrower {q!r}")
+        assert_results(owner.query(q, "bm25", k=3),
+                       plain.query(q, "bm25"), f"owner {q!r}", k=3)
+    del borrower, owner

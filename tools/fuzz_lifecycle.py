@@ -131,8 +131,11 @@ def run_seed(seed, workdir):
             compact_groups(idx)  # semantics-preserving
             eng.refresh()
         elif op == "fresh_engine":
-            eng = SearchEngine(
-                idx, num_shards=int(rng.choice([1, 3])))
+            # doc_shards=2 applies each removal per shard: every later
+            # remove / vacuum / compact runs the per-shard tombstone delta
+            eng = SearchEngine(idx, **[{"num_shards": 1}, {"num_shards": 3},
+                                       {"doc_shards": 2}][
+                int(rng.integers(0, 3))])
         _check(eng, ref, rng, nfields, ctx)
 
     # merge case every 4th seed: split a corpus across two indexes,
