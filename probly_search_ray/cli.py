@@ -112,6 +112,19 @@ def cmd_stats(args):
     st = Stats(args.index)
     tfiles = man.term_files()
     cache = ShardData._cache_path(args.index, man, None, None)
+    # where the bytes are: file sizes only, no file is opened
+    sizes = {}
+    for root, _, files in os.walk(args.index):
+        for f in files:
+            sizes[os.path.join(root, f)] = os.path.getsize(
+                os.path.join(root, f))
+    parts = {d: sum(n for p, n in sizes.items() if p.startswith(
+        os.path.join(args.index, d) + os.sep))
+        for d in ("terms", "docmeta", "cache")}
+    parts["other"] = sum(sizes.values()) - sum(parts.values())
+    warm = {os.path.basename(p).rsplit(".", 1)[0]: n
+            for p, n in sorted(sizes.items())
+            if os.path.dirname(p) == cache}
     print(json.dumps({
         "num_docs": st.num_docs,
         "fields": st.data["fields"],
@@ -125,6 +138,9 @@ def cmd_stats(args):
         "term_files": len(tfiles),
         "term_rows": sum(r["rows"] for r in tfiles),
         "cache_warm": os.path.isdir(cache),
+        "index_bytes": sum(sizes.values()),
+        "bytes": parts,
+        "cache_array_bytes": warm,
         "format_version": man.data["config"].get("format_version"),
     }))
 

@@ -94,30 +94,52 @@ def _docmeta_lengths(path: str, old):
             [t[f"len_{f}"].to_numpy()[last] for f in range(len(cols))])
 
 
-def _docs_field_lengths(index_dir: str, doc_ids) -> dict[int, list[int]]:
-    """Field lengths for a batch of doc ids: a binary search in each
-    docmeta file's memoized id column, so a removal costs O(removed
-    docs) once the files are read.  Later files win for an id present
-    in several (a crash between a compaction's commit and its cleanup
-    leaves it twice).  The memo keeps only the current listing."""
+def _docmeta_files(index_dir: str) -> list[tuple]:
+    """``(sorted doc ids, [len_f])`` of each docmeta file, in file
+    order, memoized per file.  The memo keeps only the current listing."""
     meta_dir = os.path.join(index_dir, "docmeta")
     files = sorted(glob.glob(os.path.join(meta_dir, "*.parquet"))) \
         if os.path.isdir(meta_dir) else []
-    if not files or not len(doc_ids):
-        return {}
     old = _DOCMETA_MEMO.pop(meta_dir, {})
     memo = _DOCMETA_MEMO[meta_dir] = {
         p: _docmeta_lengths(p, old.get(p)) for p in files}
     while len(_DOCMETA_MEMO) > _DOCMETA_MEMO_DIRS:
         del _DOCMETA_MEMO[next(iter(_DOCMETA_MEMO))]
+    return [memo[p][1:] for p in files]
+
+
+def _docs_field_lengths(index_dir: str, doc_ids) -> dict[int, list[int]]:
+    """Field lengths for a batch of doc ids: a binary search in each
+    docmeta file's memoized id column, so a removal costs O(removed
+    docs) once the files are read.  Later files win for an id present
+    in several (a crash between a compaction's commit and its cleanup
+    leaves it twice)."""
+    if not len(doc_ids):
+        return {}
     want = np.asarray([int(d) for d in doc_ids], dtype=np.uint64)
     out: dict[int, list[int]] = {}
-    for p in files:
-        _, ids, lens = memo[p]
+    for ids, lens in _docmeta_files(index_dir):
         found = want[_in_sorted(want, ids)]
         for d, j in zip(found.tolist(), np.searchsorted(ids, found).tolist()):
             out[d] = [int(ln[j]) for ln in lens]
     return out
+
+
+def docmeta_table(index_dir: str, num_fields: int):
+    """Every doc's field lengths: ``(sorted unique doc ids, [len_f])``
+    over all docmeta files, with the rules of ``_docs_field_lengths``
+    (last row wins within a file, a later file wins across files).
+    The serving cache's per-doc tables come from here."""
+    parts = _docmeta_files(index_dir)
+    if not parts:
+        return (np.empty(0, np.uint64),
+                [np.empty(0, np.uint32) for _ in range(num_fields)])
+    ids = np.concatenate([i for i, _ in parts]).astype(np.uint64)
+    order = np.argsort(ids, kind="stable")
+    s = ids[order]
+    last = order[np.r_[s[1:] != s[:-1], True]]
+    return ids[last], [np.concatenate([ln[f] for _, ln in parts])[last]
+                       for f in range(num_fields)]
 
 
 class _Compactor:

@@ -14,6 +14,7 @@ import numpy as np
 import pandas as pd
 
 from probly_search_ray.functions.mem import tune_allocator
+from probly_search_ray.functions.sizing import leave_a_cpu
 
 _POOLS: dict = {}  # (index_dir, shards) → SearchEngine owning a shard pool
 
@@ -103,6 +104,9 @@ def bulk_search(queries_ds, index_dir: str, scorer: str = "bm25",
     if num_shards is not None and doc_shards is not None:
         raise ValueError("num_shards and doc_shards are exclusive")
     if num_shards is None and doc_shards is None:
+        # 1-CPU actors: leave a CPU for the repartition and the rest of
+        # the job, or a small session deadlocks
+        concurrency = leave_a_cpu(concurrency)
         # small query sets often arrive as one block — split so the
         # actor pool actually parallelizes.  (The sharded branch skips
         # this: its resident shard pool reserves most CPUs by design,

@@ -33,6 +33,7 @@ latent-delete semantics exactly.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -219,13 +220,21 @@ class ShardData:
     build groups.  Loaded once (actor ``__init__``), served per query.
 
     The on-disk varint blobs are decoded ONCE at load into flat CSR
-    posting arrays (``p_docs`` / ``p_tf`` / ``p_len`` indexed by
-    ``post_off`` per term): query-time posting access is a zero-copy
-    numpy slice, with no per-expansion decode loop — the round-1 p95
-    tail was thousands of rare prefix expansions each paying a Python
-    per-block decode.  The whole load path is vectorized (one varint
-    scan over the concatenated blob stream, block headers parsed in
-    rounds, segmented cumsum for the doc-id deltas)."""
+    posting arrays indexed by ``post_off`` per term: query-time posting
+    access is a zero-copy numpy slice, with no per-expansion decode
+    loop — the round-1 p95 tail was thousands of rare prefix expansions
+    each paying a Python per-block decode.  The whole load path is
+    vectorized (one varint scan over the concatenated blob stream,
+    block headers parsed in rounds, segmented cumsum for the doc-id
+    deltas).
+
+    A posting holds only what is its own: ``p_ord``, the doc's rank in
+    the per-doc table ``doc_ids`` (sorted, so ordinals keep doc-id
+    order), and ``p_tf[f]``.  A doc's field lengths live once, in
+    ``doc_len[f]``, taken from docmeta (the reference's
+    ``DocumentDetails.field_length``, ``src/index.rs:348``).  Shards
+    work in ordinal space and map to doc ids only for the rows they
+    return."""
 
     def __init__(self, index_dir: str, term_lo: str | None = None,
                  term_hi: str | None = None, use_cache: bool = True,
@@ -312,9 +321,10 @@ class ShardData:
         self.first_off: np.ndarray = np.empty(0, np.uint32)
         self.trie_rank: np.ndarray = np.empty(0, np.uint32)
         self.post_off: np.ndarray = np.zeros(1, np.int64)
-        self.p_docs: np.ndarray = np.empty(0, np.uint64)
-        self.p_tf: list[np.ndarray] = [np.empty(0, np.uint32)] * F
-        self.p_len: list[np.ndarray] = [np.empty(0, np.uint32)] * F
+        self.doc_ids: np.ndarray = np.empty(0, np.uint64)
+        self.doc_len: list[np.ndarray] = [np.empty(0, np.uint8)] * F
+        self.p_ord: np.ndarray = np.empty(0, np.uint32)
+        self.p_tf: list[np.ndarray] = [np.empty(0, np.uint8)] * F
         self.tf_max: list[np.ndarray] = [np.empty(0, np.uint32)] * F
         self.len_min: list[np.ndarray] = [np.empty(0, np.uint32)] * F
         self.fr = {ch: (np.zeros(1, np.int64), np.empty(0, np.uint32),
@@ -326,7 +336,8 @@ class ShardData:
             [("term", "ascending"), ("doc_lo", "ascending")])
         if not len(full):
             return
-        self._load_csr(full, F)
+        from probly_search_ray.maintain import docmeta_table
+        self._load_csr(full, F, docmeta_table(index_dir, F))
         self.trie_rank = trie_rank(self.terms, self.first_pos,
                                    self.first_off)
         if self._cache_dir:
@@ -345,7 +356,7 @@ class ShardData:
         import json as _json
         from probly_search_ray.functions.codec import FORMAT_VERSION
         sig_src = _json.dumps([
-            5,  # cache layout version (v5: v4 + trie_rank)
+            6,  # cache layout version (v6: per-doc tables, p_ord, narrow tf)
             FORMAT_VERSION,
             [(r["group"], r["path"], r["rows"]) for r in man.term_files()],
         ], sort_keys=True)
@@ -353,19 +364,26 @@ class ShardData:
         rng = hashlib.md5(repr((term_lo, term_hi)).encode()).hexdigest()[:8]
         return os.path.join(index_dir, "cache", f"csr-{rng}-{sig}")
 
-    _CACHE_ARRAYS = ("df", "first_pos", "first_off", "trie_rank",
-                     "post_off", "p_docs")
-
     def _write_cache(self, cdir: str) -> None:
-        _write_cache_arrays(cdir, self.num_fields, self.terms, self.df,
-                            self.first_pos, self.first_off, self.trie_rank,
-                            self.post_off, self.p_docs,
-                            self.p_tf, self.p_len, self.tf_max,
-                            self.len_min, self.fr)
+        F = self.num_fields
+        arrays = {"df": self.df, "first_pos": self.first_pos,
+                  "first_off": self.first_off, "trie_rank": self.trie_rank,
+                  "post_off": self.post_off, "doc_ids": self.doc_ids,
+                  "p_ord": self.p_ord}
+        for f in range(F):
+            arrays[f"p_tf_{f}"] = self.p_tf[f]
+            arrays[f"doc_len_{f}"] = self.doc_len[f]
+            arrays[f"tf_max_{f}"] = self.tf_max[f]
+            arrays[f"len_min_{f}"] = self.len_min[f]
+        arrays.update(_frontier_files(self.fr))
+        tmp = _cache_tmp(cdir)
+        if tmp is not None:
+            _cache_commit(tmp, cdir, arrays, self.terms)
 
     def _load_from_cache(self, cdir: str, slice_range=None) -> bool:
         if not os.path.isdir(cdir):
             return False
+        F = self.num_fields
         try:
             with open(os.path.join(cdir, "terms.bin"), "rb") as fh:
                 raw = fh.read()
@@ -373,35 +391,28 @@ class ShardData:
             offs = np.concatenate(([0], np.cumsum(lens)))
             terms = [raw[offs[i]:offs[i + 1]].decode()
                      for i in range(len(lens))]
-            # posting arrays stay mmap'd but as plain ndarray views (no
-            # copy, same pages): memmap slicing pays __array_finalize__
-            # on every per-query slice
-            def mapped(name):
-                return np.load(os.path.join(cdir, name + ".npy"),
-                               mmap_mode="r").view(np.ndarray)
-            for name in self._CACHE_ARRAYS:
-                setattr(self, name, mapped(name))
-            self.p_tf = [mapped(f"p_tf_{f}") for f in range(self.num_fields)]
-            self.p_len = [mapped(f"p_len_{f}")
-                          for f in range(self.num_fields)]
-            # small (per-term) metadata arrays are hot — materialize them
+
+            def load(name, mmap=False):
+                # posting arrays stay mmap'd but as plain ndarray views
+                # (no copy, same pages): memmap slicing pays
+                # __array_finalize__ on every per-query slice.  Per-term
+                # and per-doc arrays are small and hot: materialized.
+                a = np.load(os.path.join(cdir, name + ".npy"),
+                            mmap_mode="r" if mmap else None)
+                return a.view(np.ndarray) if mmap else a
+            self.p_ord = load("p_ord", True)
+            self.p_tf = [load(f"p_tf_{f}", True) for f in range(F)]
             self.terms = terms
-            self.df = np.array(self.df)
-            self.first_pos = np.array(self.first_pos)
-            self.first_off = np.array(self.first_off)
-            self.trie_rank = np.array(self.trie_rank)
-            self.tf_max = [np.load(os.path.join(cdir, f"tf_max_{f}.npy"))
-                           for f in range(self.num_fields)]
-            self.len_min = [np.load(os.path.join(cdir, f"len_min_{f}.npy"))
-                            for f in range(self.num_fields)]
-            # Pareto frontiers (v3): offsets materialize (dictionary-
-            # sized, hot), points load small (≤ a few % of postings)
-            self.fr = {}
-            for m, f in _frontier_channels(self.num_fields):
-                self.fr[(m, f)] = tuple(
-                    np.load(os.path.join(cdir, f"fr_{part}_{m}_{f}.npy"))
-                    for part in ("off", "tf", "len"))
-            post_off = np.array(self.post_off)
+            for name in ("df", "first_pos", "first_off", "trie_rank",
+                         "doc_ids"):
+                setattr(self, name, load(name))
+            self.doc_len = [load(f"doc_len_{f}") for f in range(F)]
+            self.tf_max = [load(f"tf_max_{f}") for f in range(F)]
+            self.len_min = [load(f"len_min_{f}") for f in range(F)]
+            self.fr = {(m, f): tuple(load(f"fr_{part}_{m}_{f}")
+                                     for part in ("off", "tf", "len"))
+                       for m, f in _frontier_channels(F)}
+            post_off = load("post_off")
             if slice_range is not None:
                 lo, hi = slice_range
                 i0 = bisect.bisect_left(terms, lo) if lo is not None else 0
@@ -422,9 +433,8 @@ class ShardData:
                               fln[q0:q1])
                 self.fr = fr
                 post_off = post_off[i0:i1 + 1] - p0
-                self.p_docs = self.p_docs[p0:p1]
+                self.p_ord = self.p_ord[p0:p1]
                 self.p_tf = [t[p0:p1] for t in self.p_tf]
-                self.p_len = [l[p0:p1] for l in self.p_len]
             self.post_off = post_off
             return True
         except (OSError, ValueError):
@@ -432,54 +442,54 @@ class ShardData:
 
     def _apply_doc_mod(self) -> None:
         """Restrict postings to this view's hash partition of the doc
-        space (``doc_id % D == i``) — one vectorized pass; dictionary
-        and per-term stats keep their GLOBAL values (df/idf/bounds must
-        not depend on the shard layout)."""
-        if self._doc_mod is None or not len(self.p_docs):
+        space (``doc_id % D == i``) — the modulus is taken once per doc,
+        and the postings are filtered by one gather of that per-doc
+        mask; dictionary and per-term stats keep their GLOBAL values
+        (df/idf/bounds must not depend on the shard layout).  The
+        per-doc tables keep only this view's docs, renumbered in order,
+        so a view's state scales with its own docs."""
+        if self._doc_mod is None:
             return
         i, D = self._doc_mod
-        docs = np.asarray(self.p_docs)
-        # Chunked selection: the old one-shot pass allocated ~2 full-
-        # size temporaries (the % result and an (n+1) int64 cumsum) in
-        # FRESH anonymous pages — on this host page-zeroing dominates
-        # and made doc-shard pool start ~6x the term-sharded one.
-        # Chunk-sized temporaries are REUSED from the tuned arena, and
-        # the kept-index array is output-sized (n/D), so fresh pages
-        # shrink to just the 1/D-sized copies this view actually keeps.
+        mine = self.doc_ids % np.uint64(D) == np.uint64(i)
+        # new ordinal of each kept doc (read only where ``mine``)
+        remap = (np.cumsum(mine) - 1).astype(_ord_dtype(int(mine.sum())))
+        self.doc_ids = self.doc_ids[mine]
+        self.doc_len = [dl[mine] for dl in self.doc_len]
+        ords = self.p_ord
+        # Chunked selection: a one-shot pass allocates posting-sized
+        # temporaries in FRESH anonymous pages — where page-zeroing is
+        # slow it dominates, and made doc-shard pool start ~6x the term-
+        # sharded one.  Chunk-sized temporaries are REUSED from the
+        # tuned arena, and the kept-index array is output-sized (n/D).
         CH = 1 << 22
-        parts = []
-        for a in range(0, len(docs), CH):
-            sel = np.flatnonzero(
-                docs[a:a + CH] % np.uint64(D) == np.uint64(i))
-            parts.append((a + sel).astype(np.int64))
-        idx = (np.concatenate(parts) if parts
-               else np.empty(0, np.int64))
+        parts = [a + np.flatnonzero(mine[ords[a:a + CH]])
+                 for a in range(0, len(ords), CH)]
+        idx = np.concatenate(parts or [np.empty(0, np.int64)])
         # kept-count strictly before each term boundary == position of
         # the boundary in the sorted kept-index list
         self.post_off = np.searchsorted(
             idx, np.asarray(self.post_off)).astype(np.int64)
-        self.p_docs = docs[idx]
+        self.p_ord = remap[ords[idx]]
         self.p_tf = [np.asarray(t)[idx] for t in self.p_tf]
-        self.p_len = [np.asarray(li)[idx] for li in self.p_len]
 
     # -- tombstones ----------------------------------------------------------
 
     def _index_docs(self) -> None:
         """Doc-ordered posting index, built once at load and never
-        persisted: ``_doc_perm`` lists posting positions grouped by doc,
-        the postings of ``_doc_ids[j]`` being
-        ``_doc_perm[_doc_off[j]:_doc_off[j + 1]]``.  It makes applying a
-        removal O(the removed docs' postings).  uint32 where it fits:
-        4 B a posting plus a few per doc.  Starts with no tombstones."""
-        docs = np.asarray(self.p_docs)
-        wide = len(docs) >= 1 << 32
-        perm = np.argsort(docs)
-        s = docs[perm]
-        st = np.flatnonzero(np.r_[True, s[1:] != s[:-1]]) if len(s) \
-            else np.empty(0, np.int64)
+        persisted: ``_doc_perm`` lists posting positions grouped by doc
+        ordinal, the postings of ordinal ``o`` being
+        ``_doc_perm[_doc_off[o]:_doc_off[o + 1]]`` (offsets from a
+        ``bincount`` of ``p_ord``).  It makes applying a removal O(the
+        removed docs' postings).  uint32 where it fits: 4 B a posting
+        plus 4 B a doc.  Starts with no tombstones."""
+        ords = self.p_ord
+        wide = len(ords) >= 1 << 32
+        cnt = np.bincount(ords.astype(np.int64, copy=False),
+                          minlength=len(self.doc_ids))
+        perm = np.argsort(ords)
         self._doc_perm = perm if wide else perm.astype(np.uint32)
-        self._doc_ids = s[st]
-        self._doc_off = np.append(st, len(s)).astype(
+        self._doc_off = np.concatenate(([0], np.cumsum(cnt))).astype(
             np.int64 if wide else np.uint32)
         self._tomb = np.empty(0, np.uint64)
         self._dead = None       # per-posting mask, once a posting dies
@@ -500,8 +510,7 @@ class ShardData:
             old = old[:0]
         new = tomb[~_in_sorted(tomb, old)]
         self._tomb = tomb
-        j = np.searchsorted(self._doc_ids, new)[_in_sorted(new,
-                                                          self._doc_ids)]
+        j = self._ords_of(new)
         lo = self._doc_off[j].astype(np.int64)
         n = self._doc_off[j + 1] - lo
         g = self._doc_perm[np.repeat(lo, n) + _grouped_arange(n)] \
@@ -509,12 +518,18 @@ class ShardData:
         if not len(g):
             return
         if self._dead is None:
-            self._dead = np.zeros(len(self.p_docs), dtype=bool)
+            self._dead = np.zeros(len(self.p_ord), dtype=bool)
             self._tomb_occ = np.zeros(len(self.terms), dtype=np.int64)
         self._dead[g] = True
         occ = sum(t[g].astype(np.int64) for t in self.p_tf)
         np.add.at(self._tomb_occ,
                   np.searchsorted(self.post_off, g, "right") - 1, occ)
+
+    def _ords_of(self, docs) -> np.ndarray:
+        """Ordinals of the doc ids ``docs`` (sorted) that the per-doc
+        table holds, ascending."""
+        o, hit = _find_sorted(np.asarray(docs, np.uint64), self.doc_ids)
+        return o[hit]
 
     def tombstones(self) -> np.ndarray:
         """The removed-doc set this shard serves (see ``set_tombstones``)."""
@@ -596,7 +611,9 @@ class ShardData:
             .astype(np.int64)
         return docs, tfs, lens, row_counts
 
-    def _load_csr(self, full: pa.Table, F: int) -> None:
+    def _load_csr(self, full: pa.Table, F: int, docs) -> None:
+        """Decode term-sorted rows into the CSR arrays; ``docs`` is the
+        per-doc table ``(doc_ids, [len_f])`` (``maintain.docmeta_table``)."""
         nrows = len(full)
         blob_col = full["blob"].combine_chunks()
         # zero-copy view of the concatenated blob bytes + per-row offsets
@@ -618,9 +635,9 @@ class ShardData:
             for f in range(F):
                 tf_p[f].append(tfs[f])
                 len_p[f].append(lens[f])
-        self.p_docs = np.concatenate(docs_p)
-        self.p_tf = [np.concatenate(x) for x in tf_p]
-        self.p_len = [np.concatenate(x) for x in len_p]
+        p_docs = np.concatenate(docs_p)
+        self.p_tf = [_narrow(np.concatenate(x)) for x in tf_p]
+        p_len = [np.concatenate(x) for x in len_p]
         row_counts = np.concatenate(rc_p)
 
         # term dictionary: rows are term-sorted, so runs of equal codes
@@ -651,15 +668,35 @@ class ShardData:
         # doc_lo-ordered block concat is already doc-sorted per term;
         # hashed string keys overlap across batches — detect and do one
         # segmented sort so "newest-first = descending doc id" holds.
-        if len(self.p_docs) > 1:
+        if len(p_docs) > 1:
             tid = np.repeat(np.arange(len(term_counts)), term_counts)
-            bad = self.p_docs[1:] < self.p_docs[:-1]
+            bad = p_docs[1:] < p_docs[:-1]
             if bad.any() and (tid[:-1][bad] == tid[1:][bad]).any():
-                order = np.lexsort((self.p_docs, tid))
-                self.p_docs = self.p_docs[order]
+                order = np.lexsort((p_docs, tid))
+                p_docs = p_docs[order]
                 self.p_tf = [t[order] for t in self.p_tf]
-                self.p_len = [l[order] for l in self.p_len]
+                p_len = [l[order] for l in p_len]
+        self._attach_docs(p_docs, p_len, *docs)
         self._compute_bounds()
+
+    def _attach_docs(self, p_docs, p_len, doc_ids, doc_len) -> None:
+        """Set the per-doc tables and each posting's ordinal.  A posting
+        whose doc the table lacks (a crash after a vacuum rewrote
+        docmeta, before its manifest commit, leaves the removed docs'
+        postings behind) adds the doc with the lengths it carries."""
+        doc_ids = np.asarray(doc_ids, np.uint64)
+        o, hit = _find_sorted(p_docs, doc_ids)
+        if not hit.all():
+            extra, at = np.unique(p_docs[~hit], return_index=True)
+            order = np.argsort(np.concatenate((doc_ids, extra)),
+                               kind="stable")
+            doc_ids = np.concatenate((doc_ids, extra))[order]
+            doc_len = [np.concatenate((dl, ln[~hit][at]))[order]
+                       for dl, ln in zip(doc_len, p_len)]
+            o = np.searchsorted(doc_ids, p_docs)
+        self.doc_ids = doc_ids
+        self.doc_len = [_narrow(np.asarray(dl)) for dl in doc_len]
+        self.p_ord = o.astype(_ord_dtype(len(doc_ids)))
 
     def _compute_bounds(self) -> None:
         """Per-term impact-bound inputs: (a) max tf and min field length
@@ -671,6 +708,8 @@ class ShardData:
         F = self.num_fields
         seg = self.post_off[:-1]
         nt = len(self.terms)
+        # the lengths scoring reads, so the bounds bound real scores
+        p_len = [dl[self.p_ord] for dl in self.doc_len]
         if nt == 0:
             self.tf_max = [np.empty(0, np.uint32)] * F
             self.len_min = [np.empty(0, np.uint32)] * F
@@ -693,7 +732,7 @@ class ShardData:
                 if np_total:
                     tm = np.maximum.reduceat(self.p_tf[f], segc) \
                         .astype(np.uint32)
-                    lm = np.minimum.reduceat(self.p_len[f], segc) \
+                    lm = np.minimum.reduceat(p_len[f], segc) \
                         .astype(np.uint32)
                 else:
                     tm = np.zeros(nt, np.uint32)
@@ -705,7 +744,7 @@ class ShardData:
         else:
             self.tf_max = [np.maximum.reduceat(self.p_tf[f], seg)
                            .astype(np.uint32) for f in range(F)]
-            self.len_min = [np.minimum.reduceat(self.p_len[f], seg)
+            self.len_min = [np.minimum.reduceat(p_len[f], seg)
                             .astype(np.uint32) for f in range(F)]
         tid = np.repeat(np.arange(nt, dtype=np.int64), seg_n)
         support = np.zeros(len(tid), dtype=np.int64)
@@ -716,12 +755,10 @@ class ShardData:
             if m:
                 sel = support == m
                 self.fr[(m, f)] = _pareto_filter(
-                    tid[sel], np.asarray(self.p_tf[f])[sel],
-                    np.asarray(self.p_len[f])[sel], nt)
+                    tid[sel], self.p_tf[f][sel], p_len[f][sel], nt)
             else:
                 self.fr[(m, f)] = _pareto_filter(
-                    tid, np.asarray(self.p_tf[f]),
-                    np.asarray(self.p_len[f]), nt)
+                    tid, self.p_tf[f], p_len[f], nt)
 
     def frontier_ub(self, term_idx, idf_boosts, fields_boost, avgs,
                     k1: float, b: float) -> np.ndarray:
@@ -780,13 +817,13 @@ class ShardData:
         high trim threshold).  Returns bytes touched."""
         total = 0
         fr_arrays = [a for tup in self.fr.values() for a in tup[1:]]
-        for arr in [self.p_docs, *self.p_tf, *self.p_len, *fr_arrays]:
+        for arr in [self.p_ord, *self.p_tf, *fr_arrays]:
             if len(arr):
                 # one touch per 4 KiB page faults the whole mapping
                 np.add.reduce(arr[:: max(1, 4096 // arr.itemsize)])
             total += arr.nbytes
-        if warm_arena and len(self.p_docs):
-            want = min(int(len(self.p_docs)) * 56, arena_cap)
+        if warm_arena and len(self.p_ord):
+            want = min(int(len(self.p_ord)) * 56, arena_cap)
             # sub-threshold chunks so they come from (and return to) the
             # arena, not one-shot mmaps the allocator gives back
             chunks = []
@@ -973,7 +1010,8 @@ class ShardData:
                          topk: int | None = None,
                          floor: float = -np.inf,
                          only_docs: np.ndarray | None = None,
-                         term_idx: np.ndarray | None = None):
+                         term_idx: np.ndarray | None = None,
+                         as_ords: bool = False):
         """Vectorized BM25 over ALL requested terms' posting lists in one
         pass (``src/score/default/bm25.rs:60-93``): gather the CSR
         slices, concatenate, score the whole concatenation with numpy —
@@ -987,7 +1025,10 @@ class ShardData:
         reference still marks those docs *visited* for the term
         (``src/query.rs:88``, insert outside the ``if let Some``), which
         changes the ``max_score_merger`` outcome for later expansions
-        when ``fields_boost`` contains zeros."""
+        when ``fields_boost`` contains zeros.
+
+        ``as_ords=True`` returns doc ordinals instead of doc ids (the
+        shard-local callers reduce per doc in ordinal space)."""
         if term_idx is not None:
             idx = term_idx
         else:
@@ -1000,51 +1041,65 @@ class ShardData:
                     np.empty(0, np.float64))
         gidx, seg_n = self._span(idx[present])
         ranks = np.repeat(present, seg_n)
-        docs = self.p_docs[gidx]
+        ords = self.p_ord[gidx]
         coef = np.repeat(np.asarray(idf_boosts, dtype=np.float64)[present],
                          seg_n)
-        if only_docs is not None and len(docs):
+        if only_docs is not None and len(ords):
             # TAAT suffix restriction: remaining terms can only rescore
-            # docs already in the accumulator (sorted broadcast array)
-            m = _in_sorted(docs, only_docs)
+            # docs already in the accumulator (sorted broadcast array).
+            # A per-doc mask costs O(docs), a sorted search O(postings ·
+            # log |only_docs|): the mask only where postings are dense.
+            if len(self.doc_ids) <= 256 * len(ords):
+                m = np.zeros(len(self.doc_ids), dtype=bool)
+                m[self._ords_of(only_docs)] = True
+                m = m[ords]
+            else:
+                m = _in_sorted(self.doc_ids[ords], only_docs)
             if isinstance(gidx, slice):
                 gidx = np.arange(gidx.start, gidx.stop)
-            gidx, ranks, docs, coef = gidx[m], ranks[m], docs[m], coef[m]
-        s = np.zeros(len(docs), dtype=np.float64)
-        for x in range(self.num_fields):
-            tf = self.p_tf[x][gidx]
-            pos = tf > 0.0
-            if not pos.any():
-                continue
-            fl = self.p_len[x][gidx][pos]
-            tfp = tf[pos]
-            tf_norm = ((k1 + 1.0) * tfp) / (
-                k1 * ((1.0 - b) + b * (fl / avgs[x])) + tfp)
-            s[pos] += tf_norm * (coef[pos] * fields_boost[x])
+            gidx, ranks, ords, coef = gidx[m], ranks[m], ords[m], coef[m]
+        s = np.zeros(len(ords), dtype=np.float64)
+        # a zero average (every value empty) or a NaN one (every doc
+        # removed) gives Rust f64's x/0 = inf and 0/0 = NaN, unwarned
+        positive = all(a > 0 for a in avgs)
+        with contextlib.nullcontext() if positive else \
+                np.errstate(divide="ignore", invalid="ignore"):
+            for x in range(self.num_fields):
+                tf = self.p_tf[x][gidx]
+                pos = tf > 0.0
+                if not pos.any():
+                    continue
+                # mode="clip" skips the bounds check: ordinals are in
+                # range by construction, and the gather is on the hot path
+                fl = self.doc_len[x].take(ords[pos], mode="clip")
+                tfp = tf[pos]
+                tf_norm = ((k1 + 1.0) * tfp) / (
+                    k1 * ((1.0 - b) + b * (fl / avgs[x])) + tfp)
+                s[pos] += tf_norm * (coef[pos] * fields_boost[x])
         keep = None
         if self._dead is not None:
             keep = ~self._dead[gidx]
         if not keep_nonpositive:
             keep = (s > 0.0) if keep is None else keep & (s > 0.0)
         if keep is not None:
-            ranks, docs, s = ranks[keep], docs[keep], s[keep]
-        if topk is not None and floor > -np.inf and len(docs):
+            ranks, ords, s = ranks[keep], ords[keep], s[keep]
+        if topk is not None and floor > -np.inf and len(ords):
             # rows below the coordinator's running kth can never enter
             # the top-k under max-merge (== floor kept for tie-break)
             m = s >= floor
-            ranks, docs, s = ranks[m], docs[m], s[m]
-        if topk is not None and len(docs) > topk:
+            ranks, ords, s = ranks[m], ords[m], s[m]
+        if topk is not None and len(ords) > topk:
             # per-doc max then per-shard top-k (ties kept): sound for the
             # single-term prune path because the global score is the max
             # over expansions, and every doc's best appearance lives in
             # exactly one shard — k docs already beat anything cut here.
-            d_u, s_u = _reduce_max_by_doc(docs, s)
-            if len(d_u) > topk:
-                kth = -np.partition(-s_u, topk - 1)[topk - 1]
-                m = s_u >= kth
-                d_u, s_u = d_u[m], s_u[m]
-            return np.zeros(len(d_u), np.int64), d_u, s_u
-        return ranks, docs, s
+            ords, s = _reduce_max_by_doc(ords, s)
+            if len(ords) > topk:
+                kth = -np.partition(-s, topk - 1)[topk - 1]
+                m = s >= kth
+                ords, s = ords[m], s[m]
+            ranks = np.zeros(len(ords), np.int64)
+        return ranks, ords if as_ords else self.doc_ids[ords], s
 
     def score_bm25_topk_pruned(self, idx, idf_boosts, fields_boost,
                                avgs, k1: float, b: float, k: int):
@@ -1075,7 +1130,7 @@ class ShardData:
         ub_loose = _score_ub(*self.bounds_arrays(idx_all), idf,
                              fields_boost, avgs, k1, b)
         order_ub = np.argsort(-ub_loose, kind="stable")
-        g_docs = np.empty(0, dtype=np.uint64)
+        g_docs = np.empty(0, dtype=self.p_ord.dtype)   # ordinals
         g_scores = np.empty(0, dtype=np.float64)
         chunk_n = 64
         pos = 0
@@ -1102,13 +1157,14 @@ class ShardData:
             if len(sel):
                 _, d, s = self.score_bm25_batch(
                     None, idf[sel], fields_boost, avgs, k1, b,
-                    False, k, float(kth), term_idx=idx_all[sel])
+                    False, k, float(kth), term_idx=idx_all[sel],
+                    as_ords=True)
                 if len(d):
                     g_docs, g_scores = _merge_max(
                         g_docs, g_scores, *_reduce_max_by_doc(d, s))
             pos += chunk_n
             chunk_n *= 2
-        return g_docs, g_scores
+        return self.doc_ids[g_docs], g_scores
 
     def score_bm25_reduced(self, idx, pos, idf_boosts, fields_boost,
                            avgs, k1: float, b: float, only_docs=None):
@@ -1128,22 +1184,23 @@ class ShardData:
         The coordinator replaces the globally-first shard's p with its
         q, so ``rest_max`` excludes exactly the one globally-first
         record (``src/query.rs:150-164``)."""
-        ranks, docs, s = self.score_bm25_batch(
+        ranks, ords, s = self.score_bm25_batch(
             None, idf_boosts, fields_boost, avgs, k1, b,
-            keep_nonpositive=True, only_docs=only_docs, term_idx=idx)
+            keep_nonpositive=True, only_docs=only_docs, term_idx=idx,
+            as_ords=True)
         ranks = np.asarray(pos, np.int64)[ranks]
-        if not len(docs):
+        if not len(ords):
             e = np.empty(0, np.float64)
             return (np.empty(0, np.uint64), np.empty(0, np.int64), e,
                     e.copy(), e.copy())
-        order = np.lexsort((ranks, docs))
-        d_s, r_s, s_s = docs[order], ranks[order], s[order]
+        order = np.lexsort((ranks, ords))
+        d_s, r_s, s_s = ords[order], ranks[order], s[order]
         st = np.flatnonzero(np.concatenate(([True], d_s[1:] != d_s[:-1])))
         pos = np.where(s_s > 0.0, s_s, -np.inf)
         p_u = np.maximum.reduceat(pos, st)
         pos[st] = -np.inf
         q_u = np.maximum.reduceat(pos, st)
-        return d_s[st], r_s[st], s_s[st], p_u, q_u
+        return self.doc_ids[d_s[st]], r_s[st], s_s[st], p_u, q_u
 
     def bounds_arrays(self, idx):
         """Impact-bound inputs of dictionary entries ``idx``: (tf_max,
@@ -1157,7 +1214,8 @@ class ShardData:
     def gather_postings_many(self, idx):
         """Live postings of dictionary entries ``idx``, concatenated in
         entry order: (entry of each posting, docs, tfs[F], lens[F]) —
-        one slice of the entries' CSR span, dead postings dropped.
+        one slice of the entries' CSR span, dead postings dropped, the
+        doc ids and field lengths gathered from the per-doc tables.
         Raw inputs for the scorer plugins (zero_to_one etc.)."""
         g, n = self._span(idx)
         ent = np.repeat(np.arange(len(n)), n)
@@ -1166,10 +1224,10 @@ class ShardData:
             if isinstance(g, slice):
                 g = np.arange(g.start, g.stop)
             g, ent = g[live], ent[live]
-        docs = self.p_docs[g]
-        tfs = [t[g] for t in self.p_tf]
-        lens = [ln[g] for ln in self.p_len]
-        return ent, docs, tfs, lens
+        ords = self.p_ord[g]   # in range: "clip" skips the bounds check
+        return (ent, self.doc_ids.take(ords, mode="clip"),
+                [t[g] for t in self.p_tf],
+                [dl.take(ords, mode="clip") for dl in self.doc_len])
 
     def gather_postings(self, term: str):
         """Live (docs, tfs, lens) of one stored term, or None."""
@@ -1183,10 +1241,10 @@ class ShardData:
         (the conjunctive candidates and the exclude set: one call per
         query term covering all its expansions; O(df) ids)."""
         g, _ = self._span(idx)
-        d = self.p_docs[g]
+        o = self.p_ord[g]
         if self._dead is not None:
-            d = d[~self._dead[g]]
-        return np.unique(d)
+            o = o[~self._dead[g]]
+        return self.doc_ids[np.unique(o)]
 
 
 @dataclass(slots=True)
@@ -1206,36 +1264,55 @@ class DictRange:
         return len(self.terms)
 
 
-def _write_cache_arrays(cdir: str, num_fields: int, terms, df, first_pos,
-                        first_off, rank,
-                        post_off, p_docs, p_tf, p_len, tf_max,
-                        len_min, fr) -> None:
-    """Persist decoded-CSR arrays as the mmap cache dir (atomic rename;
-    best-effort — a read-only index dir just skips caching)."""
+def _narrow_dtype(vmax: int) -> np.dtype:
+    """The narrowest unsigned dtype holding ``vmax``: the one width
+    rule of the cache's tf and field-length arrays."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if vmax <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.uint64)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    return a.astype(_narrow_dtype(int(a.max()) if len(a) else 0),
+                    copy=False)
+
+
+def _ord_dtype(n_docs: int) -> np.dtype:
+    """Doc ordinals are uint32 up to 2³² docs."""
+    return np.dtype(np.uint32 if n_docs <= 1 << 32 else np.uint64)
+
+
+def _frontier_files(fr) -> dict:
+    return {f"fr_{part}_{m}_{f}": arr for (m, f), arrs in fr.items()
+            for part, arr in zip(("off", "tf", "len"), arrs)}
+
+
+def _cache_tmp(cdir: str) -> str | None:
+    """A fresh temp dir next to ``cdir``, after removing the caches of
+    the same range for stale manifest states; None when the index dir
+    is read-only (the cache is best-effort)."""
     import shutil
     import tempfile
     try:
         parent = os.path.dirname(cdir)
         os.makedirs(parent, exist_ok=True)
-        # GC caches for the same range but stale manifest states
         prefix = os.path.basename(cdir).rsplit("-", 1)[0] + "-"
         for d in os.listdir(parent):
             if d.startswith(prefix) and os.path.join(parent, d) != cdir:
                 shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
-        tmp = tempfile.mkdtemp(dir=parent)
-        for name, arr in zip(ShardData._CACHE_ARRAYS,
-                             (df, first_pos, first_off, rank,
-                              post_off, p_docs)):
+        return tempfile.mkdtemp(dir=parent)
+    except OSError:
+        return None
+
+
+def _cache_commit(tmp: str, cdir: str, arrays: dict, terms) -> bool:
+    """Save ``arrays`` (file name → array) and the terms into ``tmp``
+    and publish it as ``cdir`` by an atomic rename."""
+    import shutil
+    try:
+        for name, arr in arrays.items():
             np.save(os.path.join(tmp, name + ".npy"), arr)
-        for f in range(num_fields):
-            np.save(os.path.join(tmp, f"p_tf_{f}.npy"), p_tf[f])
-            np.save(os.path.join(tmp, f"p_len_{f}.npy"), p_len[f])
-            np.save(os.path.join(tmp, f"tf_max_{f}.npy"), tf_max[f])
-            np.save(os.path.join(tmp, f"len_min_{f}.npy"), len_min[f])
-        for (m, f), (off, ftf, fln) in fr.items():
-            np.save(os.path.join(tmp, f"fr_off_{m}_{f}.npy"), off)
-            np.save(os.path.join(tmp, f"fr_tf_{m}_{f}.npy"), ftf)
-            np.save(os.path.join(tmp, f"fr_len_{m}_{f}.npy"), fln)
         # length-prefixed utf8 (terms may contain any byte but NUL)
         enc = [t.encode() for t in terms]
         np.save(os.path.join(tmp, "term_lens.npy"),
@@ -1244,15 +1321,18 @@ def _write_cache_arrays(cdir: str, num_fields: int, terms, df, first_pos,
             fh.write(b"".join(enc))
         os.replace(tmp, cdir) if not os.path.exists(cdir) else \
             shutil.rmtree(tmp)
+        return True
     except OSError:
-        pass
+        shutil.rmtree(tmp, ignore_errors=True)
+        return False
 
 
-def _decode_term_file(path: str, F: int):
+def _decode_term_file(path: str, F: int, docs):
     """Decode ONE term-sorted parquet shard file into partial CSR arrays
-    (runs as a Ray task in the parallel cache build).  Returns
-    dictionary-size metadata inline; the posting-size arrays stay in
-    the OBJECT STORE (ref) so the driver never touches them."""
+    against the per-doc table ``docs`` (runs as a Ray task in the
+    parallel cache build).  Returns dictionary-size metadata inline; the
+    posting-size arrays stay in the OBJECT STORE (ref) so the calling
+    process never touches them."""
     import ray
     from probly_search_ray.functions.mem import tune_allocator
     from probly_search_ray.stages.segment import SEGMENT_SCHEMA
@@ -1266,21 +1346,25 @@ def _decode_term_file(path: str, F: int):
     want = pa.schema([SEGMENT_SCHEMA.field(n) for n in t.column_names])
     sd = ShardData.__new__(ShardData)
     sd.num_fields = F
-    sd._load_csr(t.cast(want), F)  # file rows are (term, doc_lo)-sorted
+    sd._load_csr(t.cast(want), F, docs)  # rows are (term, doc_lo)-sorted
     cnt = np.diff(sd.post_off)
-    # zero-posting terms (df-0 vacuum witnesses) own no doc range
-    doc_lo = np.zeros(len(cnt), np.uint64)
-    doc_hi = np.zeros(len(cnt), np.uint64)
+    # zero-posting terms (df-0 vacuum witnesses) own no doc range;
+    # ordinals keep doc-id order, so the ranges compare as ordinals
+    doc_lo = np.zeros(len(cnt), np.int64)
+    doc_hi = np.zeros(len(cnt), np.int64)
     nz = cnt > 0
     if nz.any():
-        doc_lo[nz] = sd.p_docs[sd.post_off[:-1][nz]]
-        doc_hi[nz] = sd.p_docs[(sd.post_off[1:] - 1)[nz]]
-    big = ray.put((sd.p_docs, sd.p_tf, sd.p_len))
+        doc_lo[nz] = sd.p_ord[sd.post_off[:-1][nz]]
+        doc_hi[nz] = sd.p_ord[(sd.post_off[1:] - 1)[nz]]
+    big = ray.put((sd.p_ord, sd.p_tf))
     # per-part Pareto frontier CANDIDATES (already computed by
     # _compute_bounds inside _load_csr): dictionary-scale, returned
-    # inline; the driver re-filters the per-term union across parts
+    # inline; the caller re-filters the per-term union across parts.
+    # A part whose postings name docs the table lacks extended its own
+    # table, so its ordinals are not the caller's (``extended``).
+    extended = len(sd.doc_ids) != len(docs[0])
     return (sd.terms, sd.df, sd.first_pos, cnt, sd.tf_max, sd.len_min,
-            doc_lo, doc_hi, big, sd.fr, sd.first_off)
+            doc_lo, doc_hi, big, sd.fr, sd.first_off, extended)
 
 
 def _write_cache_slices(tmp_dir: str, F: int, big, dest_starts,
@@ -1292,19 +1376,12 @@ def _write_cache_slices(tmp_dir: str, F: int, big, dest_starts,
     ref."""
     from probly_search_ray.functions.mem import tune_allocator
     tune_allocator()
-    p_docs, p_tf, p_len = big
+    p_ord, p_tf = big
     idx = np.repeat(dest_starts, counts) + _grouped_arange(counts)
-    mm = np.load(os.path.join(tmp_dir, "p_docs.npy"), mmap_mode="r+")
-    mm[idx] = p_docs
-    del mm
-    for f in range(F):
-        mm = np.load(os.path.join(tmp_dir, f"p_tf_{f}.npy"),
-                     mmap_mode="r+")
-        mm[idx] = p_tf[f]
-        del mm
-        mm = np.load(os.path.join(tmp_dir, f"p_len_{f}.npy"),
-                     mmap_mode="r+")
-        mm[idx] = p_len[f]
+    for name, arr in (("p_ord", p_ord),
+                      *((f"p_tf_{f}", p_tf[f]) for f in range(F))):
+        mm = np.load(os.path.join(tmp_dir, name + ".npy"), mmap_mode="r+")
+        mm[idx] = arr
         del mm
     return True
 
@@ -1315,10 +1392,12 @@ def build_csr_cache(index_dir: str) -> bool:
     cache instead of paying a cold single-process varint decode of the
     whole index (minutes at 10⁶+ docs).  Any shard layout slices it.
 
-    Shape (the driver only ever touches DICTIONARY-sized data):
-      phase 1 — one Ray task per term file decodes partial CSR arrays;
-        posting-sized arrays stay in the object store, only per-term
-        metadata returns to the driver;
+    Shape (this process only touches DICTIONARY- and DOC-sized data):
+      docs — it reads the per-doc table from docmeta;
+      phase 1 — one Ray task per term file decodes partial CSR arrays
+        (doc ids become ordinals into the table); posting-sized arrays
+        stay in the object store, only per-term metadata returns to the
+        driver;
       merge — the driver stable-sorts dictionary rows by (term, group)
         (groups carry ascending doc ranges for sequential ids, so
         appends keep this path) and computes each part's destination
@@ -1328,13 +1407,14 @@ def build_csr_cache(index_dir: str) -> bool:
         writes; the driver never materializes a posting array).
 
     Falls back to the in-process sorted ``ShardData`` load (which also
-    writes the cache) for hashed string keys or overlapping per-term
-    doc ranges, where postings need a global re-sort.  Returns True
-    when a cache exists on exit."""
+    writes the cache) for hashed string keys, overlapping per-term
+    doc ranges, where postings need a global re-sort, and postings of
+    docs docmeta lacks.  Returns True when a cache exists on exit."""
     import shutil
-    import tempfile
 
     import ray
+
+    from probly_search_ray.maintain import docmeta_table
 
     man = Manifest(index_dir)
     if not man.data["config"]:
@@ -1350,15 +1430,20 @@ def build_csr_cache(index_dir: str) -> bool:
                   key=lambda r: (r["term_min"] or "", r["path"]))
     if not recs:
         return False
+    docs = docmeta_table(index_dir, F)
+    docs_ref = ray.put(docs)   # one object-store copy for every task
     task = ray.remote(num_cpus=1)(_decode_term_file)
-    results = ray.get([task.remote(os.path.join(index_dir, r["path"]), F)
-                       for r in recs])
+    results = ray.get([task.remote(os.path.join(index_dir, r["path"]), F,
+                                   docs_ref) for r in recs])
     grank = {g: i for i, g in
              enumerate(sorted({r["group"] for r in recs}))}
     parts = [(p, grank[r["group"]])
              for p, r in zip(results, recs) if p is not None]
     if not parts:
         return False
+    if any(p[11] for p, _ in parts):
+        ShardData(index_dir)  # docs missing from docmeta: one table
+        return os.path.isdir(cdir)
     # --- dictionary-level merge (everything here is vocab-sized) -----
     terms = np.asarray([t for p, _ in parts for t in p[0]], dtype=object)
     nrows = len(terms)
@@ -1429,57 +1514,39 @@ def build_csr_cache(index_dir: str) -> bool:
     dest = np.empty(nrows, dtype=np.int64)
     dest[order] = dest_o
     # --- preallocate memmaps + phase-2 parallel slice writes ---------
+    tmp = _cache_tmp(cdir)
+    if tmp is None:
+        return False
+    # the narrow tf dtype of a field holds its largest tf_max
+    dtypes = {"p_ord": _ord_dtype(len(docs[0])),
+              **{f"p_tf_{f}": _narrow_dtype(int(tfm_m[f].max()))
+                 for f in range(F)}}
     try:
-        parent = os.path.join(index_dir, "cache")
-        os.makedirs(parent, exist_ok=True)
-        prefix = os.path.basename(cdir).rsplit("-", 1)[0] + "-"
-        for d in os.listdir(parent):
-            if d.startswith(prefix) and os.path.join(parent, d) != cdir:
-                shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
-        tmp = tempfile.mkdtemp(dir=parent)
-        mm = np.lib.format.open_memmap(
-            os.path.join(tmp, "p_docs.npy"), mode="w+",
-            dtype=np.uint64, shape=(total,))
-        del mm
-        for f in range(F):
-            for name in (f"p_tf_{f}.npy", f"p_len_{f}.npy"):
-                mm = np.lib.format.open_memmap(
-                    os.path.join(tmp, name), mode="w+",
-                    dtype=np.uint32, shape=(total,))
-                del mm
-        wtask = ray.remote(num_cpus=1)(_write_cache_slices)
-        futs = []
-        row0 = 0
-        for p, _ in parts:
-            nr = len(p[0])
-            futs.append(wtask.remote(tmp, F, p[8],
-                                     dest[row0:row0 + nr],
-                                     cnt[row0:row0 + nr]))
-            row0 += nr
-        ray.get(futs)
-        np.save(os.path.join(tmp, "df.npy"), df_m)
-        np.save(os.path.join(tmp, "first_pos.npy"), fp_m)
-        np.save(os.path.join(tmp, "first_off.npy"), fo_m)
-        np.save(os.path.join(tmp, "trie_rank.npy"),
-                trie_rank(terms_m, fp_m, fo_m))
-        np.save(os.path.join(tmp, "post_off.npy"), post_off)
-        for f in range(F):
-            np.save(os.path.join(tmp, f"tf_max_{f}.npy"), tfm_m[f])
-            np.save(os.path.join(tmp, f"len_min_{f}.npy"), lmn_m[f])
-        for (m, f), (off, ktf, kln) in fr_m.items():
-            np.save(os.path.join(tmp, f"fr_off_{m}_{f}.npy"), off)
-            np.save(os.path.join(tmp, f"fr_tf_{m}_{f}.npy"), ktf)
-            np.save(os.path.join(tmp, f"fr_len_{m}_{f}.npy"), kln)
-        enc = [t.encode() for t in terms_m]
-        np.save(os.path.join(tmp, "term_lens.npy"),
-                np.asarray([len(e) for e in enc], dtype=np.int64))
-        with open(os.path.join(tmp, "terms.bin"), "wb") as fh:
-            fh.write(b"".join(enc))
-        os.replace(tmp, cdir) if not os.path.exists(cdir) else \
-            shutil.rmtree(tmp)
+        for name, dt in dtypes.items():
+            np.lib.format.open_memmap(os.path.join(tmp, name + ".npy"),
+                                      mode="w+", dtype=dt, shape=(total,))
     except OSError:
-        return False  # cache is best-effort (read-only dir etc.)
-    return os.path.isdir(cdir)
+        shutil.rmtree(tmp, ignore_errors=True)
+        return False
+    wtask = ray.remote(num_cpus=1)(_write_cache_slices)
+    futs = []
+    row0 = 0
+    for p, _ in parts:
+        nr = len(p[0])
+        futs.append(wtask.remote(tmp, F, p[8], dest[row0:row0 + nr],
+                                 cnt[row0:row0 + nr]))
+        row0 += nr
+    ray.get(futs)
+    arrays = {"df": df_m, "first_pos": fp_m, "first_off": fo_m,
+              "trie_rank": trie_rank(terms_m, fp_m, fo_m),
+              "post_off": post_off, "doc_ids": docs[0]}
+    for f in range(F):
+        arrays[f"doc_len_{f}"] = _narrow(docs[1][f])
+        arrays[f"tf_max_{f}"] = tfm_m[f]
+        arrays[f"len_min_{f}"] = lmn_m[f]
+    arrays.update(_frontier_files(fr_m))
+    return _cache_commit(tmp, cdir, arrays, terms_m) \
+        and os.path.isdir(cdir)
 
 
 def _reduce_max_by_doc(d, s):
@@ -1505,8 +1572,8 @@ def _merge_max(d1, s1, d2, s2):
 
 class _SizeOnlyDict(dict):
     """Stand-in for the reference's ``docs`` map in ``before_each`` —
-    calculators only use ``len(docs)`` (= N); the actual doc-meta is
-    denormalized into the postings."""
+    calculators only use ``len(docs)`` (= N); the doc lengths live in
+    the shards' per-doc tables."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -1516,13 +1583,19 @@ class _SizeOnlyDict(dict):
         return self._n
 
 
+def _find_sorted(values: np.ndarray, sorted_arr: np.ndarray):
+    """Insertion positions of values in a sorted array, and whether
+    each value is there — one ``searchsorted``."""
+    if not len(sorted_arr):
+        return (np.zeros(len(values), dtype=np.int64),
+                np.zeros(len(values), dtype=bool))
+    idx = np.searchsorted(sorted_arr, values)
+    return idx, sorted_arr[np.minimum(idx, len(sorted_arr) - 1)] == values
+
+
 def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     """Membership of values in a sorted array (vectorized anti-join)."""
-    if not len(sorted_arr):
-        return np.zeros(len(values), dtype=bool)
-    idx = np.searchsorted(sorted_arr, values)
-    idx = np.minimum(idx, len(sorted_arr) - 1)
-    return sorted_arr[idx] == values
+    return _find_sorted(values, sorted_arr)[1]
 
 
 class _Exp(NamedTuple):

@@ -1,0 +1,334 @@
+"""The serving cache's layout: postings hold a doc ordinal and a tf,
+field lengths live once per doc, tf and lengths take the narrowest
+unsigned dtype, and scoring through the per-doc length table is
+bit-identical to the per-posting BM25 formula."""
+
+import glob
+import os
+import warnings
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from probly_search_ray.build import build_index
+from probly_search_ray.maintain import (
+    compact_groups, merge_indexes, remove_documents, vacuum)
+from probly_search_ray.refmodel import (
+    BM25, RefIndex, ZeroToOne, whitespace_tokenizer as tok)
+from probly_search_ray.search import SearchEngine, ShardData
+from probly_search_ray.state.manifest import Manifest
+from tests.fixtures import assert_results
+
+VOCAB = np.array(["ka", "kar", "kex", "mu", "mux", "ma", "x", "xy"])
+
+
+def _write(path, rows, nfields=2):
+    cols = {"doc_id": pa.array([r[0] for r in rows], type=pa.uint64())}
+    for f in range(nfields):
+        cols[f"f{f}"] = pa.array([r[1 + f] for r in rows], type=pa.string())
+    pq.write_table(pa.table(cols), path)
+
+
+def _rows(rng, lo, hi):
+    return [(d, " ".join(rng.choice(VOCAB, size=int(rng.integers(1, 8)))),
+             " ".join(rng.choice(VOCAB, size=int(rng.integers(0, 4)))))
+            for d in range(lo, hi)]
+
+
+def _blob_lengths(idx, F):
+    """(term, doc id) → field lengths, decoded row by row straight from
+    the term files' blobs."""
+    out = {}
+    for rec in Manifest(idx).term_files():
+        t = pq.read_table(os.path.join(idx, rec["path"]),
+                          columns=["term", "blob"])
+        for term, blob in zip(t["term"].to_pylist(), t["blob"].to_pylist()):
+            if term == "" or not blob:
+                continue
+            docs, _, lens, _ = ShardData._decode_rows(
+                np.frombuffer(blob, np.uint8), np.zeros(1, np.int64), F)
+            for j, d in enumerate(docs.tolist()):
+                out[(term, d)] = [int(ln[j]) for ln in lens]
+    return out
+
+
+def _docmeta_lengths(idx, F):
+    """doc id → docmeta's ``len_f``, later files winning."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(idx, "docmeta", "*.parquet"))):
+        t = pq.read_table(path).to_pydict()
+        for j, d in enumerate(t["doc_id"]):
+            out[d] = [t[f"len_{f}"][j] for f in range(F)]
+    return out
+
+
+def _check_doc_tables(sd, idx, full=True):
+    """Every posting's ``doc_len_f[p_ord]`` equals the length its blob
+    carries and docmeta's ``len_f``; the per-doc table is sorted and
+    unique; dtypes follow the one width rule."""
+    F = sd.num_fields
+    blob, meta = _blob_lengths(idx, F), _docmeta_lengths(idx, F)
+    assert sd.doc_ids.dtype == np.uint64 and sd.p_ord.dtype == np.uint32
+    assert (np.diff(sd.doc_ids.astype(np.float64)) > 0).all()
+    ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
+    docs = sd.doc_ids[sd.p_ord].tolist()
+    keys = [(sd.terms[e], d) for e, d in zip(ent.tolist(), docs)]
+    if full:
+        assert len(keys) == len(blob) and set(keys) == set(blob)
+    for f in range(F):
+        got = sd.doc_len[f][sd.p_ord].tolist()
+        assert got == [blob[k][f] for k in keys], f
+        assert got == [meta[d][f] for d in docs], f
+        for arr in (sd.doc_len[f], sd.p_tf[f]):
+            top = int(arr.max()) if len(arr) else 0
+            assert arr.dtype == (np.uint8 if top <= 255 else np.uint16)
+    return len(keys)
+
+
+def _check_all_loads(idx):
+    full = ShardData(idx)
+    n = _check_doc_tables(full, idx)
+    assert n
+    _check_doc_tables(ShardData(idx, use_cache=False), idx)
+    sl = ShardData(idx, term_lo="kex", term_hi="mux")
+    assert sl.terms and all("kex" <= t < "mux" for t in sl.terms)
+    _check_doc_tables(sl, idx, full=False)
+    parts = 0
+    for i in range(3):
+        v = ShardData(idx, doc_mod=(i, 3))
+        assert (v.doc_ids[v.p_ord] % 3 == i).all()
+        # a view's per-doc state holds its own docs only
+        own = full.doc_ids[full.doc_ids % 3 == i]
+        assert np.array_equal(v.doc_ids, own)
+        assert len(v._doc_off) == len(own) + 1
+        parts += _check_doc_tables(v, idx, full=False)
+    assert parts == n
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_doc_tables_match_blobs_and_docmeta(tmp_path):
+    """Build, append, remove, vacuum, compact and merge: in each state
+    the full load, a fresh decode, a term-range slice and the doc-mod
+    views all read lengths equal to the blobs' and docmeta's."""
+    rng = np.random.default_rng(3)
+    idx = str(tmp_path / "index")
+    files = []
+    for g, (lo, hi) in enumerate([(0, 40), (40, 70)]):
+        files.append(str(tmp_path / f"g{g}.parquet"))
+        _write(files[-1], _rows(rng, lo, hi))
+        build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
+                    batch_size=9, resume=True)
+        _check_all_loads(idx)                 # build, then append
+    remove_documents(idx, [1, 5, 41, 69])
+    _check_all_loads(idx)
+    vacuum(idx)
+    _check_all_loads(idx)
+    compact_groups(idx)
+    _check_all_loads(idx)
+    other = str(tmp_path / "other")
+    _write(str(tmp_path / "o.parquet"), _rows(rng, 100, 130))
+    build_index([str(tmp_path / "o.parquet")], other,
+                field_cols=["f0", "f1"])
+    merged = str(tmp_path / "merged")
+    merge_indexes([idx, other], merged)
+    _check_all_loads(merged)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_doc_tables_hashed_string_keys(tmp_path):
+    """Hashed full-range uint64 ids: the per-doc table is sorted by id,
+    so ordinals keep the newest-first = descending-id order."""
+    rng = np.random.default_rng(4)
+    urls = [f"https://h{d}.example/{d}" for d in range(40)]
+    pq.write_table(pa.table({
+        "url": pa.array(urls),
+        "f0": pa.array([" ".join(rng.choice(VOCAB, size=5)) for _ in urls]),
+        "f1": pa.array([" ".join(rng.choice(VOCAB, size=2)) for _ in urls]),
+    }), str(tmp_path / "u.parquet"))
+    idx = str(tmp_path / "index")
+    build_index(str(tmp_path / "u.parquet"), idx, key_col="url",
+                field_cols=["f0", "f1"], string_key=True, batch_size=7)
+    assert int(_check_doc_tables(ShardData(idx), idx))
+    sd = ShardData(idx)
+    assert sd.doc_ids.max() > np.uint64(1 << 63) > sd.doc_ids.min()
+    # within a term, postings ascend by id and by ordinal alike
+    for i in range(len(sd.terms)):
+        o = sd.p_ord[sd.post_off[i]:sd.post_off[i + 1]]
+        assert (np.diff(o.astype(np.int64)) > 0).all()
+    _check_all_loads(idx)
+
+
+def _bm25_per_posting(tf, fl, idf_boost, fields_boost, avgs, k1, b):
+    """The per-posting BM25 formula with the scorer's operation order."""
+    s = np.zeros(len(tf[0]))
+    for x in range(len(tf)):
+        t = tf[x].astype(np.float64)
+        pos = t > 0.0
+        tn = ((k1 + 1.0) * t[pos]) / (
+            k1 * ((1.0 - b) + b * (fl[x][pos] / avgs[x])) + t[pos])
+        s[pos] += tn * (idf_boost * fields_boost[x])
+    return s
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_wide_tf_takes_uint16_and_scores_bit_identically(tmp_path):
+    """A tf above 255 widens that field's tf array to uint16 (and a
+    length above 255 its length table); scores equal the per-posting
+    formula bit for bit and the reference model at 1e-8."""
+    rng = np.random.default_rng(9)
+    rows = _rows(rng, 0, 30)
+    rows[4] = (4, " ".join(["ka"] * 300 + ["mu"] * 2), "x")
+    rows[7] = (7, "ka " * 3, " ".join(["xy"] * 256))
+    path = str(tmp_path / "w.parquet")
+    _write(path, rows)
+    idx = str(tmp_path / "index")
+    build_index(path, idx, field_cols=["f0", "f1"])
+    for sd in (ShardData(idx), ShardData(idx, use_cache=False)):
+        assert sd.p_tf[0].dtype == np.uint16 and sd.p_tf[1].dtype == np.uint16
+        assert sd.doc_len[0].dtype == np.uint16
+        assert sd.doc_len[1].dtype == np.uint16
+        assert int(sd.p_tf[0].max()) == 300
+        _check_doc_tables(sd, idx)
+    sd = ShardData(idx)
+    blob = _blob_lengths(idx, 2)
+    for term in sd.terms:
+        i = sd.terms.index(term)
+        g = slice(int(sd.post_off[i]), int(sd.post_off[i + 1]))
+        docs = sd.doc_ids[sd.p_ord[g]]
+        tf = [np.asarray(t[g]) for t in sd.p_tf]
+        fl = [np.asarray([blob[(term, int(d))][f] for d in docs],
+                         np.uint32) for f in range(2)]
+        for k1, b, fb, avgs in [(1.2, 0.75, [1.0, 1.0], [31.0, 9.5]),
+                                (0.7, 0.2, [2.0, 0.5], [4.0, 300.0])]:
+            _, got_docs, got = sd.score_bm25_batch(
+                [term], [1.7], fb, avgs, k1, b, keep_nonpositive=True)
+            assert (got_docs == docs).all()
+            want = _bm25_per_posting(tf, fl, 1.7, fb, avgs, k1, b)
+            assert got.tobytes() == want.tobytes(), (term, k1, b)
+    ref = RefIndex(2)
+    for r in rows:
+        ref.add_document([r[1], r[2]], tok, r[0])
+    eng = SearchEngine(idx)
+    for q in ("ka", "xy", "ka xy", "k", "m"):
+        assert_results(eng.query(q, "bm25"),
+                       ref.query(q, BM25(), tok, [1.0, 1.0]), q)
+        assert_results(eng.query(q, "zero_to_one"),
+                       ref.query(q, ZeroToOne(), tok, [1.0, 1.0]), q)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_zero_average_field_scores_without_warnings(tmp_path):
+    """A field whose average is 0 (every value empty, or its one token
+    removed) or NaN (every doc removed): scores and ranks match the
+    reference model and no RuntimeWarning escapes."""
+    rng = np.random.default_rng(11)
+    rows = [(d, " ".join(rng.choice(VOCAB, size=int(rng.integers(1, 6)))),
+             "") for d in range(12)]
+    rows[3] = (3, rows[3][1], "ka")   # the field's only token
+    path = str(tmp_path / "z.parquet")
+    _write(path, rows)
+    idx = str(tmp_path / "index")
+    build_index(path, idx, field_cols=["f0", "f1"])
+    ref = RefIndex(2)
+    for r in rows:
+        ref.add_document([r[1], r[2]], tok, r[0])
+    eng = SearchEngine(idx)
+
+    def check(state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for q in ("ka", "k", "ka mu", "m x"):
+                for k in (None, 3):
+                    want = ref.query(q, BM25(), tok, [1.0, 1.0])
+                    assert_results(eng.query(q, "bm25", k=k),
+                                   want[:k] if k else want, (state, q, k))
+                assert_results(eng.query(q, "zero_to_one"),
+                               ref.query(q, ZeroToOne(), tok, [1.0, 1.0]),
+                               (state, q))
+
+    check("built")
+    for batch in ([3], [0, 5], list(range(12))):
+        remove_documents(idx, batch)
+        for d in batch:
+            ref.remove_document(d)
+        eng.refresh()
+        check(f"removed {batch}")
+    avg0 = eng.stats.field_avg(0)
+    assert avg0 != avg0 and eng.stats.field_avg(1) == 0.0   # NaN, 0
+    empty = str(tmp_path / "empty_field")
+    _write(str(tmp_path / "e.parquet"), [(r[0], r[1], "") for r in rows])
+    build_index(str(tmp_path / "e.parquet"), empty, field_cols=["f0", "f1"])
+    eng, ref = SearchEngine(empty), RefIndex(2)
+    for r in rows:
+        ref.add_document([r[1], ""], tok, r[0])
+    assert eng.stats.field_avg(1) == 0.0
+    check("all-empty field")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_docs_missing_from_docmeta_take_blob_lengths(tmp_path):
+    """A vacuum that crashed after rewriting docmeta, before its commit,
+    leaves tombstoned docs' postings with no docmeta row: the cache
+    build falls back to the in-process load, which adds those docs to
+    the per-doc table with the lengths their postings carry."""
+    from probly_search_ray.search import build_csr_cache
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "m.parquet")
+    _write(path, _rows(rng, 0, 25))
+    idx = str(tmp_path / "index")
+    build_index(path, idx, field_cols=["f0", "f1"])
+    remove_documents(idx, [3, 4])
+    queries = ("k", "ka mu", "x")
+    before = [SearchEngine(idx).query(q, "bm25") for q in queries]
+    for meta in glob.glob(os.path.join(idx, "docmeta", "*.parquet")):
+        t = pq.read_table(meta)
+        keep = ~np.isin(t["doc_id"].to_numpy(), [3, 4])
+        pq.write_table(t.filter(pa.array(keep)), meta)
+    import shutil
+    shutil.rmtree(os.path.join(idx, "cache"))
+    assert build_csr_cache(idx)
+    blob = _blob_lengths(idx, 2)
+    for sd in (ShardData(idx), ShardData(idx, use_cache=False)):
+        assert {3, 4} <= set(sd.doc_ids.tolist())
+        ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
+        docs = sd.doc_ids[sd.p_ord].tolist()
+        for f in range(2):
+            assert sd.doc_len[f][sd.p_ord].tolist() == [
+                blob[(sd.terms[e], d)][f] for e, d in zip(ent.tolist(), docs)]
+    assert [SearchEngine(idx).query(q, "bm25") for q in queries] == before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_only_docs_restriction_sparse_and_dense(tmp_path):
+    """The accumulator restriction of a multi-term query gives the
+    unrestricted rows of the allowed docs, both for a rare term (far
+    fewer postings than docs: tested by sorted search) and a common
+    one (tested through a per-doc mask)."""
+    rng = np.random.default_rng(13)
+    # ids that differ from ordinals: 5, 8, 11, ...
+    rows = [(3 * d + 5, a, b) for d, a, b in _rows(rng, 0, 600)]
+    for j in (10, 400):
+        rows[j] = (rows[j][0], rows[j][1] + " zz", rows[j][2])
+    path = str(tmp_path / "s.parquet")
+    _write(path, rows)
+    idx = str(tmp_path / "index")
+    build_index(path, idx, field_cols=["f0", "f1"])
+    sd = ShardData(idx)
+    args = ([1.3], [1.0, 0.8], [4.0, 1.5], 1.2, 0.75)
+    for term, sparse in (("zz", True), ("ka", False)):
+        i = sd.terms.index(term)
+        n_post = int(sd.post_off[i + 1] - sd.post_off[i])
+        assert (len(sd.doc_ids) > 256 * n_post) == sparse
+        _, docs, scores = sd.score_bm25_batch([term], *args,
+                                              keep_nonpositive=True)
+        for only in (np.array([35], np.uint64),
+                     np.array([10, 35, 400, 1205, 10_000], np.uint64),
+                     np.arange(5, 1800, 7, dtype=np.uint64)):
+            _, d, s = sd.score_bm25_batch([term], *args,
+                                          keep_nonpositive=True,
+                                          only_docs=only)
+            keep = np.isin(docs, only)
+            assert np.array_equal(d, docs[keep]), (term, only)
+            assert s.tobytes() == scores[keep].tobytes(), (term, only)

@@ -467,6 +467,19 @@ def test_topk_taat_restriction_exact(tmp_path):
         assert eng.query(q, "bm25", k=5) == full[:5], q
 
 
+def _assert_same_postings(hit, raw):
+    """Two loads hold the same per-doc tables and posting arrays, with
+    the same dtypes, hence the same doc id of every posting."""
+    assert hit.doc_ids.dtype == raw.doc_ids.dtype == np.uint64
+    assert (hit.doc_ids == raw.doc_ids).all()
+    assert hit.p_ord.dtype == raw.p_ord.dtype == np.uint32
+    assert (np.asarray(hit.p_ord) == raw.p_ord).all()
+    assert (hit.doc_ids[hit.p_ord] == raw.doc_ids[raw.p_ord]).all()
+    for a, b in [*zip(hit.p_tf, raw.p_tf), *zip(hit.doc_len, raw.doc_len)]:
+        assert a.dtype == b.dtype
+        assert (np.asarray(a) == b).all()
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_csr_cache_multigroup_merge(tmp_path):
     """Parallel build-time cache with MULTIPLE un-compacted groups
@@ -488,9 +501,8 @@ def test_csr_cache_multigroup_merge(tmp_path):
     raw = ShardData(idx, use_cache=False)       # in-proc sorted load
     assert hit.terms == raw.terms
     assert (np.asarray(hit.df) == raw.df).all()
-    assert (np.asarray(hit.p_docs) == raw.p_docs).all()
+    _assert_same_postings(hit, raw)
     for f in range(1):
-        assert (np.asarray(hit.p_tf[f]) == raw.p_tf[f]).all()
         assert (np.asarray(hit.tf_max[f]) == raw.tf_max[f]).all()
     # the driver-side merged Pareto frontiers (union-across-groups then
     # re-filter) must equal the fresh single-pass computation
@@ -521,7 +533,7 @@ def test_csr_cache_roundtrip(tmp_path):
     raw = ShardData(eng_fresh.index_dir, use_cache=False)
     hit = ShardData(eng_fresh.index_dir)
     assert hit.terms == raw.terms
-    assert (np.asarray(hit.p_docs) == raw.p_docs).all()
+    _assert_same_postings(hit, raw)
     for q in ["a", "ab", "b c", "ca ba"]:
         assert_results(cached.query(q, "bm25"), eng_fresh.query(q, "bm25"),
                        f"cache:{q!r}")

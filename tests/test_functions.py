@@ -208,6 +208,33 @@ def test_auto_pool_leaves_a_cpu(monkeypatch, cpus, want):
     assert lo <= hi and (cpus == 1 or lo <= cpus - 1)
 
 
+@pytest.mark.parametrize("cpus,asked,want", [(1, 2, 1), (2, 2, 1),
+                                              (4, 2, 2), (4, 8, 3),
+                                              (32, 4, 4)])
+def test_bulk_search_leaves_a_cpu(monkeypatch, cpus, asked, want):
+    """The non-sharded ``bulk_search`` pool of 1-CPU actors leaves a CPU
+    for the rest of the job, as ``auto_pool`` does."""
+    import ray
+    from probly_search_ray.pipelines.bulk import bulk_search
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: {"CPU": float(cpus)})
+
+    class Plan:
+        def repartition(self, n):
+            self.parts = n
+            return self
+
+        def map_batches(self, fn, **kw):
+            self.kw = kw
+            return self
+
+    plan = bulk_search(Plan(), "unused-index", concurrency=asked)
+    assert plan.kw["concurrency"] == want and plan.kw["num_cpus"] == 1
+    assert cpus == 1 or want <= cpus - 1
+    assert plan.parts == max(want, 2)
+
+
 def test_in_sorted_empty_sorted_array():
     """Membership in an empty sorted array is all-False, not an
     IndexError (a vacuum refresh empties the tombstone set)."""

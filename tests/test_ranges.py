@@ -259,7 +259,7 @@ def test_set_tombstones_delta_matches_rebuild(tmp_path):
     idx = str(tmp_path / "index")
     build_index([f], idx, field_cols=["f0"], batch_size=11)
     sd = ShardData(idx)
-    docs = np.asarray(sd.p_docs)
+    docs = sd.doc_ids[sd.p_ord]
     ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
 
     def check(tomb):
