@@ -60,11 +60,13 @@ def cmd_build_pages(args):
 
 
 def cmd_query(args):
-    _ensure_ray()
+    # only an actor pool needs Ray; the in-process engine never starts it
+    use_actors = args.actors or args.doc_shards > 0
+    if use_actors:
+        _ensure_ray()
     from probly_search_ray.search import SearchEngine
     eng = SearchEngine(args.index, num_shards=args.shards,
-                       use_actors=args.actors or args.doc_shards > 0,
-                       doc_shards=args.doc_shards)
+                       use_actors=use_actors, doc_shards=args.doc_shards)
     res = eng.query(args.query, args.scorer, k=args.k,
                     require_all=args.require_all, exclude=args.exclude)
     print(json.dumps([{"doc_id": d, "score": s} for d, s in res]))
@@ -91,7 +93,6 @@ def cmd_compact(args):
 
 
 def cmd_complete(args):
-    _ensure_ray()
     from probly_search_ray.search import SearchEngine
     eng = SearchEngine(args.index)
     print(json.dumps([{"term": t, "df": int(df)}
@@ -315,8 +316,8 @@ def main(argv=None):
 
     args = p.parse_args(argv)
     args.fn(args)
-    import ray
-    if ray.is_initialized():
+    ray = sys.modules.get("ray")   # loaded only by commands that use it
+    if ray is not None and ray.is_initialized():
         ray.shutdown()
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import re
 
-import pyarrow as pa
-import pyarrow.compute as pc
-
 
 def whitespace_split_arrow(col) -> pa.Array:
     """Vectorized: split each string on a single space → list<string>."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     return pc.split_pattern(col, " ")
@@ -45,6 +44,8 @@ def word_split_py(s: str) -> list[str]:
 def word_split_arrow(col) -> pa.Array:
     """Vectorized form of ``word_split_py`` (RE2 has no unicode \\w, so
     the class is explicit ASCII on both sides)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     lowered = pc.utf8_lower(col)

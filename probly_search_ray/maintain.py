@@ -24,7 +24,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from probly_search_ray.sources.readers import read_parquet_clean
 from probly_search_ray.search import _grouped_arange, _in_sorted
 from probly_search_ray.stages.segment import SEGMENT_SCHEMA, docmeta_ipc, read_docmeta_ipc
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
@@ -86,12 +85,28 @@ def _docmeta_lengths(path: str, old):
     pf = pq.ParquetFile(path)
     cols = [c for c in pf.schema_arrow.names if c.startswith("len_")]
     t = pf.read(columns=["doc_id", *cols])
-    ids = t["doc_id"].to_numpy()
+    ids = _int_column(t["doc_id"])
     order = np.argsort(ids, kind="stable")
     s = ids[order]
     last = order[np.r_[s[1:] != s[:-1], True]] if len(s) else order
     return (key, ids[last],
-            [t[f"len_{f}"].to_numpy()[last] for f in range(len(cols))])
+            [_int_column(t[f"len_{f}"])[last] for f in range(len(cols))])
+
+
+def _int_column(col: pa.ChunkedArray) -> np.ndarray:
+    """A null-free integer column as one NumPy array, read through its
+    Arrow data buffers.  ``to_numpy()`` gives the same values but
+    imports pandas on first use (pyarrow's conversion layer), and that
+    import would land inside a serving process's first removal."""
+    t = col.type
+    if not pa.types.is_integer(t) or col.null_count:
+        raise TypeError(f"expected a null-free integer column, got {t}")
+    dt = np.dtype(f"{'u' if pa.types.is_unsigned_integer(t) else 'i'}"
+                  f"{t.bit_width // 8}")
+    parts = [np.frombuffer(c.buffers()[1], dt, count=len(c),
+                           offset=c.offset * dt.itemsize)
+             for c in col.chunks if len(c)]
+    return np.concatenate(parts) if parts else np.empty(0, dt)
 
 
 def _docmeta_files(index_dir: str) -> list[tuple]:
@@ -317,6 +332,8 @@ def compact_groups(index_dir: str) -> int:
     """
     import ray.data
 
+    from probly_search_ray.sources.readers import read_parquet_clean
+
     man = Manifest(index_dir)
     _gc_unreferenced_group_dirs(index_dir, man)
     gids = sorted(g for g, rec in man.groups.items() if rec["term_files"])
@@ -415,6 +432,8 @@ def vacuum(index_dir: str) -> None:
     Stray dirs from a crashed run are garbage-collected up front.
     """
     import ray.data
+
+    from probly_search_ray.sources.readers import read_parquet_clean
 
     tomb = Tombstones(index_dir)
     tomb_arr = np.sort(np.asarray(tomb.doc_ids, dtype=np.uint64))
@@ -594,6 +613,8 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
         # exact check: one distributed count aggregate over docmeta ids
         import ray.data
         from ray.data.aggregate import Count
+
+        from probly_search_ray.sources.readers import read_parquet_clean
         meta_files = [f for s in source_dirs for f in sorted(
             glob.glob(os.path.join(s, "docmeta", "*.parquet")))]
         def _dups_only(b):

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.dataset as pads
 
 from probly_search_ray.functions.tokenize import get_tokenizer
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
@@ -291,6 +289,10 @@ class ShardData:
                 if self._load_from_cache(full_dir,
                                          slice_range=(term_lo, term_hi)):
                     return
+        # a cold decode reads parquet: the only part of serving that
+        # needs pyarrow, so a warm-cache load never imports it
+        import pyarrow as pa
+        import pyarrow.dataset as pads
         tables = []
         for rec in man.term_files():
             if term_hi is not None and rec["term_min"] is not None \
@@ -614,6 +616,7 @@ class ShardData:
     def _load_csr(self, full: pa.Table, F: int, docs) -> None:
         """Decode term-sorted rows into the CSR arrays; ``docs`` is the
         per-doc table ``(doc_ids, [len_f])`` (``maintain.docmeta_table``)."""
+        import pyarrow as pa
         nrows = len(full)
         blob_col = full["blob"].combine_chunks()
         # zero-copy view of the concatenated blob bytes + per-row offsets
@@ -685,7 +688,19 @@ class ShardData:
         docmeta, before its manifest commit, leaves the removed docs'
         postings behind) adds the doc with the lengths it carries."""
         doc_ids = np.asarray(doc_ids, np.uint64)
-        o, hit = _find_sorted(p_docs, doc_ids)
+        n = len(doc_ids)
+        span = int(doc_ids[-1]) - int(doc_ids[0]) + 1 if n else 0
+        if n and len(p_docs) and span <= 2 * n \
+                and doc_ids[0] <= p_docs.min() and p_docs.max() <= doc_ids[-1]:
+            # dense ids (sequential ids, a few files' ranges): look each
+            # posting's ordinal up by its offset from the first id, one
+            # gather instead of a per-posting binary search
+            pos = np.full(span, -1, np.int64)
+            pos[(doc_ids - doc_ids[0]).astype(np.intp)] = np.arange(n)
+            o = pos[(p_docs - doc_ids[0]).astype(np.intp)]
+            hit = o >= 0
+        else:
+            o, hit = _find_sorted(p_docs, doc_ids)
         if not hit.all():
             extra, at = np.unique(p_docs[~hit], return_index=True)
             order = np.argsort(np.concatenate((doc_ids, extra)),
@@ -1333,6 +1348,8 @@ def _decode_term_file(path: str, F: int, docs):
     parallel cache build).  Returns dictionary-size metadata inline; the
     posting-size arrays stay in the OBJECT STORE (ref) so the calling
     process never touches them."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
     import ray
     from probly_search_ray.functions.mem import tune_allocator
     from probly_search_ray.stages.segment import SEGMENT_SCHEMA

@@ -1,43 +1,16 @@
 """Stream-shaped operators over the events log table.
 
 Ray Data has no event-time window engine; the idiomatic mapping
-(SURVEY.md §2.9 note) is: treat events as a partitioned log — partition
-by key (`groupby(user_id)`), order by ts inside the group, and apply
-the window logic with vectorized pandas per group.  Gap-based
-sessionization is the canonical example.
+(SURVEY.md §2.9 note) is: treat events as a log ordered by (key, ts)
+and apply the window logic vectorized over the sorted batches, merging
+the windows that span a batch boundary.  Gap-based sessionization is
+the canonical example.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-
-
-def sessionize_group(g: pd.DataFrame, gap_minutes: int = 30) -> pd.DataFrame:
-    g = g.sort_values("ts", kind="stable")
-    ts = g["ts"].to_numpy()
-    gap = np.timedelta64(gap_minutes * 60, "s")
-    new_sess = np.ones(len(g), dtype=np.int64)
-    if len(g) > 1:
-        new_sess[1:] = (ts[1:] - ts[:-1] > gap).astype(np.int64)
-    sess_id = np.cumsum(new_sess)
-    out = g.assign(sess_id=sess_id).groupby("sess_id").agg(
-        user_id=("user_id", "first"),
-        session_start=("ts", "min"),
-        n_events=("ts", "size"),
-        sum_value=("value", "sum"),
-    ).reset_index(drop=True)
-    out["n_events"] = out["n_events"].astype(np.int64)
-    out["sum_value"] = out["sum_value"].round(6)
-    return out
-
-
-def sessionize(events_ds, gap_minutes: int = 30):
-    """→ Dataset (user_id, session_start, n_events, sum_value); one row
-    per gap-separated session.  Tie-ordering within equal timestamps
-    cannot change session membership (gap 0 never splits)."""
-    return events_ds.groupby("user_id").map_groups(
-        lambda g: sessionize_group(g, gap_minutes), batch_format="pandas")
 
 
 def sessionize_sorted(events_ds, gap_minutes: int = 30,

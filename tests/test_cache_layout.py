@@ -332,3 +332,54 @@ def test_only_docs_restriction_sparse_and_dense(tmp_path):
             keep = np.isin(docs, only)
             assert np.array_equal(d, docs[keep]), (term, only)
             assert s.tobytes() == scores[keep].tobytes(), (term, only)
+
+
+def test_attach_docs_ordinals_match_the_search():
+    """Postings get the ordinal a ``searchsorted`` into the per-doc table
+    gives, whether the ids are one contiguous range or dense with gaps
+    (looked up by offset), sparse or hashed 64-bit keys (searched), or
+    the postings name docs the table lacks (the table grows)."""
+    rng = np.random.default_rng(11)
+    lo = 1 << 40
+    run = np.arange(lo, lo + 300, dtype=np.uint64)
+    dense = np.sort(rng.choice(np.arange(lo, lo + 450, dtype=np.uint64),
+                               300, replace=False))
+    gaps = np.setdiff1d(np.arange(lo, lo + 450, dtype=np.uint64), dense)
+    sparse = np.unique(rng.integers(0, 10**6, 300)).astype(np.uint64)
+    hashed = np.unique(rng.integers(0, 1 << 63, 300, dtype=np.uint64)
+                       * np.uint64(2) + np.uint64(1))
+    cases = [(name, ids, rng.choice(ids, 2000)) for name, ids in
+             (("contiguous", run), ("dense", dense), ("sparse", sparse),
+              ("hashed", hashed))]
+    outside = np.asarray([lo - 1, lo + 1000], np.uint64)
+    cases += [
+        ("missing outside", run, np.concatenate((rng.choice(run, 2000),
+                                                 outside))),
+        ("missing in a gap", dense, np.concatenate((rng.choice(dense, 2000),
+                                                    gaps[:3]))),
+        ("missing ends", np.delete(run, [0, 150, 299]), rng.choice(run, 2000)),
+    ]
+    for name, ids, p_docs in cases:
+        p_docs = p_docs.astype(np.uint64)
+        lens = [rng.integers(1, 50, len(ids)).astype(np.uint32)
+                for _ in range(2)]
+        p_len = [rng.integers(1, 50, len(p_docs)).astype(np.uint32)
+                 for _ in range(2)]
+        sd = ShardData.__new__(ShardData)
+        sd._attach_docs(p_docs, p_len, ids, lens)
+        assert set(sd.doc_ids.tolist()) == set(ids.tolist()) | set(
+            p_docs.tolist()), name
+        assert np.all(sd.doc_ids[1:] > sd.doc_ids[:-1]), name
+        assert sd.p_ord.dtype == np.uint32, name
+        assert np.array_equal(sd.p_ord, np.searchsorted(sd.doc_ids, p_docs)), \
+            name
+        known = np.isin(sd.doc_ids, ids)
+        for f in range(2):
+            assert np.array_equal(
+                sd.doc_len[f][known],
+                lens[f][np.searchsorted(ids, sd.doc_ids[known])]), name
+            # a doc the table lacked takes the length its posting carries
+            new = np.flatnonzero(~known)
+            at = [int(np.flatnonzero(p_docs == d)[0])
+                  for d in sd.doc_ids[new]]
+            assert np.array_equal(sd.doc_len[f][new], p_len[f][at]), name

@@ -35,8 +35,7 @@ from probly_search_ray.stages.dedup import (  # noqa: E402
     connected_components, dedup_exact, exact_dup_drops)
 from probly_search_ray.stages.joins import (  # noqa: E402
     asof_join, range_join_agg)
-from probly_search_ray.stages.sessions import (  # noqa: E402
-    sessionize, sessionize_sorted)
+from probly_search_ray.stages.sessions import sessionize_sorted  # noqa: E402
 from probly_search_ray.stages.sketches import grouped_quantiles  # noqa: E402
 
 N_SEEDS = int(os.environ.get("FUZZ_SEEDS", "60"))
@@ -171,12 +170,10 @@ def _brute_sessions(ev: pd.DataFrame, gap_min: int) -> pd.DataFrame:
 def check_sessions(rng, ev, ctx):
     gap_min = int(rng.integers(1, 9))
     exp = _brute_sessions(ev, gap_min)
-    got = _pd(sessionize(ray.data.from_pandas(ev), gap_minutes=gap_min))
-    _cmp(got, exp, f"{ctx} sessionize gap={gap_min}")
     mb = int(rng.choice([1, 4, 32]))
-    got2 = _pd(sessionize_sorted(ray.data.from_pandas(ev),
-                                 gap_minutes=gap_min, merge_buckets=mb))
-    _cmp(got2, exp, f"{ctx} sessionize_sorted gap={gap_min} mb={mb}")
+    got = _pd(sessionize_sorted(ray.data.from_pandas(ev),
+                                gap_minutes=gap_min, merge_buckets=mb))
+    _cmp(got, exp, f"{ctx} sessionize_sorted gap={gap_min} mb={mb}")
 
 
 def check_cc(rng, ctx):
