@@ -169,7 +169,8 @@ def finalize_stats(index_dir: str, groups: dict, num_fields: int) -> None:
             else:
                 rank = _count_docs_le(index_dir, m)
                 avgs.append(total_sums[f] / rank if rank else 0.0)
-    Stats(index_dir).set_from_build(total_docs, list(total_sums), avgs)
+    Stats(index_dir).set_from_build(total_docs, list(total_sums), avgs,
+                                    tomb_applied=len(tomb_ids))
 
 
 class _FusedEncoder:

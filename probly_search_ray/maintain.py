@@ -39,12 +39,16 @@ def remove_documents(index_dir: str, doc_ids) -> int:
     per state file.  Returns the number of docs actually removed.
 
     Crash-safety ordering: tombstones are written *before* the stats
-    update — a crash in between leaves the doc excluded from scoring
-    (conservative) with slightly stale stats, which the next build or
-    vacuum reconciles from docmeta; the reverse order would silently
-    score a live doc against shrunken stats forever.
+    update, and ``stats.json`` records how many tombstones it has
+    applied (``tomb_applied``).  A crash in between leaves the docs
+    excluded from scoring (conservative) with stats that have not
+    counted them yet; the next ``remove_documents`` or ``vacuum``
+    replays exactly those (``_replay_pending``) before doing anything
+    else.  The reverse order would silently score a live doc against
+    shrunken stats forever.
     """
     tomb = Tombstones(index_dir)
+    stats = _replay_pending(index_dir, tomb)
     existing = set(tomb.doc_ids)
     want = [int(d) for d in dict.fromkeys(doc_ids) if int(d) not in existing]
     if not want:
@@ -54,11 +58,35 @@ def remove_documents(index_dir: str, doc_ids) -> int:
         return 0
     found = [d for d in want if d in lens_by_doc]
     tomb.add_many(found)
-    stats = Stats(index_dir)
     for d in found:  # reference per-doc replay (src/index.rs:160-191)
         stats.apply_remove(lens_by_doc[d], save=False)
+    stats.data["tomb_applied"] = len(tomb.doc_ids)
     stats.save()
     return len(found)
+
+
+def _replay_pending(index_dir: str, tomb: Tombstones) -> Stats:
+    """The index's stats with every tombstone applied.  ``stats.json``'s
+    ``tomb_applied`` counts the leading tombstones its figures include;
+    the rest (left by a crash between the two writes of a removal) are
+    applied now, in list order — the reference's per-doc replay order.
+    A missing count means all are applied (indexes written before it
+    existed); a count above the list's length means vacuum cleared the
+    list after applying every removal.  Stats are saved whenever the
+    stored count differs, so the count is on disk before the next
+    tombstone write."""
+    stats = Stats(index_dir)
+    ids = tomb.doc_ids
+    pending = ids[min(stats.data.get("tomb_applied", len(ids)), len(ids)):]
+    if pending:
+        lens_by_doc = _docs_field_lengths(index_dir, pending)
+        for d in pending:
+            if d in lens_by_doc:
+                stats.apply_remove(lens_by_doc[d], save=False)
+    if stats.data.get("tomb_applied") != len(ids):
+        stats.data["tomb_applied"] = len(ids)
+        stats.save()
+    return stats
 
 
 def remove_documents_by_key(index_dir: str, keys) -> int:
@@ -429,13 +457,17 @@ def vacuum(index_dir: str) -> None:
     versioned dir (``terms/group=G.vN``), the manifest is atomically
     committed to point at it, and only then is the old dir deleted — at
     every intermediate state the manifest references files that exist.
-    Stray dirs from a crashed run are garbage-collected up front.
+    Stray dirs from a crashed run are garbage-collected up front, and
+    stats first apply any tombstones a crashed removal left uncounted
+    (``_replay_pending``).
     """
     import ray.data
 
     from probly_search_ray.sources.readers import read_parquet_clean
 
     tomb = Tombstones(index_dir)
+    # before docmeta is rewritten: the pending docs' lengths live there
+    stats = _replay_pending(index_dir, tomb)
     tomb_arr = np.sort(np.asarray(tomb.doc_ids, dtype=np.uint64))
     man = Manifest(index_dir)
     _gc_unreferenced_group_dirs(index_dir, man)
@@ -516,6 +548,10 @@ def vacuum(index_dir: str) -> None:
                     and os.path.exists(d):
                 shutil.rmtree(d)
     tomb.clear()
+    # a crash before this write leaves a count above the empty list's
+    # length, which ``_replay_pending`` reads as all applied
+    stats.data["tomb_applied"] = 0
+    stats.save()
     from probly_search_ray.search import build_csr_cache
     build_csr_cache(index_dir)  # next engine start is cache-warm
 

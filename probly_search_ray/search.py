@@ -1026,7 +1026,8 @@ class ShardData:
                          floor: float = -np.inf,
                          only_docs: np.ndarray | None = None,
                          term_idx: np.ndarray | None = None,
-                         as_ords: bool = False):
+                         as_ords: bool = False,
+                         drop: np.ndarray | None = None):
         """Vectorized BM25 over ALL requested terms' posting lists in one
         pass (``src/score/default/bm25.rs:60-93``): gather the CSR
         slices, concatenate, score the whole concatenation with numpy —
@@ -1043,7 +1044,12 @@ class ShardData:
         when ``fields_boost`` contains zeros.
 
         ``as_ords=True`` returns doc ordinals instead of doc ids (the
-        shard-local callers reduce per doc in ordinal space)."""
+        shard-local callers reduce per doc in ordinal space).
+
+        ``only_docs`` (sorted doc ids) keeps only those docs' records;
+        ``drop`` (an ``_ord_set`` table: the excluded docs of a boolean
+        query) removes its docs' records with the dead postings, so the
+        ``floor`` and ``topk`` cuts see surviving docs only."""
         if term_idx is not None:
             idx = term_idx
         else:
@@ -1061,15 +1067,8 @@ class ShardData:
                          seg_n)
         if only_docs is not None and len(ords):
             # TAAT suffix restriction: remaining terms can only rescore
-            # docs already in the accumulator (sorted broadcast array).
-            # A per-doc mask costs O(docs), a sorted search O(postings ·
-            # log |only_docs|): the mask only where postings are dense.
-            if len(self.doc_ids) <= 256 * len(ords):
-                m = np.zeros(len(self.doc_ids), dtype=bool)
-                m[self._ords_of(only_docs)] = True
-                m = m[ords]
-            else:
-                m = _in_sorted(self.doc_ids[ords], only_docs)
+            # docs already in the accumulator (sorted broadcast array)
+            m = _in_ord_set(ords, self._ord_set(only_docs, len(ords)))
             if isinstance(gidx, slice):
                 gidx = np.arange(gidx.start, gidx.stop)
             gidx, ranks, ords, coef = gidx[m], ranks[m], ords[m], coef[m]
@@ -1094,6 +1093,9 @@ class ShardData:
         keep = None
         if self._dead is not None:
             keep = ~self._dead[gidx]
+        if drop is not None:
+            x = ~_in_ord_set(ords, drop)
+            keep = x if keep is None else keep & x
         if not keep_nonpositive:
             keep = (s > 0.0) if keep is None else keep & (s > 0.0)
         if keep is not None:
@@ -1117,7 +1119,8 @@ class ShardData:
         return ranks, ords if as_ords else self.doc_ids[ords], s
 
     def score_bm25_topk_pruned(self, idx, idf_boosts, fields_boost,
-                               avgs, k1: float, b: float, k: int):
+                               avgs, k1: float, b: float, k: int,
+                               exclude=None):
         """Single-term exact top-k over dictionary entries ``idx`` with
         impact-bound pruning, run shard-local: the adaptive chunk loop
         (64, 128, 256, ... expansions in descending upper-bound order,
@@ -1125,9 +1128,15 @@ class ShardData:
         instead of one RPC round per chunk.  Returns ``(docs, scores)``:
         this shard's top-k with ties kept, which holds every globally
         top-k doc whose best expansion lives here, so a coordinator
-        merges shards by per-doc max."""
+        merges shards by per-doc max.
+
+        ``exclude`` (sorted doc ids) leaves before any kth is taken —
+        the eager input filter of an external top-k sort — so the kth
+        is that of the surviving docs and the cut stays exact."""
         idx_all = np.asarray(idx, np.int64)
         idf = np.asarray(idf_boosts, dtype=np.float64)
+        drop = None if exclude is None else \
+            self._ord_set(exclude, self._n_postings(idx_all))
         # Two bounds, two jobs.  ORDER by the loose tf_max/len_min
         # cross-combination (``_score_ub``): its idf dominance front-
         # loads rare SMALL-df expansions, so round 1 scores few postings
@@ -1173,7 +1182,7 @@ class ShardData:
                 _, d, s = self.score_bm25_batch(
                     None, idf[sel], fields_boost, avgs, k1, b,
                     False, k, float(kth), term_idx=idx_all[sel],
-                    as_ords=True)
+                    as_ords=True, drop=drop)
                 if len(d):
                     g_docs, g_scores = _merge_max(
                         g_docs, g_scores, *_reduce_max_by_doc(d, s))
@@ -1182,40 +1191,65 @@ class ShardData:
         return self.doc_ids[g_docs], g_scores
 
     def score_bm25_reduced(self, idx, pos, idf_boosts, fields_boost,
-                           avgs, k1: float, b: float, only_docs=None):
+                           avgs, k1: float, b: float, only_docs=None,
+                           exclude=None):
         """Multi-term building block over dictionary entries ``idx``
         whose expansion ranks are ``pos``: like ``score_bm25_batch`` with
         ``keep_nonpositive=True``, but REDUCED PER DOC shard-side so the
         coordinator receives one row per touched doc instead of one per
         (expansion, posting) — the expansion multiplicity never crosses
-        the wire.  Returns per-doc parallel arrays:
+        the wire.  Returns per-doc parallel arrays, rows sorted by doc
+        id:
 
           docs,  r = min expansion rank visiting the doc,
           f = raw score of that first-visited record (sign matters:
               <=0 is the reference's visited-with-None case),
-          p = max positive score over this shard's records,
-          q = max positive score excluding the shard-first record.
+          p = max positive score over this shard's records.
 
-        The coordinator replaces the globally-first shard's p with its
-        q, so ``rest_max`` excludes exactly the one globally-first
-        record (``src/query.rs:150-164``)."""
+        The reference folds a doc's records in expansion order
+        (``src/query.rs:130-164``): the first adds to the doc's score
+        from earlier terms, later ones take the max — max(prev + f, p),
+        where p may include f since scores are positive and
+        prev + f >= f.
+
+        The fold is one scatter pass, with no sort: each record gets its
+        doc's slot, ``minimum.at`` gives r, the record whose rank equals
+        its slot's r is the doc's first (one record per (expansion,
+        doc)) and ``maximum.at`` gives p.  The slot is the ordinal where
+        records are dense (``_dense``), else the ordinal's index among
+        the unique ones, so a rare term pays no O(docs) fill.
+        ``only_docs`` and ``exclude`` (sorted doc ids) restrict the
+        records as in ``score_bm25_batch``."""
+        idx = np.asarray(idx, np.int64)
+        drop = None if exclude is None else \
+            self._ord_set(exclude, self._n_postings(idx))
         ranks, ords, s = self.score_bm25_batch(
             None, idf_boosts, fields_boost, avgs, k1, b,
             keep_nonpositive=True, only_docs=only_docs, term_idx=idx,
-            as_ords=True)
+            as_ords=True, drop=drop)
         ranks = np.asarray(pos, np.int64)[ranks]
         if not len(ords):
             e = np.empty(0, np.float64)
             return (np.empty(0, np.uint64), np.empty(0, np.int64), e,
-                    e.copy(), e.copy())
-        order = np.lexsort((ranks, ords))
-        d_s, r_s, s_s = ords[order], ranks[order], s[order]
-        st = np.flatnonzero(np.concatenate(([True], d_s[1:] != d_s[:-1])))
-        pos = np.where(s_s > 0.0, s_s, -np.inf)
-        p_u = np.maximum.reduceat(pos, st)
-        pos[st] = -np.inf
-        q_u = np.maximum.reduceat(pos, st)
-        return self.doc_ids[d_s[st]], r_s[st], s_s[st], p_u, q_u
+                    e.copy())
+        dense = self._dense(len(ords))
+        if dense:
+            slot, n = ords, len(self.doc_ids)
+        else:
+            u, slot = np.unique(ords, return_inverse=True)
+            n = len(u)
+        none = np.iinfo(np.int64).max
+        r = np.full(n, none, dtype=np.int64)
+        np.minimum.at(r, slot, ranks)
+        first = ranks == r[slot]
+        f = np.empty(n, dtype=np.float64)
+        f[slot[first]] = s[first]
+        p = np.full(n, -np.inf)
+        np.maximum.at(p, slot, np.where(s > 0.0, s, -np.inf))
+        if dense:
+            u = np.flatnonzero(r != none)
+            r, f, p = r[u], f[u], p[u]
+        return self.doc_ids[u], r, f, p
 
     def bounds_arrays(self, idx):
         """Impact-bound inputs of dictionary entries ``idx``: (tf_max,
@@ -1254,12 +1288,40 @@ class ShardData:
     def union_docs(self, idx) -> np.ndarray:
         """Sorted-unique live doc ids in ANY of entries ``idx``' postings
         (the conjunctive candidates and the exclude set: one call per
-        query term covering all its expansions; O(df) ids)."""
+        query term covering all its expansions; O(df) ids).  Dense
+        postings mark a per-doc mask instead of sorting."""
         g, _ = self._span(idx)
         o = self.p_ord[g]
         if self._dead is not None:
             o = o[~self._dead[g]]
-        return self.doc_ids[np.unique(o)]
+        if not self._dense(len(o)):
+            return self.doc_ids[np.unique(o)]
+        m = np.zeros(len(self.doc_ids), dtype=bool)
+        m[o] = True
+        return self.doc_ids[np.flatnonzero(m)]
+
+    # -- per-doc sets --------------------------------------------------------
+
+    def _dense(self, n: int) -> bool:
+        """Whether ``n`` records are dense over the doc table: then an
+        O(docs) per-doc array costs no more than O(n) work on the
+        records (one rule for every per-doc mask, scatter and set)."""
+        return len(self.doc_ids) <= 256 * n
+
+    def _n_postings(self, idx) -> int:
+        """Stored postings of dictionary entries ``idx``."""
+        return int((self.post_off[idx + 1] - self.post_off[idx]).sum())
+
+    def _ord_set(self, docs, n: int) -> np.ndarray:
+        """Doc ids ``docs`` (sorted) as a membership table over ordinals
+        for ``n`` records (``_in_ord_set``): a per-doc bool mask where
+        they are dense, else the sorted ordinals."""
+        o = self._ords_of(docs)
+        if not self._dense(n):
+            return o
+        m = np.zeros(len(self.doc_ids), dtype=bool)
+        m[o] = True
+        return m
 
 
 @dataclass(slots=True)
@@ -1579,6 +1641,32 @@ def _reduce_max_by_doc(d, s):
     return d_s[st], np.maximum.reduceat(s_s, st)
 
 
+def _fold_shard_rows(per_shard):
+    """``score_bm25_reduced`` rows of one term from the shards of a
+    term-range pool, where a doc's expansions may live in several →
+    ``(docs, s_first, rest_max)``, docs ascending: f of the shard with
+    the least rank, the max of every shard's p."""
+    d, r, f, p = (np.concatenate(c) for c in zip(*per_shard))
+    order = np.lexsort((r, d))
+    d, f, p = d[order], f[order], p[order]
+    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    return d[starts], f[starts], np.maximum.reduceat(p, starts)
+
+
+def _insert_sorted(docs, scores, at, new_docs, new_scores):
+    """Rows inserted into a doc-sorted ``(docs, scores)`` accumulator
+    before positions ``at`` (non-decreasing, as ``searchsorted`` gives
+    them): ``np.insert``'s merge without its argsort of ``at``."""
+    pos = at + np.arange(len(at))
+    old = np.ones(len(docs) + len(at), dtype=bool)
+    old[pos] = False
+    d = np.empty(len(old), dtype=docs.dtype)
+    d[pos], d[old] = new_docs, docs
+    s = np.empty(len(old), dtype=np.float64)
+    s[pos], s[old] = new_scores, scores
+    return d, s
+
+
 def _merge_max(d1, s1, d2, s2):
     """Merge two (sorted docs, scores) maps taking the per-doc max."""
     if not len(d1):
@@ -1613,6 +1701,19 @@ def _find_sorted(values: np.ndarray, sorted_arr: np.ndarray):
 def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     """Membership of values in a sorted array (vectorized anti-join)."""
     return _find_sorted(values, sorted_arr)[1]
+
+
+def _union_sorted(parts) -> np.ndarray:
+    """Union of sorted-unique doc id arrays; one part is its own union."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.unique(np.concatenate(parts)) if parts else \
+        np.empty(0, np.uint64)
+
+
+def _in_ord_set(ords: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Membership of ordinals in a ``ShardData._ord_set`` table."""
+    return table[ords] if table.dtype == bool else _in_sorted(ords, table)
 
 
 class _Exp(NamedTuple):
@@ -1897,11 +1998,9 @@ class SearchEngine:
         ``exclude="..."`` (an extension; the reference is OR-only)
         drops every doc matching ANY exclude term (same tokenizer and
         expansion mode as the query) from the result — the NOT side of
-        a boolean query.  Exclusion is applied BEFORE top-k selection
-        (shard-side top-k pruning is disabled for the query, since a
-        pruned candidate set could let excluded docs displace
-        legitimate ones), so `k` results are exactly the best k
-        surviving docs.
+        a boolean query.  For bm25 the excluded docs' records leave
+        shard-side before any top-k cut, so top-k pruning stays on and
+        `k` results are exactly the best k surviving docs.
         ``fuzzy=d`` (d > 0, bm25 only) replaces prefix expansion with
         Levenshtein-distance-≤-d dictionary expansion: each query term
         expands to every stored term within edit distance d, scored
@@ -1932,11 +2031,9 @@ class SearchEngine:
 
         if scorer == "bm25":
             docs, scores = self._query_bm25(query_terms, fields_boost,
-                                            n_docs, avgs, k1, b, expand,
-                                            None if (excl is not None
-                                                     and len(excl)) else k,
+                                            n_docs, avgs, k1, b, expand, k,
                                             restrict_docs=restrict,
-                                            fuzzy=fuzzy)
+                                            fuzzy=fuzzy, exclude_docs=excl)
         elif scorer == "zero_to_one":
             docs, scores = self._query_zero_to_one(query_terms, qlen, expand)
         elif hasattr(scorer, "score"):  # custom calculator (U3)
@@ -1963,20 +2060,17 @@ class SearchEngine:
     def _docs_matching(self, term, expand, fuzzy) -> np.ndarray:
         """Sorted-unique live doc ids in any of the term's expansions'
         postings: one ``union_docs`` call per shard holding them."""
-        parts = [d for d in self._fan(
+        return _union_sorted([d for d in self._fan(
             [(s, "union_docs", (idx,))
              for s, idx, _ in self._exp(term, expand, fuzzy).parts
-             if len(idx)]) if len(d)]
-        return np.unique(np.concatenate(parts)) if parts else \
-            np.empty(0, np.uint64)
+             if len(idx)]) if len(d)])
 
     def _excluded_docs(self, excl_terms, expand, fuzzy=0) -> np.ndarray:
         """Doc ids matching ANY exclude term — the NOT side of a boolean
         query."""
-        parts = [self._docs_matching(t, expand, fuzzy)
-                 for t in dict.fromkeys(excl_terms) if t != ""]
-        return np.unique(np.concatenate(parts)) if parts else \
-            np.empty(0, np.uint64)
+        return _union_sorted([self._docs_matching(t, expand, fuzzy)
+                              for t in dict.fromkeys(excl_terms)
+                              if t != ""])
 
     def _conjunctive_candidates(self, query_terms, expand, fuzzy=0):
         """Doc ids matching EVERY distinct non-empty query term, folded
@@ -2170,7 +2264,17 @@ class SearchEngine:
     # .. BM25 ..............................................................
 
     def _query_bm25(self, query_terms, fields_boost, n_docs, avgs, k1, b,
-                    expand, k=None, restrict_docs=None, fuzzy=0):
+                    expand, k=None, restrict_docs=None, fuzzy=0,
+                    exclude_docs=None):
+        """BM25 ``(docs, scores)``, docs ascending, merged term by term
+        as the reference's ``max_score_merger`` does
+        (``src/query.rs:130-164``).  Each term's per-doc rows
+        (``score_bm25_reduced``) enter the sorted accumulator at their
+        ``searchsorted`` positions: docs already there are updated in
+        place, new ones inserted, nothing re-sorted.  The conjunctive
+        ``restrict_docs`` and the excluded ``exclude_docs`` (sorted doc
+        ids) filter records shard-side before any top-k cut, so
+        pruning stays exact under both."""
         if not fuzzy:
             self._prefetch_expansions(query_terms, expand)
         term_infos = []
@@ -2192,6 +2296,8 @@ class SearchEngine:
             term_infos.append((term, e, idf * boost))
         parts = [[(s, idx, pos, w[pos]) for s, idx, pos in e.parts
                   if len(idx)] for _, e, w in term_infos]
+        if exclude_docs is not None and not len(exclude_docs):
+            exclude_docs = None
         if k is not None and len(term_infos) == 1:
             # Exact top-k pruning is valid only when ONE query term
             # contributes postings: the merge is then a pure per-doc max
@@ -2201,7 +2307,8 @@ class SearchEngine:
             # expansion lives in one shard, whose local top-k (ties
             # kept) holds it, so the per-doc max of the union is exact.
             res = self._fan([(s, "score_bm25_topk_pruned",
-                              (idx, w, fields_boost, avgs, k1, b, k))
+                              (idx, w, fields_boost, avgs, k1, b, k,
+                               exclude_docs))
                              for s, idx, _, w in parts[0]])
             if len(res) == 1:
                 return res[0]
@@ -2210,7 +2317,8 @@ class SearchEngine:
 
         def reduced(ti, only_docs):
             return [(s, "score_bm25_reduced",
-                     (idx, pos, w, fields_boost, avgs, k1, b, only_docs))
+                     (idx, pos, w, fields_boost, avgs, k1, b, only_docs,
+                      exclude_docs))
                     for s, idx, pos, w in parts[ti]]
         # short multi-term queries on an actor pool: dispatch every
         # term's reduced-scoring RPC CONCURRENTLY — the sequential
@@ -2250,13 +2358,13 @@ class SearchEngine:
                 if sum(term_ubs[ti:]) < kth:
                     only_docs = g_docs.copy()
             # ONE per-doc-REDUCED call per shard for all expansions of
-            # this term: shards locally fold their (expansion, posting)
-            # records into per-doc (min rank, first score, max positive,
-            # max positive excl. shard-first) rows, so coordinator
-            # traffic and merge work scale with #docs touched, never
-            # with expansion multiplicity.  Docs whose score would be
-            # None in the reference are still *visited* (src/query.rs:88)
-            # — f carries the raw first-record score, sign and all.
+            # this term: shards fold their (expansion, posting) records
+            # into per-doc (min rank, first score, max positive) rows,
+            # so coordinator traffic and merge work scale with #docs
+            # touched, never with expansion multiplicity.  Docs whose
+            # score would be None in the reference are still *visited*
+            # (src/query.rs:88) — f carries the raw first-record score,
+            # sign and all.
             if concurrent is not None:
                 per_shard = self._collect(concurrent[ti])
             else:
@@ -2264,36 +2372,29 @@ class SearchEngine:
             per_shard = [t for t in per_shard if len(t[0])]
             if not per_shard:
                 continue
-            d_all = np.concatenate([t[0] for t in per_shard])
-            r_all = np.concatenate([t[1] for t in per_shard])
-            f_all = np.concatenate([t[2] for t in per_shard])
-            p_all = np.concatenate([t[3] for t in per_shard])
-            q_all = np.concatenate([t[4] for t in per_shard])
-            order = np.lexsort((r_all, d_all))
-            d_s, f_s = d_all[order], f_all[order]
-            p_s, q_s = p_all[order], q_all[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], d_s[1:] != d_s[:-1])))
-            term_docs = d_s[starts]
-            s_first = f_s[starts]
+            if len(per_shard) == 1:
+                term_docs, _, s_first, rest_max = per_shard[0]
+            elif self.doc_shards:
+                # disjoint docs: each doc's row is already its merge input
+                term_docs, _, s_first, rest_max = (
+                    np.concatenate(c) for c in zip(*per_shard))
+                o = np.argsort(term_docs)
+                term_docs, s_first, rest_max = \
+                    term_docs[o], s_first[o], rest_max[o]
+            else:
+                term_docs, s_first, rest_max = _fold_shard_rows(per_shard)
             sf_pos = s_first > 0.0
-            # rest_max over *positive* scores only (None-scores never
-            # merge); the globally-first shard row contributes q (its
-            # max excluding the one globally-first record), others p
-            val = p_s
-            val[starts] = q_s[starts]
-            rest_max = np.maximum.reduceat(val, starts)
-            # merge into global scores (max_score_merger semantics):
+            # merge into global scores (max_score_merger semantics; rest
+            # is every positive record, s_first included: accumulated
+            # scores are positive, so prev + s_first >= s_first):
             #   prev exists, s_first>0 → max(prev + s_first, rest…)
             #   prev exists, s_first<=0 → max(prev, rest…)   (visited-only)
             #   no prev               → max(s_first if >0, rest…)
-            idx = np.searchsorted(g_docs, term_docs)
-            has_prev = np.zeros(len(term_docs), dtype=bool)
+            idx, has_prev = _find_sorted(term_docs, g_docs)
             prev = np.zeros(len(term_docs), dtype=np.float64)
             if len(g_docs):
-                idx_c = np.minimum(idx, len(g_docs) - 1)
-                has_prev = g_docs[idx_c] == term_docs
-                prev = np.where(has_prev, g_scores[idx_c], 0.0)
+                prev = np.where(has_prev, g_scores[np.minimum(
+                    idx, len(g_docs) - 1)], 0.0)
             base = np.where(
                 has_prev,
                 np.where(sf_pos, prev + s_first, prev),
@@ -2302,16 +2403,16 @@ class SearchEngine:
             # docs with no positive score this term and no prior entry
             # never enter the scores map
             valid = new_vals > -np.inf
-            term_docs = term_docs[valid]
-            new_vals = new_vals[valid]
-            # build merged arrays
-            keep_mask = np.ones(len(g_docs), dtype=bool)
-            if len(g_docs) and len(term_docs):
-                keep_mask = ~_in_sorted(g_docs, term_docs)
-            md = np.concatenate((g_docs[keep_mask], term_docs))
-            ms = np.concatenate((g_scores[keep_mask], new_vals))
-            o = np.argsort(md, kind="stable")
-            g_docs, g_scores = md[o], ms[o]
+            if not len(g_docs):
+                g_docs, g_scores = term_docs[valid], new_vals[valid]
+                continue
+            upd = has_prev & valid
+            g_scores[idx[upd]] = new_vals[upd]
+            ins = valid & ~has_prev
+            if ins.any():
+                g_docs, g_scores = _insert_sorted(
+                    g_docs, g_scores, idx[ins], term_docs[ins],
+                    new_vals[ins])
         return g_docs, g_scores
 
     def _gather(self, e: "_Exp"):

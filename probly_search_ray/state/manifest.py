@@ -10,7 +10,8 @@ Index layout (the on-disk replacement for the reference's in-RAM
                                resumability ("per-partition lineage")
       stats.json               N + per-field sum/avg (src/index.rs:112-113
                                semantics; updated immediately on remove,
-                               src/index.rs:175-185)
+                               src/index.rs:175-185) + tomb_applied, the
+                               count of tombstones those figures include
       tombstones.json          latent-deleted doc ids (src/index.rs:30-32)
       terms/group=G/*.parquet  term-sorted dictionary+postings rows
       docmeta/group=G.parquet  (doc_id, len_0..len_{F-1})
@@ -102,17 +103,21 @@ class Stats:
         return self.data["fields"][f]["avg"]
 
     def set_from_build(self, num_docs: int, sums: list[int],
-                       avgs: list[float] | None = None) -> None:
+                       avgs: list[float] | None = None,
+                       tomb_applied: int = 0) -> None:
         """``avgs`` carries the reference's add-path stale-avg quirk
         (src/index.rs:112-113, computed by ``build.finalize_stats``);
         without it avg falls back to sum/N (exact whenever the max doc
-        has >=1 value per field — every single-value string corpus)."""
+        has >=1 value per field — every single-value string corpus).
+        ``tomb_applied``: how many leading tombstones the figures
+        already exclude (see ``maintain._replay_pending``)."""
         self.data = {
             "num_docs": int(num_docs),
             "fields": [{"sum": int(s),
                         "avg": (avgs[f] if avgs is not None
                                 else (s / num_docs) if num_docs else 0.0)}
                        for f, s in enumerate(sums)],
+            "tomb_applied": int(tomb_applied),
         }
         _atomic_write_json(self.path, self.data)
 

@@ -390,3 +390,60 @@ def test_remove_documents_memo_matches_scan(tmp_path, monkeypatch):
     want = run(b)
     assert got == want
     assert got[0] == [2, 1, 2, 3, 3]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_remove_crash_between_state_writes(tmp_path, monkeypatch):
+    """A crash after ``tombstones.json`` is written and before
+    ``stats.json`` (``Stats.save`` raising) leaves stats that have not
+    counted the removal.  The retried removal, or a vacuum, applies it:
+    stats then equal a clean removal's and bm25 equals the reference.
+    An index whose stats predate ``tomb_applied`` reads as fully
+    applied."""
+    import json
+    import shutil
+    f1 = str(tmp_path / "p.parquet")
+    rows = [(i, " ".join(["w%d" % (i % 6)] * (1 + i % 3) + ["common"]))
+            for i in range(40)]
+    _write_file(f1, rows)
+    base = str(tmp_path / "base")
+    build_index([f1], base, field_cols=["f0"])
+    idx = {n: str(tmp_path / n) for n in ("clean", "retry", "vac", "old")}
+    for d in idx.values():
+        shutil.copytree(base, d)
+    victims = [3, 4]
+    assert remove_documents(idx["clean"], victims) == 2
+    want = Stats(idx["clean"]).data
+
+    def boom(self):
+        raise RuntimeError("crash between the state writes")
+    for n in ("retry", "vac"):
+        with monkeypatch.context() as m:
+            m.setattr(Stats, "save", boom)
+            with pytest.raises(RuntimeError):
+                remove_documents(idx[n], victims)
+        assert Stats(idx[n]).num_docs == 40    # the removal is uncounted
+    assert remove_documents(idx["retry"], victims) == 0
+    assert Stats(idx["retry"]).data == want
+    vacuum(idx["vac"])
+    assert Stats(idx["vac"]).data == {**want, "tomb_applied": 0}
+
+    path = os.path.join(idx["old"], "stats.json")
+    with open(path) as fh:
+        old = json.load(fh)
+    del old["tomb_applied"]
+    with open(path, "w") as fh:
+        json.dump(old, fh)
+    assert remove_documents(idx["old"], victims) == 2
+    assert Stats(idx["old"]).data == want
+
+    ref = RefIndex(1)
+    for d, text in rows:
+        ref.add_document([text], tok, d)
+    for d in victims:
+        ref.remove_document(d)
+    for n in ("retry", "vac", "old"):
+        eng = SearchEngine(idx[n])
+        for q in ("common", "w1", "w common"):
+            assert_results(eng.query(q, "bm25"),
+                           ref.query(q, BM25(), tok, [1.0]), f"{n}:{q!r}")
