@@ -1642,29 +1642,16 @@ def _reduce_max_by_doc(d, s):
 
 
 def _fold_shard_rows(per_shard):
-    """``score_bm25_reduced`` rows of one term from the shards of a
-    term-range pool, where a doc's expansions may live in several →
+    """``score_bm25_reduced`` rows of one term from several shards →
     ``(docs, s_first, rest_max)``, docs ascending: f of the shard with
-    the least rank, the max of every shard's p."""
+    the least rank, the max of every shard's p.  In a term-range pool a
+    doc's expansions may live in several shards; in a doc-sharded one
+    each doc has one row, which passes through unchanged."""
     d, r, f, p = (np.concatenate(c) for c in zip(*per_shard))
     order = np.lexsort((r, d))
     d, f, p = d[order], f[order], p[order]
     starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
     return d[starts], f[starts], np.maximum.reduceat(p, starts)
-
-
-def _insert_sorted(docs, scores, at, new_docs, new_scores):
-    """Rows inserted into a doc-sorted ``(docs, scores)`` accumulator
-    before positions ``at`` (non-decreasing, as ``searchsorted`` gives
-    them): ``np.insert``'s merge without its argsort of ``at``."""
-    pos = at + np.arange(len(at))
-    old = np.ones(len(docs) + len(at), dtype=bool)
-    old[pos] = False
-    d = np.empty(len(old), dtype=docs.dtype)
-    d[pos], d[old] = new_docs, docs
-    s = np.empty(len(old), dtype=np.float64)
-    s[pos], s[old] = new_scores, scores
-    return d, s
 
 
 def _merge_max(d1, s1, d2, s2):
@@ -2374,13 +2361,6 @@ class SearchEngine:
                 continue
             if len(per_shard) == 1:
                 term_docs, _, s_first, rest_max = per_shard[0]
-            elif self.doc_shards:
-                # disjoint docs: each doc's row is already its merge input
-                term_docs, _, s_first, rest_max = (
-                    np.concatenate(c) for c in zip(*per_shard))
-                o = np.argsort(term_docs)
-                term_docs, s_first, rest_max = \
-                    term_docs[o], s_first[o], rest_max[o]
             else:
                 term_docs, s_first, rest_max = _fold_shard_rows(per_shard)
             sf_pos = s_first > 0.0
@@ -2410,9 +2390,8 @@ class SearchEngine:
             g_scores[idx[upd]] = new_vals[upd]
             ins = valid & ~has_prev
             if ins.any():
-                g_docs, g_scores = _insert_sorted(
-                    g_docs, g_scores, idx[ins], term_docs[ins],
-                    new_vals[ins])
+                g_docs = np.insert(g_docs, idx[ins], term_docs[ins])
+                g_scores = np.insert(g_scores, idx[ins], new_vals[ins])
         return g_docs, g_scores
 
     def _gather(self, e: "_Exp"):

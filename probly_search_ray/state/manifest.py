@@ -103,8 +103,8 @@ class Stats:
         return self.data["fields"][f]["avg"]
 
     def set_from_build(self, num_docs: int, sums: list[int],
-                       avgs: list[float] | None = None,
-                       tomb_applied: int = 0) -> None:
+                       avgs: list[float] | None = None, *,
+                       tomb_applied: int) -> None:
         """``avgs`` carries the reference's add-path stale-avg quirk
         (src/index.rs:112-113, computed by ``build.finalize_stats``);
         without it avg falls back to sum/N (exact whenever the max doc

@@ -5,13 +5,14 @@
     python3 tools/replay_stream.py --workload churn --seed 1 --passes 3
     python3 tools/replay_stream.py --workload serve --seed 1 --work DIR
 
-It makes the seed's corpus and served index the way ``perfbench/run.py``
-does (same corpus, file pick and build call, CSR cache warm), draws the
-same warm-up and timed op streams (for ``churn``, the same removal
-batches at the same positions), and replays them on the default
-in-process ``SearchEngine``.  Ray runs only for the build and is shut
-down before the replay, as in perfbench.  ``churn`` replays each pass on
-a fresh copy of the index, since its writes remove documents.
+It runs ``perfbench/run.py``'s own ``Run`` for the workload and seed up
+to its query loop: the same corpus, the lifecycle cycles under Ray
+(which build the served index and draw the removal rng as the benchmark
+does), then the loop's spec (the warm-up ops and the timed ops, for
+``churn`` with its removal batches) in place of the loop process.  Ray
+is stopped before the replay, as in perfbench.  It replays that spec on
+the default in-process ``SearchEngine``; ``churn`` replays each pass on
+a fresh copy of the served index, since its writes remove documents.
 
 It prints, per op class, the op count, p50 and p99 of the process CPU
 time (each op's minimum over the passes; not normalized for host speed)
@@ -19,9 +20,9 @@ and the class's share of the loop's CPU, then one SHA-256 digest over
 every op's result with scores written as ``repr(float)``.  Two trees
 serve bit-identical results on the stream exactly when their digests
 match: run this file from each checkout with the same ``--work`` DIR,
-which keeps the pages and the index between runs so that both replay
-the same index.  Without ``--work`` everything goes to a temporary
-directory that is removed at the end.
+which keeps the drawn spec and the served index between runs so that
+both replay the same index.  Without ``--work`` everything goes to a
+temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import pickle
 import shutil
 import sys
 import tempfile
@@ -40,67 +42,49 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [ROOT, os.path.join(ROOT, "perfbench")]
 
-# perfbench's own definitions, used read-only: the corpus, the build, the
-# stream sizes and the Ray session it runs under
-from oracle import Corpus  # noqa: E402
-from run import (CORPUS_SEED, CYCLE_WRITES, CYCLES, DOCS, FILES,  # noqa: E402
-                 LOOP_OPS_PER_SECOND, MEAN_LEN, VOCAB, WARMUP_OPS,
-                 WRITE_BATCH, WRITE_EVERY, start_ray, stop_ray)
-from stream import QueryMix, run_query  # noqa: E402
+# perfbench's own run and op runner, used read-only
+from run import DOCS, LOOP_OPS_PER_SECOND, Run, stop_ray  # noqa: E402
+from stream import run_query  # noqa: E402
 
 CLASSES = ("bigram", "unigram", "prefix", "zero_to_one", "require_all",
            "exclude", "complete", "write")
 
 
-def streams(work: str, workload: str, seed: int, seconds: int):
-    """(base page files, warm-up ops, timed ops, prefix pool) as
-    perfbench draws them for this workload and seed."""
-    from probly_search_ray.sources.synth import generate_pages
-    per_file = DOCS // FILES
-    pool = generate_pages(
-        os.path.join(work, "pages"), num_docs=2 * (FILES + 1) * per_file,
-        num_files=2 * (FILES + 1), seed=CORPUS_SEED, vocab_size=VOCAB,
-        mean_len=MEAN_LEN)
-    pick = np.random.default_rng([seed, 5]).choice(
-        len(pool), size=FILES + 1, replace=False)
-    files = [pool[i] for i in sorted(pick)]
-    corpus = Corpus(files)
-    mix = QueryMix(corpus.hot_terms())
-    warm = mix.draw([seed, 2], WARMUP_OPS)
-    n = LOOP_OPS_PER_SECOND[workload] * seconds
-    ops = mix.draw([seed, 1], n)
-    if workload == "churn":
-        # the run's removal rng first serves the lifecycle cycles' writes
-        rng = np.random.default_rng([seed, 3])
-
-        def pick_live(live):
-            cand = np.flatnonzero(live)
-            docs = sorted(int(d) for d in rng.choice(
-                cand, size=WRITE_BATCH, replace=False))
-            live[docs] = False
-            return docs
-        base_live = np.zeros(corpus.max_doc, dtype=bool)
-        base_live[np.concatenate(corpus.file_docs[:-1])] = True
-        for _ in range(CYCLES):
-            live = base_live.copy()
-            live[corpus.file_docs[-1]] = True
-            for _ in range(CYCLE_WRITES):
-                pick_live(live)
-        live = base_live.copy()
-        for i in range(WRITE_EVERY - 1, n, WRITE_EVERY):
-            ops[i] = {"kind": "write", "docs": pick_live(live)}
-    return files[:-1], warm, ops, set(mix.pools["prefix"])
+class _Drawn(Exception):
+    """Carries the query loop's spec out of ``Run.run``."""
 
 
-def build(files, idx: str) -> None:
-    """perfbench's docs → servable build (the CSR cache included)."""
-    import probly_search_ray.pipelines.pages as pages
-    start_ray()
+class _UpToLoop(Run):
+    """perfbench's run with the loop spec raised instead of handed to
+    the loop process."""
+
+    def child_loop(self, spec: dict) -> dict:
+        raise _Drawn(spec)
+
+
+def draw(work: str, workload: str, seed: int, seconds: int) -> dict:
+    """perfbench's loop spec for this workload and seed, plus the
+    ``prefixes`` pool, kept in ``work`` and reused from there."""
+    path = os.path.join(work, f"{workload}-{seed}-{seconds}")
+    spec_path = os.path.join(path, "spec.pkl")
+    if os.path.exists(spec_path):
+        with open(spec_path, "rb") as f:
+            return pickle.load(f)
+    shutil.rmtree(path, ignore_errors=True)
+    run = _UpToLoop(workload, seed, seconds, False, path, DOCS)
     try:
-        pages.build_pages_index(files, idx, overwrite=True,
-                                files_per_group=FILES)
+        run.run()
+        raise RuntimeError("perfbench's run ended without a query loop")
+    except _Drawn as d:
+        spec = d.args[0]
     finally:
         stop_ray()
+    if run.failed:
+        print(f"lifecycle checks failed: {run.failures}", file=sys.stderr)
+    spec["prefixes"] = set(run.mix.pools["prefix"])
+    with open(spec_path, "wb") as f:
+        pickle.dump(spec, f)
+    return spec
 
 
 def op_class(op, prefixes) -> str:
@@ -155,30 +139,28 @@ def main(argv=None) -> int:
                     help="stream length, as perfbench's --seconds")
     ap.add_argument("--passes", type=int, default=3)
     ap.add_argument("--work", default=None,
-                    help="keep pages and index here and reuse them")
+                    help="keep the drawn stream and index here and reuse "
+                         "them")
     args = ap.parse_args(argv)
-    work = args.work or tempfile.mkdtemp(prefix="replay-")
+    work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="replay-"))
     try:
-        base, warm, ops, prefixes = streams(work, args.workload, args.seed,
-                                            args.seconds)
-        idx = os.path.join(work, f"index-{args.seed}")
-        if not os.path.exists(os.path.join(idx, "manifest.json")):
-            build(base, idx)
+        spec = draw(work, args.workload, args.seed, args.seconds)
+        ops = spec["ops"]
         lat = np.full(len(ops), np.inf)
         digests = []
         for _ in range(args.passes):
-            served = idx
+            served = spec["index"]
             if args.workload == "churn":
-                served = os.path.join(work, "served")
+                served = os.path.join(work, "replayed")
                 shutil.rmtree(served, ignore_errors=True)
-                shutil.copytree(idx, served)
-            t, results = replay(served, warm, ops)
+                shutil.copytree(spec["index"], served)
+            t, results = replay(served, spec["warm_ops"], ops)
             lat = np.minimum(lat, t)
             digests.append(digest(ops, results))
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    cls = np.asarray([op_class(o, prefixes) for o in ops])
+    cls = np.asarray([op_class(o, spec["prefixes"]) for o in ops])
     total = lat.sum()
     print(f"{args.workload} seed {args.seed}: {len(ops)} ops, "
           f"{args.passes} passes, loop CPU {total:.3f} s (min per op)")
