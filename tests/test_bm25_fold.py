@@ -80,7 +80,8 @@ def test_fold_dense_slot_matches_reference(tmp_path):
                12: ("zqb", ""), 15: ("", "zq zq zqa")}
     corpus = _fold_corpus(rng, 40, planted)
     _check_fold(tmp_path, corpus, ["zq zy", "zy zq", "zqa zy zq", "a zq",
-                                   "zq zq", "b a zy"], False, (3, 9))
+                                   "zq zq", "b a zy", "zq aa bb"], False,
+                (3, 9))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -92,8 +93,8 @@ def test_fold_sparse_slot_matches_reference(tmp_path):
     planted = {0: same, 1: same, 900: ("zqb", "zqa zqa"),
                1500: ("zy", "zy zy"), 2999: ("", "zqb zy")}
     corpus = _fold_corpus(rng, 3000, planted)
-    _check_fold(tmp_path, corpus, ["zq zy", "zy zq", "zqa zy zq", "zqb zqa"],
-                True, (1, 900))
+    _check_fold(tmp_path, corpus, ["zq zy", "zy zq", "zqa zy zq", "zqb zqa",
+                                   "zqb zy zq"], True, (1, 900))
 
 
 def _excl_corpus():
