@@ -5,7 +5,7 @@ Public API:
 
     from probly_search_ray import build_index, SearchEngine
     build_index("pages/*.parquet", "/mnt/idx", field_cols=["text"])
-    eng = SearchEngine("/mnt/idx", num_shards=4, use_actors=True)
+    eng = SearchEngine("/mnt/idx", doc_shards=4, use_actors=True)
     eng.query("hello wor", "bm25", k=10)
 
 The names resolve on first use (PEP 562), so importing the package, or

@@ -416,10 +416,10 @@ def build_index(
         finalize_stats(index_dir, man.groups, len(field_cols))
     Tombstones(index_dir)  # touch
     if warm_cache:
-        # pre-decode into the full-range mmap cache (one Ray task per
-        # term file, default ON) so the FIRST serving engine starts in
+        # pre-decode into the mmap cache (one Ray task per term file,
+        # default ON) so the FIRST serving engine starts in
         # milliseconds instead of paying the cold whole-index decode;
-        # any shard layout slices the full-range cache
+        # every doc shard filters the one cache
         from probly_search_ray.search import build_csr_cache
         build_csr_cache(index_dir)
     return man.data

@@ -61,12 +61,12 @@ def cmd_build_pages(args):
 
 def cmd_query(args):
     # only an actor pool needs Ray; the in-process engine never starts it
-    use_actors = args.actors or args.doc_shards > 0
+    use_actors = args.actors or args.doc_shards > 1
     if use_actors:
         _ensure_ray()
     from probly_search_ray.search import SearchEngine
-    eng = SearchEngine(args.index, num_shards=args.shards,
-                       use_actors=use_actors, doc_shards=args.doc_shards)
+    eng = SearchEngine(args.index, use_actors=use_actors,
+                       doc_shards=args.doc_shards)
     res = eng.query(args.query, args.scorer, k=args.k,
                     require_all=args.require_all, exclude=args.exclude)
     print(json.dumps([{"doc_id": d, "score": s} for d, s in res]))
@@ -112,7 +112,7 @@ def cmd_stats(args):
         raise FileNotFoundError(f"no index at {args.index}")
     st = Stats(args.index)
     tfiles = man.term_files()
-    cache = ShardData._cache_path(args.index, man, None, None)
+    cache = ShardData._cache_path(args.index, man)
     # where the bytes are: file sizes only, no file is opened
     sizes = {}
     for root, _, files in os.walk(args.index):
@@ -253,11 +253,12 @@ def main(argv=None):
     q.add_argument("--scorer", default="bm25",
                    choices=["bm25", "zero_to_one"])
     q.add_argument("--k", type=int, default=10)
-    q.add_argument("--shards", type=int, default=1)
     q.add_argument("--actors", action="store_true")
-    q.add_argument("--doc-shards", type=int, default=0,
-                   help="doc-sharded serving layout (hash-partitioned "
-                        "postings, full dictionary per shard)")
+    q.add_argument("--doc-shards", type=int, default=1,
+                   help="serve from N shard actors, each holding the "
+                        "full dictionary and the postings of its hash "
+                        "partition of the docs (default 1: one shard, "
+                        "in-process unless --actors)")
     q.add_argument("--require-all", action="store_true",
                    help="conjunctive (AND) semantics")
     q.add_argument("--exclude", default=None,

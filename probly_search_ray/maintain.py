@@ -42,7 +42,8 @@ def remove_documents(index_dir: str, doc_ids) -> int:
     update, and ``stats.json`` records how many tombstones it has
     applied (``tomb_applied``).  A crash in between leaves the docs
     excluded from scoring (conservative) with stats that have not
-    counted them yet; the next ``remove_documents`` or ``vacuum``
+    counted them yet; an engine counts them in memory at load and
+    ``refresh()``, and the next ``remove_documents`` or ``vacuum``
     replays exactly those (``_replay_pending``) before doing anything
     else.  The reverse order would silently score a live doc against
     shrunken stats forever.
@@ -65,26 +66,30 @@ def remove_documents(index_dir: str, doc_ids) -> int:
     return len(found)
 
 
-def _replay_pending(index_dir: str, tomb: Tombstones) -> Stats:
-    """The index's stats with every tombstone applied.  ``stats.json``'s
-    ``tomb_applied`` counts the leading tombstones its figures include;
-    the rest (left by a crash between the two writes of a removal) are
-    applied now, in list order — the reference's per-doc replay order.
-    A missing count means all are applied (indexes written before it
-    existed); a count above the list's length means vacuum cleared the
-    list after applying every removal.  Stats are saved whenever the
-    stored count differs, so the count is on disk before the next
-    tombstone write."""
-    stats = Stats(index_dir)
-    ids = tomb.doc_ids
-    pending = ids[min(stats.data.get("tomb_applied", len(ids)), len(ids)):]
+def replay_pending(index_dir: str, stats: Stats, ids: list) -> None:
+    """Apply to ``stats``, in memory, the tombstones of the list ``ids``
+    that its figures do not include yet (``Stats.pending``: those left
+    by a crash between the two writes of a removal), in list order — the
+    reference's per-doc replay order — and count every tombstone as
+    applied.  The writers save the result (``_replay_pending``); an
+    engine serves it and writes nothing."""
+    pending = stats.pending(ids)
     if pending:
         lens_by_doc = _docs_field_lengths(index_dir, pending)
         for d in pending:
             if d in lens_by_doc:
                 stats.apply_remove(lens_by_doc[d], save=False)
-    if stats.data.get("tomb_applied") != len(ids):
-        stats.data["tomb_applied"] = len(ids)
+    stats.data["tomb_applied"] = len(ids)
+
+
+def _replay_pending(index_dir: str, tomb: Tombstones) -> Stats:
+    """The index's stats with every tombstone applied
+    (``replay_pending``), saved whenever the stored count differs, so
+    the count is on disk before the next tombstone write."""
+    stats = Stats(index_dir)
+    stored = stats.data.get("tomb_applied")
+    replay_pending(index_dir, stats, tomb.doc_ids)
+    if stored != len(tomb.doc_ids):
         stats.save()
     return stats
 

@@ -1,11 +1,12 @@
 """Bulk (throughput-mode) search: score a Dataset of queries against a
 built index with an actor pool.
 
-Each actor loads the full index once (``__init__``) and serves batches
-of query strings — the map_batches actor-pool pattern for stateful
-serving.  For a term-range-sharded deployment at scale, each actor
-would hold one shard and a second stage would merge per-shard top-k;
-single-node, each actor holds the whole (small) index.
+By default each actor loads the full index once (``__init__``) and
+serves batches of query strings — the map_batches actor-pool pattern
+for stateful serving, fine while the index fits one worker.  With
+``doc_shards=D`` the index lives once, in a pool of D doc-sharded
+``ShardData`` actors, and the map_batches actors are thin coordinators
+over that pool.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pandas as pd
 from probly_search_ray.functions.mem import tune_allocator
 from probly_search_ray.functions.sizing import leave_a_cpu
 
-_POOLS: dict = {}  # (index_dir, shards) → SearchEngine owning a shard pool
+_POOLS: dict = {}  # (index_dir, doc_shards) → SearchEngine owning a pool
 
 
 def release_shard_pools(index_dir: str | None = None) -> None:
@@ -38,7 +39,7 @@ class BulkSearcher:
                  k: int | None = 10, expand: bool = True):
         tune_allocator()
         from probly_search_ray.search import SearchEngine
-        self.eng = SearchEngine(index_dir, num_shards=1, use_actors=False)
+        self.eng = SearchEngine(index_dir)
         self.scorer = scorer
         self.k = k
         self.expand = expand
@@ -63,21 +64,17 @@ class BulkSearcher:
 
 class ShardedBulkSearcher:
     """Coordinator actor for the SCALE deployment shape: the index
-    lives ONCE in a term-range-sharded ``ShardData`` actor pool, and N
+    lives ONCE in a doc-sharded ``ShardData`` actor pool, and N
     lightweight coordinators (this class) fan queries out to the shared
     pool — instead of every bulk actor loading the whole index.  Actor
     handles serialize, so they pass straight through
     ``fn_constructor_args``."""
 
     def __init__(self, index_dir: str, shard_handles, scorer: str,
-                 k: int | None, expand: bool, doc_shards: int = 0):
+                 k: int | None, expand: bool):
         tune_allocator()
         from probly_search_ray.search import SearchEngine
-        # doc_shards tells the coordinator which LAYOUT the shared pool
-        # uses (term-range vs doc-hash) so it picks the matching
-        # metadata path; the handles themselves are layout-agnostic
-        self.eng = SearchEngine(index_dir, shard_handles=shard_handles,
-                                doc_shards=doc_shards)
+        self.eng = SearchEngine(index_dir, shard_handles=shard_handles)
         self.scorer = scorer
         self.k = k
         self.expand = expand
@@ -88,22 +85,18 @@ class ShardedBulkSearcher:
 def bulk_search(queries_ds, index_dir: str, scorer: str = "bm25",
                 k: int | None = 10, concurrency: int = 4,
                 batch_size: int = 64, expand: bool = True,
-                num_shards: int | None = None,
                 doc_shards: int | None = None):
     """queries_ds: Dataset with (query_id:int64, query:string) →
     Dataset of (query_id, rank, doc_id, score).
 
-    ``num_shards=None``: every bulk actor holds the full index (fine
-    when the index fits one worker).  ``num_shards=S``: ONE shared
-    S-shard actor pool holds the index; the map_batches actors are
-    thin coordinators over it (the multi-node shape — index memory is
-    paid once, not once per bulk actor).  ``doc_shards=D``: same
-    resident-pool shape but DOC-hash-partitioned shards (the 10^12-doc
-    layout — per-doc work stays shard-local, coordinator merges D·k
-    rows per query); exclusive with ``num_shards``."""
-    if num_shards is not None and doc_shards is not None:
-        raise ValueError("num_shards and doc_shards are exclusive")
-    if num_shards is None and doc_shards is None:
+    ``doc_shards=None``: every bulk actor holds the full index (fine
+    when the index fits one worker).  ``doc_shards=D``: ONE shared
+    D-shard actor pool holds the index, each shard the postings of its
+    doc-hash partition; the map_batches actors are thin coordinators
+    over it (the multi-node shape — index memory is paid once, not once
+    per bulk actor; per-doc work stays shard-local, and the coordinator
+    merges D·k rows per query)."""
+    if doc_shards is None:
         # 1-CPU actors: leave a CPU for the repartition and the rest of
         # the job, or a small session deadlocks
         concurrency = leave_a_cpu(concurrency)
@@ -120,11 +113,10 @@ def bulk_search(queries_ds, index_dir: str, scorer: str = "bm25",
     from probly_search_ray.search import SearchEngine
     # keep the shard pool alive past this frame: actor handles are
     # ref-counted, and the returned Dataset is lazy
-    key = (index_dir, num_shards, doc_shards)
+    key = (index_dir, doc_shards)
     pool_owner = _POOLS.get(key)
     if pool_owner is None:
-        pool_owner = SearchEngine(index_dir, num_shards=num_shards or 1,
-                                  doc_shards=doc_shards or 0,
+        pool_owner = SearchEngine(index_dir, doc_shards=doc_shards,
                                   use_actors=True)
         _POOLS[key] = pool_owner
     else:
@@ -134,6 +126,6 @@ def bulk_search(queries_ds, index_dir: str, scorer: str = "bm25",
     return queries_ds.map_batches(
         ShardedBulkSearcher,
         fn_constructor_args=(index_dir, pool_owner.shards, scorer, k,
-                             expand, doc_shards or 0),
+                             expand),
         batch_format="pandas", batch_size=batch_size,
         concurrency=concurrency, num_cpus=0.5)

@@ -2956,8 +2956,7 @@ SOURCE_QUOTA_N = 10   # < per-source doc count at every sf — the cap binds
 def autocomplete(sf_dir: str):
     """Query autocomplete through the index dictionary: stored terms
     with the prefix ranked by (occurrence-counted df desc, term asc),
-    top-k.  Term-sharded pools route the range scan to only the shards
-    whose term range can hold the prefix."""
+    top-k, from one range scan of shard 0's dictionary."""
     eng = _engine(sf_dir)
     res = eng.complete(AUTOCOMPLETE_PREFIX, k=AUTOCOMPLETE_K)
     return pd.DataFrame({"term": [t for t, _ in res],

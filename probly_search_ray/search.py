@@ -1,26 +1,27 @@
-"""Query engine: term-range shard readers + coordinator.
+"""Query engine: doc-sharded shard readers + coordinator.
 
 Distributed query model (SURVEY.md §3.2 "Ray shape"):
 
-- the index's terms are split into **disjoint term ranges**; each range
-  is served by a ``ShardData`` (in-process for tests / small corpora,
-  or inside a Ray actor pool for serving).  A term's complete posting
-  list and global df live in exactly one shard (rows of the same term
-  from all build groups are merged at load; df = sum of partials,
-  first_pos = min of partials).
+- the index's docs are split into D **disjoint doc partitions**
+  (``doc_id % D``); each is served by a ``ShardData`` (in-process, or
+  inside a Ray actor pool for serving), and in-process serving is the
+  D = 1 case.  Every shard holds the whole term dictionary with its
+  GLOBAL df and first occurrence (rows of the same term from all build
+  groups are merged at load; df = sum of partials, first_pos = min of
+  partials), and the postings of its own docs only.
 - a query runs on a coordinator: per query term it (1) looks up the
-  prefix's expansions — one contiguous range of the sorted dictionary
-  per shard, (2) orders them by the precomputed trie rank, the
+  prefix's expansions — one contiguous range of shard 0's sorted
+  dictionary, (2) orders them by the precomputed trie rank, the
   reference's trie-DFS order (children in reverse creation order,
   reference ``src/query.rs:130-147``; see ``trie_rank``),
   (3) computes BM25 ``before_each`` inputs from global stats
-  (``src/score/default/bm25.rs:34-58``), (4) has shards score posting
-  lists vectorized, and (5) merges with the exact
-  ``max_score_merger`` semantics (``src/query.rs:150-164``): for one
-  query term the doc's contribution is ``max(prev + s_first, s_rest…)``
-  where ``s_first`` is the score of the doc's *first-visited* expansion
-  in trie order — the reference's (quirky) behaviour, reproduced
-  faithfully.
+  (``src/score/default/bm25.rs:34-58``), (4) has every shard score its
+  own docs' posting lists vectorized, and (5) merges the shards'
+  disjoint rows with the exact ``max_score_merger`` semantics
+  (``src/query.rs:150-164``): for one query term the doc's contribution
+  is ``max(prev + s_first, s_rest…)`` where ``s_first`` is the score of
+  the doc's *first-visited* expansion in trie order — the reference's
+  (quirky) behaviour, reproduced faithfully.
 
 Tombstones (``src/index.rs:30-32``): shard state per snapshot.
 ``refresh()`` hands each shard the removed-doc set once; the shard marks
@@ -125,8 +126,8 @@ def _score_ub(tfm, lmn, idf_boosts, fields_boost, avgs, k1, b):
     """Vectorized per-expansion BM25 score upper bounds: tf_norm is
     increasing in tf and decreasing in field length, so
     tf_norm(tf_max, len_min) bounds every posting per field.  Shared by
-    the coordinator (multi-shard pruning) and the shard-local pushed-
-    down top-k loop (``ShardData.score_bm25_topk_pruned``)."""
+    the coordinator (multi-term suffix restriction) and the shard-local
+    pushed-down top-k loop (``ShardData.score_bm25_topk_pruned``)."""
     s = np.zeros(len(idf_boosts), dtype=np.float64)
     for f, bb in enumerate(fields_boost):
         if bb == 0.0 or avgs[f] <= 0.0:
@@ -137,18 +138,17 @@ def _score_ub(tfm, lmn, idf_boosts, fields_boost, avgs, k1, b):
     return s * np.asarray(idf_boosts, dtype=np.float64)
 
 
-def trie_rank(terms: list[str], first_pos, first_off,
-              depth: int = 0) -> np.ndarray:
+def trie_rank(terms: list[str], first_pos, first_off) -> np.ndarray:
     """Position of each term in the reference trie's DFS order
     (reference ``src/query.rs:130-147``): a node's own term comes
     first, then its child subtrees newest first — descending minimum
     ``(first_pos, first_off)`` over the subtree, ties by char ascending.
-    ``terms`` are sorted, distinct and share their first ``depth``
-    chars.  Vectorized level by level: a subtree is a contiguous run of
-    the sorted terms, so each level sorts the child runs under each node
-    and lays out their position blocks.  The DFS order inside a subtree
-    depends only on the subtree, so ranking the whole dictionary once
-    orders every prefix's range: argsort the rank slice."""
+    ``terms`` are sorted and distinct.  Vectorized level by level: a
+    subtree is a contiguous run of the sorted terms, so each level sorts
+    the child runs under each node and lays out their position blocks.
+    The DFS order inside a subtree depends only on the subtree, so
+    ranking the whole dictionary once orders every prefix's range:
+    argsort the rank slice."""
     n = len(terms)
     rank = np.empty(n, np.uint32)  # stored in the CSR cache: 4 B/term
     if not n:
@@ -164,7 +164,7 @@ def trie_rank(terms: list[str], first_pos, first_off,
     alive = np.arange(n)
     node = np.zeros(n, np.int64)       # node of each alive term
     node_pos = np.zeros(1, np.int64)   # first position of each node
-    d = depth
+    d = 0
     while len(alive):
         own = lens[alive] == d
         rank[alive[own]] = node_pos[node[own]]
@@ -214,7 +214,7 @@ def _levenshtein_capped(a: bytes, b: bytes, cap: int) -> int:
 
 
 class ShardData:
-    """Term dictionary + postings for one term range, merged across
+    """Term dictionary + postings of one doc partition, merged across
     build groups.  Loaded once (actor ``__init__``), served per query.
 
     The on-disk varint blobs are decoded ONCE at load into flat CSR
@@ -234,8 +234,7 @@ class ShardData:
     work in ordinal space and map to doc ids only for the rows they
     return."""
 
-    def __init__(self, index_dir: str, term_lo: str | None = None,
-                 term_hi: str | None = None, use_cache: bool = True,
+    def __init__(self, index_dir: str, use_cache: bool = True,
                  doc_mod: tuple[int, int] | None = None):
         """``doc_mod=(i, D)``: DOC-sharded view — keep the FULL term
         dictionary (terms/df/first_pos/impact bounds stay the GLOBAL
@@ -245,19 +244,17 @@ class ShardData:
         accumulator merges and per-doc reductions are shard-local, and
         per-query coordinator traffic is D·k rows instead of O(df).
         Hash (mod) partitioning balances arbitrary/skewed id spaces
-        with no quantile estimation.  Mutually exclusive with a term
-        range; the view is derived from the full-range CSR cache (or a
-        fresh decode) and never writes range-specific caches."""
-        self._open(index_dir, term_lo, term_hi, use_cache, doc_mod)
+        with no quantile estimation.  The view is derived from the
+        index's one CSR cache (or a fresh decode) and writes no cache of
+        its own."""
+        self._open(index_dir, use_cache, doc_mod)
         self._index_docs()
 
-    def _open(self, index_dir, term_lo, term_hi, use_cache, doc_mod):
+    def _open(self, index_dir, use_cache, doc_mod):
         from probly_search_ray.functions.codec import FORMAT_VERSION
         from probly_search_ray.functions.mem import tune_allocator
         tune_allocator()  # shard actors are fresh processes; reuse arena
         # pages so per-query numpy temporaries don't re-fault cold pages
-        if doc_mod is not None and (term_lo, term_hi) != (None, None):
-            raise ValueError("doc_mod and a term range are exclusive")
         self._doc_mod = doc_mod
         man = Manifest(index_dir)
         if not man.data["config"]:
@@ -270,46 +267,28 @@ class ShardData:
                 f"index at {index_dir} has format_version={ver}, engine "
                 f"expects {FORMAT_VERSION}; rebuild with build_index(...)")
         self.num_fields = man.data["config"]["num_fields"]
-        # mmap'd decoded-CSR cache: the first load of a (range, manifest
-        # state) decodes the varint blobs and persists the flat arrays;
+        # mmap'd decoded-CSR cache: the first load of a manifest state
+        # decodes the varint blobs and persists the flat arrays;
         # later loads np.load(mmap_mode="r") them — engine startup is
         # metadata-only and postings page in lazily per query (the
         # north star's "actor pools holding mmap'd index shards")
         self._cache_dir = None
         if use_cache:
-            self._cache_dir = self._cache_path(index_dir, man,
-                                               term_lo, term_hi)
+            self._cache_dir = self._cache_path(index_dir, man)
             if self._load_from_cache(self._cache_dir):
                 self._apply_doc_mod()
                 return
-            if (term_lo, term_hi) != (None, None):
-                # a FULL-range cache serves any shard layout: memmap it
-                # and take term-range slices (views, no copies)
-                full_dir = self._cache_path(index_dir, man, None, None)
-                if self._load_from_cache(full_dir,
-                                         slice_range=(term_lo, term_hi)):
-                    return
         # a cold decode reads parquet: the only part of serving that
         # needs pyarrow, so a warm-cache load never imports it
         import pyarrow as pa
         import pyarrow.dataset as pads
         tables = []
         for rec in man.term_files():
-            if term_hi is not None and rec["term_min"] is not None \
-                    and rec["term_min"] >= term_hi:
-                continue
-            if term_lo is not None and rec["term_max"] is not None \
-                    and rec["term_max"] < term_lo:
-                continue
             path = os.path.join(index_dir, rec["path"])
-            flt = pads.field("term") != ""
-            if term_lo is not None:
-                flt = flt & (pads.field("term") >= term_lo)
-            if term_hi is not None:
-                flt = flt & (pads.field("term") < term_hi)
             t = pads.dataset(path).to_table(
-                filter=flt, columns=["term", "doc_lo", "df", "first_pos",
-                         "first_off", "blob"])
+                filter=pads.field("term") != "",
+                columns=["term", "doc_lo", "df", "first_pos", "first_off",
+                         "blob"])
             if len(t):
                 from probly_search_ray.stages.segment import SEGMENT_SCHEMA
                 want = pa.schema([SEGMENT_SCHEMA.field(n)
@@ -344,7 +323,7 @@ class ShardData:
                                    self.first_off)
         if self._cache_dir:
             # also for doc-mod views: at this point the arrays ARE the
-            # full-range cache content (the view filter applies below),
+            # cache content (the view filter applies below),
             # so a cache-cold doc-sharded pool seeds the cache for every
             # later load instead of leaving D actors to re-decode
             self._write_cache(self._cache_dir)
@@ -353,7 +332,7 @@ class ShardData:
     # -- mmap'd decoded-CSR cache ------------------------------------------
 
     @staticmethod
-    def _cache_path(index_dir: str, man: Manifest, term_lo, term_hi):
+    def _cache_path(index_dir: str, man: Manifest):
         import hashlib
         import json as _json
         from probly_search_ray.functions.codec import FORMAT_VERSION
@@ -363,7 +342,8 @@ class ShardData:
             [(r["group"], r["path"], r["rows"]) for r in man.term_files()],
         ], sort_keys=True)
         sig = hashlib.md5(sig_src.encode()).hexdigest()[:12]
-        rng = hashlib.md5(repr((term_lo, term_hi)).encode()).hexdigest()[:8]
+        # a fixed middle part, which every existing cache's name carries
+        rng = hashlib.md5(repr((None, None)).encode()).hexdigest()[:8]
         return os.path.join(index_dir, "cache", f"csr-{rng}-{sig}")
 
     def _write_cache(self, cdir: str) -> None:
@@ -382,7 +362,7 @@ class ShardData:
         if tmp is not None:
             _cache_commit(tmp, cdir, arrays, self.terms)
 
-    def _load_from_cache(self, cdir: str, slice_range=None) -> bool:
+    def _load_from_cache(self, cdir: str) -> bool:
         if not os.path.isdir(cdir):
             return False
         F = self.num_fields
@@ -414,30 +394,7 @@ class ShardData:
             self.fr = {(m, f): tuple(load(f"fr_{part}_{m}_{f}")
                                      for part in ("off", "tf", "len"))
                        for m, f in _frontier_channels(F)}
-            post_off = load("post_off")
-            if slice_range is not None:
-                lo, hi = slice_range
-                i0 = bisect.bisect_left(terms, lo) if lo is not None else 0
-                i1 = bisect.bisect_left(terms, hi) if hi is not None \
-                    else len(terms)
-                p0, p1 = int(post_off[i0]), int(post_off[i1])
-                self.terms = terms[i0:i1]
-                self.df = self.df[i0:i1]
-                self.first_pos = self.first_pos[i0:i1]
-                self.first_off = self.first_off[i0:i1]
-                self.trie_rank = self.trie_rank[i0:i1]
-                self.tf_max = [t[i0:i1] for t in self.tf_max]
-                self.len_min = [l[i0:i1] for l in self.len_min]
-                fr = {}
-                for ch, (off, ftf, fln) in self.fr.items():
-                    q0, q1 = int(off[i0]), int(off[i1])
-                    fr[ch] = (off[i0:i1 + 1] - q0, ftf[q0:q1],
-                              fln[q0:q1])
-                self.fr = fr
-                post_off = post_off[i0:i1 + 1] - p0
-                self.p_ord = self.p_ord[p0:p1]
-                self.p_tf = [t[p0:p1] for t in self.p_tf]
-            self.post_off = post_off
+            self.post_off = load("post_off")
             return True
         except (OSError, ValueError):
             return False
@@ -461,9 +418,9 @@ class ShardData:
         ords = self.p_ord
         # Chunked selection: a one-shot pass allocates posting-sized
         # temporaries in FRESH anonymous pages — where page-zeroing is
-        # slow it dominates, and made doc-shard pool start ~6x the term-
-        # sharded one.  Chunk-sized temporaries are REUSED from the
-        # tuned arena, and the kept-index array is output-sized (n/D).
+        # slow it dominates pool start (a measured ~6x).  Chunk-sized
+        # temporaries are REUSED from the tuned arena, and the
+        # kept-index array is output-sized (n/D).
         CH = 1 << 22
         parts = [a + np.flatnonzero(mine[ords[a:a + CH]])
                  for a in range(0, len(ords), CH)]
@@ -1201,10 +1158,11 @@ class ShardData:
         the wire.  Returns per-doc parallel arrays, rows sorted by doc
         id:
 
-          docs,  r = min expansion rank visiting the doc,
-          f = raw score of that first-visited record (sign matters:
-              <=0 is the reference's visited-with-None case),
-          p = max positive score over this shard's records.
+          docs,
+          f = raw score of the doc's first-visited record, the one of
+              least expansion rank (sign matters: <=0 is the
+              reference's visited-with-None case),
+          p = max positive score over the doc's records.
 
         The reference folds a doc's records in expansion order
         (``src/query.rs:130-164``): the first adds to the doc's score
@@ -1213,13 +1171,13 @@ class ShardData:
         prev + f >= f.
 
         The fold is one scatter pass, with no sort: each record gets its
-        doc's slot, ``minimum.at`` gives r, the record whose rank equals
-        its slot's r is the doc's first (one record per (expansion,
-        doc)) and ``maximum.at`` gives p.  The slot is the ordinal where
-        records are dense (``_dense``), else the ordinal's index among
-        the unique ones, so a rare term pays no O(docs) fill.
-        ``only_docs`` and ``exclude`` (sorted doc ids) restrict the
-        records as in ``score_bm25_batch``."""
+        doc's slot, ``minimum.at`` gives the least rank r, the record
+        whose rank equals its slot's r is the doc's first (one record
+        per (expansion, doc)) and ``maximum.at`` gives p.  The slot is
+        the ordinal where records are dense (``_dense``), else the
+        ordinal's index among the unique ones, so a rare term pays no
+        O(docs) fill.  ``only_docs`` and ``exclude`` (sorted doc ids)
+        restrict the records as in ``score_bm25_batch``."""
         idx = np.asarray(idx, np.int64)
         drop = None if exclude is None else \
             self._ord_set(exclude, self._n_postings(idx))
@@ -1230,8 +1188,7 @@ class ShardData:
         ranks = np.asarray(pos, np.int64)[ranks]
         if not len(ords):
             e = np.empty(0, np.float64)
-            return (np.empty(0, np.uint64), np.empty(0, np.int64), e,
-                    e.copy())
+            return np.empty(0, np.uint64), e, e.copy()
         dense = self._dense(len(ords))
         if dense:
             slot, n = ords, len(self.doc_ids)
@@ -1248,8 +1205,8 @@ class ShardData:
         np.maximum.at(p, slot, np.where(s > 0.0, s, -np.inf))
         if dense:
             u = np.flatnonzero(r != none)
-            r, f, p = r[u], f[u], p[u]
-        return self.doc_ids[u], r, f, p
+            f, p = f[u], p[u]
+        return self.doc_ids[u], f, p
 
     def bounds_arrays(self, idx):
         """Impact-bound inputs of dictionary entries ``idx``: (tf_max,
@@ -1367,8 +1324,8 @@ def _frontier_files(fr) -> dict:
 
 def _cache_tmp(cdir: str) -> str | None:
     """A fresh temp dir next to ``cdir``, after removing the caches of
-    the same range for stale manifest states; None when the index dir
-    is read-only (the cache is best-effort)."""
+    stale manifest states; None when the index dir is read-only (the
+    cache is best-effort)."""
     import shutil
     import tempfile
     try:
@@ -1466,10 +1423,10 @@ def _write_cache_slices(tmp_dir: str, F: int, big, dest_starts,
 
 
 def build_csr_cache(index_dir: str) -> bool:
-    """Build the FULL-RANGE decoded-CSR mmap cache fully in parallel —
+    """Build the decoded-CSR mmap cache fully in parallel —
     so the first serving engine after a fresh build starts from the
     cache instead of paying a cold single-process varint decode of the
-    whole index (minutes at 10⁶+ docs).  Any shard layout slices it.
+    whole index (minutes at 10⁶+ docs).  Every doc shard filters it.
 
     Shape (this process only touches DICTIONARY- and DOC-sized data):
       docs — it reads the per-doc table from docmeta;
@@ -1499,7 +1456,7 @@ def build_csr_cache(index_dir: str) -> bool:
     if not man.data["config"]:
         return False
     F = man.data["config"]["num_fields"]
-    cdir = ShardData._cache_path(index_dir, man, None, None)
+    cdir = ShardData._cache_path(index_dir, man)
     if os.path.isdir(cdir):
         return True
     if man.data["config"].get("string_key"):
@@ -1641,19 +1598,6 @@ def _reduce_max_by_doc(d, s):
     return d_s[st], np.maximum.reduceat(s_s, st)
 
 
-def _fold_shard_rows(per_shard):
-    """``score_bm25_reduced`` rows of one term from several shards →
-    ``(docs, s_first, rest_max)``, docs ascending: f of the shard with
-    the least rank, the max of every shard's p.  In a term-range pool a
-    doc's expansions may live in several shards; in a doc-sharded one
-    each doc has one row, which passes through unchanged."""
-    d, r, f, p = (np.concatenate(c) for c in zip(*per_shard))
-    order = np.lexsort((r, d))
-    d, f, p = d[order], f[order], p[order]
-    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
-    return d[starts], f[starts], np.maximum.reduceat(p, starts)
-
-
 def _merge_max(d1, s1, d2, s2):
     """Merge two (sorted docs, scores) maps taking the per-doc max."""
     if not len(d1):
@@ -1705,20 +1649,20 @@ def _in_ord_set(ords: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 class _Exp(NamedTuple):
     """A query term's live expansions in reference trie order with
-    their adjusted df and UTF-8 byte lengths.  ``parts`` are the shards
-    holding their postings as (shard, dictionary positions, positions in
-    ``terms``); ``meta`` holds one such triple per distinct dictionary
-    (doc shards share one), for per-term metadata such as bounds."""
+    their adjusted df and UTF-8 byte lengths.  ``idx`` are their
+    positions in the global dictionary every shard holds, ascending, and
+    ``pos`` the position in ``terms`` of each."""
     terms: list
     df: np.ndarray
     blen: np.ndarray
-    parts: list
-    meta: list
+    idx: np.ndarray
+    pos: np.ndarray
     raw: np.ndarray   # dictionary df of ``terms``, before tombstones
     gen: int          # the engine's tombstone generation of ``df``
 
 
-_NO_EXP = _Exp([], np.empty(0, np.int64), np.empty(0), [], [],
+_NO_EXP = _Exp([], np.empty(0, np.int64), np.empty(0),
+               np.empty(0, np.int64), np.empty(0, np.int64),
                np.empty(0, np.int64), 0)
 
 
@@ -1747,31 +1691,30 @@ class SearchEngine:
     """User-facing query API over a built index (the reference's
     ``Index::query``, ``/root/reference/src/query.rs:21-106``)."""
 
-    def __init__(self, index_dir: str, num_shards: int = 1,
-                 use_actors: bool = False, shard_handles=None,
-                 prefault: bool = False, doc_shards: int = 0,
-                 shard_ranges=None):
-        """``shard_handles``: pre-created ``ShardData`` actor handles to
-        SHARE across engines (e.g. many bulk-search coordinators over
-        one resident shard pool) instead of loading the index again.
-        ``prefault=True`` touches every posting page at startup (a
-        serving replica's warmup) so queries never pay lazy mmap
-        page-in; default off keeps engine start metadata-only.
-
-        ``doc_shards=D``: DOC-sharded serving (SCALE.md "what would
+    def __init__(self, index_dir: str, use_actors: bool = False,
+                 shard_handles=None, prefault: bool = False,
+                 doc_shards: int = 1):
+        """``doc_shards=D``: DOC-sharded serving (SCALE.md "what would
         change first beyond one node") — D shards each hold the full
         term dictionary but only the postings of docs with
         ``doc_id % D == i``.  All of a doc's records are shard-local,
         so per-doc reductions, the TAAT accumulator and conjunctive
         intersection never cross shards, and stopword-scale merges
         shrink from O(df) coordinator rows to D·k.  Results are
-        bit-identical to the default layout (df/idf/stats stay global).
-        Mutually exclusive with ``num_shards > 1``."""
-        if doc_shards and num_shards > 1:
-            raise ValueError("doc_shards and num_shards>1 are exclusive")
-        self._shared_ranges = shard_ranges
+        bit-identical for every D (df/idf/stats stay global); the
+        default D = 1 is one shard holding every doc.
+        ``shard_handles``: pre-created ``ShardData`` actor handles to
+        SHARE across engines (e.g. many bulk-search coordinators over
+        one resident shard pool) instead of loading the index again;
+        D is their count.
+        ``prefault=True`` touches every posting page at startup (a
+        serving replica's warmup) so queries never pay lazy mmap
+        page-in; default off keeps engine start metadata-only."""
+        if shard_handles is not None:
+            doc_shards = len(shard_handles)
+        if doc_shards < 1:
+            raise ValueError(f"doc_shards must be >= 1, got {doc_shards}")
         self.index_dir = index_dir
-        self.num_shards = num_shards
         self.doc_shards = int(doc_shards)
         self.use_actors = use_actors or shard_handles is not None
         self._shared_handles = shard_handles
@@ -1787,46 +1730,34 @@ class SearchEngine:
                 f"build one with build_index(...) or the CLI 'build' command")
         self.num_fields = cfg["num_fields"]
         self.tokenizer = get_tokenizer(cfg["tokenizer"])
-        self.stats = Stats(self.index_dir)
         self._manifest_sig = self._sig(man)
-        self._open_shards(man)
+        self._open_shards()
         # new shards serve no tombstones and a new dictionary: start the
         # snapshot state afresh
         self.tomb = np.empty(0, np.uint64)
         self._tomb_gen = 0
         self._exp_cache: dict[tuple, tuple] = {}
-        self._reload_tombstones()
+        self._reload_state()
 
-    def _open_shards(self, man: Manifest):
+    def _open_shards(self):
         if self._shared_handles is not None:
             import ray
             self.shards = list(self._shared_handles)
             self._ray = ray
-            # shared pools may pass their term ranges along for routing
-            # (unknown → conservative full fan-out)
-            self._ranges = getattr(self, "_shared_ranges", None)
             return
-        if self.doc_shards:
-            D = self.doc_shards
-            kwargs = [dict(doc_mod=(i, D)) for i in range(D)]
-            self._ranges = None
-        else:
-            bounds = self._shard_bounds(man, self.num_shards)
-            kwargs = [dict(term_lo=lo, term_hi=hi) for lo, hi in bounds]
-            # per-shard term ranges → per-term RPC routing (a unigram
-            # query touches ONE shard, not the whole pool)
-            self._ranges = bounds
-        # On a doc-sharded pool a query's temporaries split ~1/D per
-        # shard (every shard scores only its own docs), so each actor's
-        # arena shrinks accordingly — pool-wide warm cost stays ~one
-        # query working set, not D of them.
-        arena_cap = max(16 << 20, (64 << 20) // max(self.doc_shards, 1))
+        D = self.doc_shards
+        # one shard holds every doc: no view filter to pay at load
+        kwargs = [dict(doc_mod=(i, D)) if D > 1 else {} for i in range(D)]
+        # A query's temporaries split ~1/D per shard (every shard scores
+        # only its own docs), so each actor's arena shrinks accordingly —
+        # pool-wide warm cost stays ~one query working set, not D of them.
+        arena_cap = max(16 << 20, (64 << 20) // D)
         if self.use_actors:
             import ray
             # size CPU requests so the whole pool always schedules, even
             # when shards outnumber available CPUs (else: deadlock)
-            avail = ray.cluster_resources().get("CPU", len(kwargs))
-            cpus = max(0.1, min(1.0, (avail - 1) / max(len(kwargs), 1)))
+            avail = ray.cluster_resources().get("CPU", D)
+            cpus = max(0.1, min(1.0, (avail - 1) / D))
             Actor = ray.remote(num_cpus=cpus)(ShardData)
             self.shards = [Actor.remote(self.index_dir, **kw)
                            for kw in kwargs]
@@ -1853,9 +1784,10 @@ class SearchEngine:
         serves a consistent snapshot, and ``refresh()`` moves it to the
         latest committed state.  Returns True if shards were reloaded
         (manifest changed), which also empties the expansion cache.
-        Otherwise it reloads stats and the tombstone set: each shard
-        applies only the newly removed docs, and cached expansion
-        entries stay, to be revalidated on their next lookup (``_exp``)."""
+        Otherwise it reloads stats and the tombstone set
+        (``_reload_state``): each shard applies only the newly removed
+        docs, and cached expansion entries stay, to be revalidated on
+        their next lookup (``_exp``)."""
         man = Manifest(self.index_dir)
         if self._sig(man) != self._manifest_sig:
             if self._shared_handles is not None:
@@ -1869,30 +1801,40 @@ class SearchEngine:
                     "does not own")
             self._load()
             return True
-        self.stats = Stats(self.index_dir)
-        self._reload_tombstones()
+        self._reload_state()
         return False
 
-    def _reload_tombstones(self):
-        """Move the shards to the on-disk tombstone set, one
-        ``set_tombstones`` call per shard when it changed.  A pool
-        shared with other engines belongs to its owner: this engine only
-        checks that the pool serves the same set, and refuses to mix
-        snapshots otherwise.  A grown set bumps the tombstone
-        generation, which marks cached entries for revalidation; any
-        other change (a set that lost docs) empties the cache."""
-        tomb = np.unique(np.asarray(Tombstones(self.index_dir).doc_ids,
-                                    dtype=np.uint64))
+    def _reload_state(self):
+        """Read the committed stats and tombstone set, and move the
+        shards to the set, one ``set_tombstones`` call per shard when it
+        changed.  Tombstones that a crash between a removal's two writes
+        left uncounted in ``stats.json`` are applied to the stats in
+        memory (``maintain.replay_pending``); the next removal or vacuum
+        saves them.  A pool shared with other engines belongs to its
+        owner: this engine only checks that the pool serves the same
+        set, and refuses to mix snapshots otherwise.  A grown set bumps
+        the tombstone generation, which marks cached entries for
+        revalidation; any other change (a set that lost docs) empties
+        the cache."""
+        stats = Stats(self.index_dir)
+        ids = Tombstones(self.index_dir).doc_ids
+        if stats.pending(ids):
+            # reads the docs' lengths from docmeta (pyarrow): imported
+            # only for this crash case
+            from probly_search_ray.maintain import replay_pending
+            replay_pending(self.index_dir, stats, ids)
+        self.stats = stats
+        tomb = np.unique(np.asarray(ids, dtype=np.uint64))
         same = np.array_equal(tomb, self.tomb)
         if self._shared_handles is not None:
-            if not all(np.array_equal(t, tomb) for t in self._fan(
-                    [(s, "tombstones", ()) for s in self.shards])):
+            if not all(np.array_equal(t, tomb)
+                       for t in self._fan(self._calls("tombstones"))):
                 raise RuntimeError(
                     "the shared shard pool serves a different tombstone "
                     "set than this index; refresh the engine that owns "
                     "the pool first")
         elif not same:
-            self._fan([(s, "set_tombstones", (tomb,)) for s in self.shards])
+            self._fan(self._calls("set_tombstones", tomb))
         if same:
             return
         if _in_sorted(self.tomb, tomb).all():
@@ -1900,23 +1842,6 @@ class SearchEngine:
         else:
             self._exp_cache = {}
         self.tomb = tomb
-
-    def _shard_bounds(self, man: Manifest, num_shards: int):
-        if num_shards <= 1:
-            return [(None, None)]
-        mins = sorted(r["term_min"] for r in man.term_files()
-                      if r["term_min"] is not None and r["term_min"] != "")
-        if not mins:
-            return [(None, None)]
-        qs = [mins[int(len(mins) * i / num_shards)] for i in range(1, num_shards)]
-        qs = sorted(set(qs))
-        bounds = []
-        lo = None
-        for q in qs:
-            bounds.append((lo, q))
-            lo = q
-        bounds.append((lo, None))
-        return bounds
 
     # -- shard fan-out helpers --------------------------------------------
 
@@ -1933,26 +1858,9 @@ class SearchEngine:
     def _fan(self, calls):
         return self._collect(self._submit(calls))
 
-    def _route(self, term: str):
-        """Shards whose term range can contain ``term`` or any term
-        prefixed by it.  In a term-sharded pool every per-term call
-        routes here: a unigram query touches ONE shard instead of
-        broadcasting to the pool (the shape a multi-node deployment
-        needs — per-query RPC fan-out is O(terms), not O(shards)).
-        Doc-sharded / unknown-range pools fall back to full fan-out
-        (routed-away shards would only ever contribute empties, so
-        routing is a pure traffic optimization, never a semantics
-        change)."""
-        ranges = getattr(self, "_ranges", None)
-        if ranges is None or len(self.shards) == 1 or not term:
-            return self.shards
-        last = term[-1]
-        if ord(last) >= 0x10FFFF:          # unsuccessorable: stay safe
-            return self.shards
-        hi_t = term[:-1] + chr(ord(last) + 1)   # prefix-range upper bound
-        out = [s for (lo, hi), s in zip(ranges, self.shards)
-               if (hi is None or term < hi) and (lo is None or lo < hi_t)]
-        return out or [self.shards[0]]
+    def _calls(self, method: str, *args):
+        """The same call on every shard, for ``_submit``/``_fan``."""
+        return [(s, method, args) for s in self.shards]
 
     # -- string keys (reference generic T, src/index.rs:35) ----------------
 
@@ -2035,9 +1943,8 @@ class SearchEngine:
         """Query autocomplete (an extension; the reference trie walks
         prefixes but exposes no completion API): the stored dictionary
         terms with this prefix ranked by (tombstone-adjusted df desc,
-        term asc), top-k.  Term-sharded pools route to only the shards
-        whose range can hold the prefix; the per-shard range lookup is
-        the same one prefix expansion uses."""
+        term asc), top-k.  Shard 0's dictionary answers, with the same
+        range lookup prefix expansion uses."""
         e = self._exp(prefix, True)
         if not e.terms:
             return []
@@ -2046,11 +1953,12 @@ class SearchEngine:
 
     def _docs_matching(self, term, expand, fuzzy) -> np.ndarray:
         """Sorted-unique live doc ids in any of the term's expansions'
-        postings: one ``union_docs`` call per shard holding them."""
+        postings: one ``union_docs`` call per shard."""
+        idx = self._exp(term, expand, fuzzy).idx
+        if not len(idx):
+            return np.empty(0, np.uint64)
         return _union_sorted([d for d in self._fan(
-            [(s, "union_docs", (idx,))
-             for s, idx, _ in self._exp(term, expand, fuzzy).parts
-             if len(idx)]) if len(d)])
+            self._calls("union_docs", idx)) if len(d)])
 
     def _excluded_docs(self, excl_terms, expand, fuzzy=0) -> np.ndarray:
         """Doc ids matching ANY exclude term — the NOT side of a boolean
@@ -2078,41 +1986,29 @@ class SearchEngine:
 
     def _prefetch_expansions(self, query_terms, expand: bool) -> None:
         """Actor-pool RTT eliminator: for every uncached query term, fire
-        ONE fused ``expand_with_bounds`` RPC per routed shard — all
-        terms' requests in flight CONCURRENTLY — and populate both the
+        ONE fused ``expand_with_bounds`` RPC to shard 0 — all terms'
+        requests in flight CONCURRENTLY — and populate both the
         expansion cache and the bounds cache from the responses.  No-ops
         in-process (no RTT to save)."""
         if not self.use_actors:
             return
         todo = [t for t in dict.fromkeys(query_terms)
                 if t and (t, expand, 0) not in self._exp_cache]
-        asked = {t: self._dict_shards(t, 0) for t in todo}
-        refs = {t: [s.expand_with_bounds.remote(t, not expand)
-                    for s in asked[t]] for t in todo}
+        refs = {t: self.shards[0].expand_with_bounds.remote(t, not expand)
+                for t in todo}
         F = self.num_fields
         for t in todo:
-            res = self._ray.get(refs[t])
-            e = self._entry(t, 0, asked[t], [r for r, _, _ in res])
-            res = [x for x in res if len(x[0])]
+            r, t_s, l_s = self._ray.get(refs[t])
+            e = self._entry(t, 0, r)
             if len(self._exp_cache) >= 65536:
                 return
             self._exp_cache[(t, expand, 0)] = e
             if e.terms:
                 tfm = np.zeros((len(e.terms), F), dtype=np.float64)
                 lmn = np.zeros((len(e.terms), F), dtype=np.float64)
-                for (_, idx, pos), (r, t_s, l_s) in zip(e.meta, res):
-                    rows = np.searchsorted(r.idx, idx)
-                    tfm[pos], lmn[pos] = t_s[rows], l_s[rows]
+                rows = np.searchsorted(r.idx, e.idx)
+                tfm[e.pos], lmn[e.pos] = t_s[rows], l_s[rows]
                 self._exp_cache[("__bounds__", t, expand, 0)] = (tfm, lmn)
-
-    def _dict_shards(self, term: str, fuzzy: int):
-        """Shards whose dictionary answers for ``term``: shard 0 of a
-        doc-sharded pool (one global dictionary), every shard for fuzzy
-        expansion (variants need not share the term's prefix range),
-        else the term-range routed shards."""
-        if self.doc_shards:
-            return [self.shards[0]]
-        return self.shards if fuzzy else self._route(term)
 
     def _exp(self, term: str, expand: bool, fuzzy: int = 0) -> "_Exp":
         """A query term's expansion entry, memoized until the manifest
@@ -2127,7 +2023,7 @@ class SearchEngine:
         key = (term, expand, fuzzy)
         e = self._exp_cache.get(key)
         if e is not None and e.gen != self._tomb_gen:
-            df = self._live_df(e.raw, e.parts)
+            df = self._live_df(e.raw, e.idx, e.pos)
             if (df > 0).all():
                 e = self._exp_cache[key] = e._replace(
                     df=df, gen=self._tomb_gen)
@@ -2141,14 +2037,12 @@ class SearchEngine:
                 self._exp_cache[key] = e
         return e
 
-    def _live_df(self, raw, parts) -> np.ndarray:
-        """Dictionary df ``raw`` less the dead mass each of ``parts``
-        (shard, dictionary positions, positions in ``raw``) holds."""
+    def _live_df(self, raw, idx, pos) -> np.ndarray:
+        """Dictionary df ``raw`` less the dead mass every shard holds in
+        entries ``idx``, whose positions in ``raw`` are ``pos``."""
         df = np.array(raw, dtype=np.int64)
-        if len(self.tomb):
-            live = [p for p in parts if len(p[1])]
-            for (_, _, pos), h in zip(live, self._fan(
-                    [(s, "tomb_hits_many", (idx,)) for s, idx, _ in live])):
+        if len(self.tomb) and len(idx):
+            for h in self._fan(self._calls("tomb_hits_many", idx)):
                 df[pos] -= h
         return df
 
@@ -2161,73 +2055,36 @@ class SearchEngine:
 
     def _expansions_for_uncached(self, term: str, expand: bool,
                                  fuzzy: int = 0) -> "_Exp":
-        asked = self._dict_shards(term, fuzzy)
-        if fuzzy:
-            calls = [(s, "expand_fuzzy", (term, fuzzy)) for s in asked]
-        else:
-            calls = [(s, "expand", (term, not expand)) for s in asked]
-        return self._entry(term, fuzzy, asked, self._fan(calls))
+        s0 = self.shards[0]
+        call = (s0, "expand_fuzzy", (term, fuzzy)) if fuzzy else \
+            (s0, "expand", (term, not expand))
+        return self._entry(term, fuzzy, self._fan([call])[0])
 
-    def _entry(self, term, fuzzy, asked, ranges) -> "_Exp":
-        """A term's expansion entry from the dictionary ranges the
-        ``asked`` shards returned.  One range (in-process, doc-sharded,
-        or a prefix inside one term-range shard) is ordered by its
-        stored trie rank; ranges from several shards are merged by term
-        and ranked afresh over the merged list — the global trie order
-        restricted to a prefix's subtree is the subtree's own order.
-        Fuzzy expansions order the exact term first, then by term."""
-        got = [(s, r) for s, r in zip(asked, ranges) if len(r)]
-        if not got:
+    def _entry(self, term, fuzzy, r: "DictRange") -> "_Exp":
+        """A term's expansion entry from the dictionary range ``r`` of
+        shard 0, ordered by its stored trie rank; fuzzy expansions order
+        the exact term first, then by term."""
+        if not len(r):
             return _NO_EXP
-        if self.doc_shards:
-            # one global dictionary: every shard holds postings of
-            # shard 0's entries
-            got = [(s, got[0][1]) for s in self.shards]
-        distinct = list({id(r): (s, r) for s, r in reversed(got)}.values())
-        distinct.reverse()
-        if len(distinct) == 1:
-            r = distinct[0][1]
-            terms_all, raw, rank = r.terms, r.df, r.rank
-            where = {id(r): np.arange(len(r))}
-        else:
-            cat = np.concatenate([np.asarray(r.terms) for _, r in distinct])
-            u, first, inv = np.unique(cat, return_index=True,
-                                      return_inverse=True)
-            terms_all = u.tolist()
-
-            def merged(field):
-                return np.concatenate([getattr(r, field)
-                                       for _, r in distinct])[first]
-            raw = merged("df")
-            rank = None if fuzzy else trie_rank(
-                terms_all, merged("first_pos"), merged("first_off"),
-                len(term))
-            offs = np.cumsum([0] + [len(r) for _, r in distinct])
-            where = {id(r): inv[o:o + len(r)]
-                     for (_, r), o in zip(distinct, offs)}
+        rank = r.rank
         if fuzzy:
-            rank = np.arange(len(terms_all))
-            i = bisect.bisect_left(terms_all, term)
-            if i < len(terms_all) and terms_all[i] == term:
+            rank = np.arange(len(r))
+            i = bisect.bisect_left(r.terms, term)
+            if i < len(r.terms) and r.terms[i] == term:
                 rank[i] = -1
-        df = self._live_df(raw, [(s, r.idx, where[id(r)])
-                                 for s, r in got])
+        idx = np.asarray(r.idx, np.int64)
+        df = self._live_df(r.df, idx, slice(None))
         order = np.argsort(rank, kind="stable")
         order = order[df[order] > 0]
-        pos_all = np.full(len(terms_all), -1, dtype=np.int64)
-        pos_all[order] = np.arange(len(order))
-        terms = [terms_all[i] for i in order]
-
-        def part(s, r):
-            p = pos_all[where[id(r)]]
-            live = p >= 0
-            return s, np.asarray(r.idx, np.int64)[live], p[live]
+        pos = np.full(len(r), -1, dtype=np.int64)
+        pos[order] = np.arange(len(order))
+        live = pos >= 0
+        terms = [r.terms[i] for i in order]
         return _Exp(terms, df[order],
                     np.fromiter((len(t.encode()) for t in terms),
                                 np.float64, count=len(terms)),
-                    [part(s, r) for s, r in got],
-                    [part(s, r) for s, r in distinct],
-                    np.asarray(raw, np.int64)[order], self._tomb_gen)
+                    idx[live], pos[live],
+                    np.asarray(r.df, np.int64)[order], self._tomb_gen)
 
     def _bounds_for(self, term: str, expand: bool, fuzzy: int = 0):
         """Impact-bound matrices (tf_max, len_min — each (n, F) float64,
@@ -2240,10 +2097,11 @@ class SearchEngine:
             return self._exp_cache[key]
         tfm = np.zeros((len(e.terms), self.num_fields), dtype=np.float64)
         lmn = np.zeros((len(e.terms), self.num_fields), dtype=np.float64)
-        meta = [m for m in e.meta if len(m[1])]
-        for (_, _, pos), (t_s, l_s) in zip(meta, self._fan(
-                [(s, "bounds_arrays", (idx,)) for s, idx, _ in meta])):
-            tfm[pos], lmn[pos] = t_s, l_s
+        if len(e.idx):
+            # bounds are per dictionary entry, the same on every shard
+            (t_s, l_s), = self._fan([(self.shards[0], "bounds_arrays",
+                                      (e.idx,))])
+            tfm[e.pos], lmn[e.pos] = t_s, l_s
         if len(self._exp_cache) < 65536:
             self._exp_cache[key] = (tfm, lmn)
         return tfm, lmn
@@ -2281,8 +2139,8 @@ class SearchEngine:
             if e.terms[0] == term:  # the exact term leads its expansions
                 boost[0] = 1.0
             term_infos.append((term, e, idf * boost))
-        parts = [[(s, idx, pos, w[pos]) for s, idx, pos in e.parts
-                  if len(idx)] for _, e, w in term_infos]
+        # each term's weights in the order of its dictionary positions
+        w_idx = [w[e.pos] for _, e, w in term_infos]
         if exclude_docs is not None and not len(exclude_docs):
             exclude_docs = None
         if k is not None and len(term_infos) == 1:
@@ -2293,20 +2151,19 @@ class SearchEngine:
             # over its own entries in one concurrent round; a doc's best
             # expansion lives in one shard, whose local top-k (ties
             # kept) holds it, so the per-doc max of the union is exact.
-            res = self._fan([(s, "score_bm25_topk_pruned",
-                              (idx, w, fields_boost, avgs, k1, b, k,
-                               exclude_docs))
-                             for s, idx, _, w in parts[0]])
+            res = self._fan(self._calls(
+                "score_bm25_topk_pruned", term_infos[0][1].idx, w_idx[0],
+                fields_boost, avgs, k1, b, k, exclude_docs))
             if len(res) == 1:
                 return res[0]
             return _reduce_max_by_doc(np.concatenate([d for d, _ in res]),
                                       np.concatenate([s for _, s in res]))
 
         def reduced(ti, only_docs):
-            return [(s, "score_bm25_reduced",
-                     (idx, pos, w, fields_boost, avgs, k1, b, only_docs,
-                      exclude_docs))
-                    for s, idx, pos, w in parts[ti]]
+            e = term_infos[ti][1]
+            return self._calls("score_bm25_reduced", e.idx, e.pos, w_idx[ti],
+                               fields_boost, avgs, k1, b, only_docs,
+                               exclude_docs)
         # short multi-term queries on an actor pool: dispatch every
         # term's reduced-scoring RPC CONCURRENTLY — the sequential
         # per-term round-trips dominate warm latency, while the TAAT
@@ -2346,8 +2203,8 @@ class SearchEngine:
                     only_docs = g_docs.copy()
             # ONE per-doc-REDUCED call per shard for all expansions of
             # this term: shards fold their (expansion, posting) records
-            # into per-doc (min rank, first score, max positive) rows,
-            # so coordinator traffic and merge work scale with #docs
+            # into per-doc (first score, max positive) rows, so
+            # coordinator traffic and merge work scale with #docs
             # touched, never with expansion multiplicity.  Docs whose
             # score would be None in the reference are still *visited*
             # (src/query.rs:88) — f carries the raw first-record score,
@@ -2360,9 +2217,15 @@ class SearchEngine:
             if not per_shard:
                 continue
             if len(per_shard) == 1:
-                term_docs, _, s_first, rest_max = per_shard[0]
+                term_docs, s_first, rest_max = per_shard[0]
             else:
-                term_docs, s_first, rest_max = _fold_shard_rows(per_shard)
+                # a doc's records all live in one shard: the shards'
+                # rows are disjoint, so putting them in doc order merges
+                term_docs, s_first, rest_max = (
+                    np.concatenate(c) for c in zip(*per_shard))
+                o = np.argsort(term_docs, kind="stable")
+                term_docs, s_first, rest_max = \
+                    term_docs[o], s_first[o], rest_max[o]
             sf_pos = s_first > 0.0
             # merge into global scores (max_score_merger semantics; rest
             # is every positive record, s_first included: accumulated
@@ -2396,17 +2259,14 @@ class SearchEngine:
 
     def _gather(self, e: "_Exp"):
         """Live postings of all of ``e``'s expansions, one
-        ``gather_postings_many`` call per shard holding them:
+        ``gather_postings_many`` call per shard:
         (expansion rank of each posting, docs, tfs[F], lens[F])."""
-        live = [(s, idx, pos) for s, idx, pos in e.parts if len(idx)]
-        res = self._fan([(s, "gather_postings_many", (idx,))
-                         for s, idx, _ in live])
         F = self.num_fields
-        if not res:
+        if not len(e.idx):
             z = np.empty(0, np.int64)
             return z, z.astype(np.uint64), [z] * F, [z] * F
-        return (np.concatenate([pos[r[0]] for (_, _, pos), r
-                                in zip(live, res)]),
+        res = self._fan(self._calls("gather_postings_many", e.idx))
+        return (np.concatenate([e.pos[r[0]] for r in res]),
                 np.concatenate([r[1] for r in res]),
                 [np.concatenate([r[2][x] for r in res]) for x in range(F)],
                 [np.concatenate([r[3][x] for r in res]) for x in range(F)])

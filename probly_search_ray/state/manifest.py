@@ -110,7 +110,7 @@ class Stats:
         without it avg falls back to sum/N (exact whenever the max doc
         has >=1 value per field — every single-value string corpus).
         ``tomb_applied``: how many leading tombstones the figures
-        already exclude (see ``maintain._replay_pending``)."""
+        already exclude (see ``pending``)."""
         self.data = {
             "num_docs": int(num_docs),
             "fields": [{"sum": int(s),
@@ -120,6 +120,14 @@ class Stats:
             "tomb_applied": int(tomb_applied),
         }
         _atomic_write_json(self.path, self.data)
+
+    def pending(self, ids: list) -> list:
+        """The tombstones of the list ``ids`` that these figures do not
+        include yet: ``tomb_applied`` counts the leading ones they do.
+        A missing count means all are applied (indexes written before it
+        existed); a count above the list's length means vacuum cleared
+        the list after applying every removal."""
+        return ids[min(self.data.get("tomb_applied", len(ids)), len(ids)):]
 
     def apply_remove(self, field_lengths: list[int], save: bool = True) -> None:
         """``src/index.rs:160-191``: sum -= len; avg = sum/(N-1); N -= 1.

@@ -92,9 +92,6 @@ def _check_all_loads(idx):
     n = _check_doc_tables(full, idx)
     assert n
     _check_doc_tables(ShardData(idx, use_cache=False), idx)
-    sl = ShardData(idx, term_lo="kex", term_hi="mux")
-    assert sl.terms and all("kex" <= t < "mux" for t in sl.terms)
-    _check_doc_tables(sl, idx, full=False)
     parts = 0
     for i in range(3):
         v = ShardData(idx, doc_mod=(i, 3))
@@ -110,8 +107,8 @@ def _check_all_loads(idx):
 @pytest.mark.usefixtures("ray_session")
 def test_doc_tables_match_blobs_and_docmeta(tmp_path):
     """Build, append, remove, vacuum, compact and merge: in each state
-    the full load, a fresh decode, a term-range slice and the doc-mod
-    views all read lengths equal to the blobs' and docmeta's."""
+    the full load, a fresh decode and the doc-mod views all read
+    lengths equal to the blobs' and docmeta's."""
     rng = np.random.default_rng(3)
     idx = str(tmp_path / "index")
     files = []

@@ -31,7 +31,7 @@ def write_corpus(tmpdir, corpus, nfields):
 
 
 def build_engine(tmp_path, corpus, batch_size=4096, block_postings=4096,
-                 num_shards=1, **kw):
+                 doc_shards=1, **kw):
     items = list(corpus.items() if isinstance(corpus, dict) else enumerate(corpus))
     nfields = len(items[0][1])
     path = write_corpus(str(tmp_path), corpus, nfields)
@@ -40,7 +40,7 @@ def build_engine(tmp_path, corpus, batch_size=4096, block_postings=4096,
                 field_cols=[f"f{f}" for f in range(nfields)],
                 batch_size=batch_size, block_postings=block_postings,
                 overwrite=True, **kw)
-    return SearchEngine(idx_dir, num_shards=num_shards)
+    return SearchEngine(idx_dir, doc_shards=doc_shards)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -139,17 +139,17 @@ def test_differential_random(tmp_path, seed, nfields):
 @pytest.mark.parametrize("seed", [101, 202])
 def test_differential_layouts_random(tmp_path, seed):
     """DIFF-2: random corpora; every serving LAYOUT (single shard,
-    term-sharded pool, doc-sharded pool) must produce the same top-k
-    ranking as the refmodel — pins the layout-specific query paths
-    (term-range routing, shard-local prune pushdown, doc-sharded local
-    prune union, concurrent 2-3-term dispatch) against each other and
-    the reference on inputs none of them were tuned on."""
+    doc-sharded pools of 3 and 4) must produce the same top-k ranking
+    as the refmodel — pins the shard-local prune pushdown, the
+    doc-sharded local prune union and the merge of disjoint shard rows
+    against each other and the reference on inputs none of them were
+    tuned on."""
     rng = np.random.default_rng(seed)
     vocab = np.array([p + s for p in ["ka", "ke", "ko", "mu", "ma"]
                       for s in ["", "r", "rr", "x", "xy", "z"]])
     corpus = _rand_corpus(rng, 90, 1, vocab, max_len=9)
     e1 = build_engine(tmp_path, corpus)
-    e4 = SearchEngine(e1.index_dir, num_shards=4)
+    e4 = SearchEngine(e1.index_dir, doc_shards=4)
     ed = SearchEngine(e1.index_dir, doc_shards=3)
     ref = RefIndex(1)
     for d in sorted(corpus):
@@ -158,7 +158,7 @@ def test_differential_layouts_random(tmp_path, seed):
                "q", "kar ka"]
     for q in queries:
         exp = ref.query(q, BM25(), tok, [1.0])
-        for e, tag in ((e1, "one"), (e4, "term4"), (ed, "doc3")):
+        for e, tag in ((e1, "one"), (e4, "doc4"), (ed, "doc3")):
             assert_results(e.query(q, "bm25"), exp, f"{tag}:full:{q!r}")
             got_k = e.query(q, "bm25", k=4)
             assert_results(got_k, exp[:len(got_k)], f"{tag}:k4:{q!r}")
@@ -194,7 +194,7 @@ def test_scale_invariance(tmp_path):
     corpus = _rand_corpus(rng, 60, 1, vocab)
     r1 = build_engine(tmp_path / "a", corpus, batch_size=4096)
     r2 = build_engine(tmp_path / "b", corpus, batch_size=5, block_postings=3,
-                      num_shards=3)
+                      doc_shards=3)
     for q in ["a", "alp", "b", "g", "delta eps", "alpha beta gamma"]:
         a = r1.query(q, "bm25")
         b = r2.query(q, "bm25")
@@ -334,7 +334,7 @@ def test_actor_pool_query(tmp_path):
     idx_dir = os.path.join(str(tmp_path), "index")
     build_index(path, idx_dir, key_col="doc_id", field_cols=["f0", "f1"],
                 overwrite=True)
-    eng = SearchEngine(idx_dir, num_shards=2, use_actors=True)
+    eng = SearchEngine(idx_dir, doc_shards=2, use_actors=True)
     for fid, q, expected in QUERY_FIXTURES:
         assert_results(eng.query(q, "bm25"), expected, f"actor:{fid}")
 
@@ -350,7 +350,7 @@ def test_prefetch_populates_reader_cache_keys(tmp_path):
     idx_dir = os.path.join(str(tmp_path), "index")
     build_index(path, idx_dir, key_col="doc_id", field_cols=["f0", "f1"],
                 overwrite=True)
-    eng = SearchEngine(idx_dir, num_shards=2, use_actors=True)
+    eng = SearchEngine(idx_dir, doc_shards=2, use_actors=True)
     terms = ["a", "b"]
     eng._exp_cache.clear()
     eng._prefetch_expansions(terms, True)
@@ -389,7 +389,7 @@ def test_topk_pruning_exact(tmp_path):
                       for s in ["", "x", "xy", "xyz", "r", "rr", "q"]])
     corpus = _rand_corpus(rng, 120, 1, vocab, max_len=10)
     eng = build_engine(tmp_path, corpus)
-    eng3 = build_engine(tmp_path / "s3", corpus, num_shards=3)
+    eng3 = build_engine(tmp_path / "s3", corpus, doc_shards=3)
     ref = RefIndex(1)
     for d in sorted(corpus):
         ref.add_document(list(corpus[d]), tok, d)
@@ -406,45 +406,22 @@ def test_topk_pruning_exact(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_topk_pushdown_vs_fanout(tmp_path):
-    """Single-term top-k via the shard-local pushed-down prune loop
-    (one RPC when term-range routing resolves to one shard) must equal
-    the same query with routing disabled, where every shard is asked
-    for the term's dictionary range — routing is a traffic
-    optimization, never a semantics change.  Covers prefix ranges and
-    exact-term mode."""
-    import types
+    """Single-term top-k via the shard-local pushed-down prune loop:
+    a doc-sharded pool's union of per-shard local prunes (one
+    concurrent round; sound because doc sets are disjoint) must equal
+    the one-shard engine's.  Covers prefix ranges and exact-term
+    mode."""
     rng = np.random.default_rng(23)
     vocab = np.array([p + s for p in ["ba", "be", "bo", "ga"]
                       for s in ["", "x", "xy", "r", "rq", "zz"]])
     corpus = _rand_corpus(rng, 150, 1, vocab, max_len=12)
-    eng = build_engine(tmp_path, corpus, num_shards=4)
-    queries = ["b", "ba", "bo", "g", "gax", "be", "bezz"]
-    pushed = [eng.query(q, "bm25", k=4) for q in queries]
-    exact = [eng.query(q, "bm25", k=4, expand=False) for q in queries]
-    orig = eng._route
-    eng._route = types.MethodType(lambda self, t: self.shards, eng)
-    eng._exp_cache.clear()
-    fanned = [eng.query(q, "bm25", k=4) for q in queries]
-    fanned_exact = [eng.query(q, "bm25", k=4, expand=False)
-                    for q in queries]
-    eng._route = orig
-    for q, a, b in zip(queries, pushed, fanned):
-        assert_results(a, b, f"pushdown:{q!r}")
-    for q, a, b in zip(queries, exact, fanned_exact):
-        assert_results(a, b, f"pushdown-exact:{q!r}")
-    # doc-sharded pool: the per-shard local prune union (one concurrent
-    # round; sound because doc sets are disjoint) must also match
+    eng = build_engine(tmp_path, corpus)
     dse = SearchEngine(eng.index_dir, doc_shards=3)
-    ds_new = [dse.query(q, "bm25", k=4) for q in queries]
-    # as a term-sharded pool: every shard answers the same range, which
-    # the coordinator merges by term and ranks afresh
-    dse.doc_shards = 0
-    dse._exp_cache.clear()
-    ds_old = [dse.query(q, "bm25", k=4) for q in queries]
-    for q, a, b in zip(queries, ds_new, ds_old):
-        assert_results(a, b, f"pushdown-docsharded:{q!r}")
-    for q, a, b in zip(queries, ds_new, pushed):
-        assert_results(a, b, f"docsharded-vs-termsharded:{q!r}")
+    for q in ["b", "ba", "bo", "g", "gax", "be", "bezz"]:
+        for expand in (True, False):
+            assert_results(dse.query(q, "bm25", k=4, expand=expand),
+                           eng.query(q, "bm25", k=4, expand=expand),
+                           f"pushdown-docsharded:{q!r}:{expand}")
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -550,8 +527,8 @@ def test_csr_cache_roundtrip(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_full_cache_serves_shard_ranges(tmp_path):
-    """build_index(warm_cache=True) writes ONE full-range mmap cache;
-    a sharded engine slices it (no per-range cache dirs, no decode)
+    """build_index(warm_cache=True) writes ONE mmap cache; a
+    doc-sharded engine filters it (no per-shard cache dirs, no decode)
     and returns identical results."""
     rng = np.random.default_rng(47)
     vocab = np.array(["alpha", "alp", "beta", "bet", "gamma", "g"])
@@ -562,12 +539,12 @@ def test_full_cache_serves_shard_ranges(tmp_path):
                 overwrite=True, warm_cache=True)
     cache_dirs = os.listdir(os.path.join(idx, "cache"))
     assert len(cache_dirs) == 1
-    eng1 = SearchEngine(idx, num_shards=1)
-    eng3 = SearchEngine(idx, num_shards=3)
+    eng1 = SearchEngine(idx)
+    eng3 = SearchEngine(idx, doc_shards=3)
     for q in ["alp", "beta g", "gamma alpha"]:
         assert_results(eng3.query(q, "bm25"), eng1.query(q, "bm25"),
                        f"fullcache:{q!r}")
-    # the sharded load did NOT create range-specific cache dirs
+    # the sharded load did NOT create shard-specific cache dirs
     assert os.listdir(os.path.join(idx, "cache")) == cache_dirs
 
 
@@ -599,7 +576,7 @@ def test_conjunctive_query(tmp_path):
     # a term absent from the corpus empties the conjunction
     assert eng.query("alpha zzz", "bm25", require_all=True) == []
     # sharded engine agrees
-    eng3 = SearchEngine(eng.index_dir, num_shards=3)
+    eng3 = SearchEngine(eng.index_dir, doc_shards=3)
     assert_results(eng3.query("alpha beta", "bm25", require_all=True),
                    eng.query("alpha beta", "bm25", require_all=True),
                    "conj-sharded")

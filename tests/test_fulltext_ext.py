@@ -63,14 +63,12 @@ def _brute_fuzzy(corpus, q, d):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("layout", ["single", "sharded", "doc_sharded"])
+@pytest.mark.parametrize("layout", ["single", "doc_sharded"])
 def test_fuzzy_differential(tmp_path, layout):
     rng = np.random.default_rng(7)
     corpus = _mk_corpus(rng)
     eng = build_engine(tmp_path, corpus)
-    if layout == "sharded":
-        eng = SearchEngine(eng.index_dir, num_shards=3)
-    elif layout == "doc_sharded":
+    if layout == "doc_sharded":
         eng = SearchEngine(eng.index_dir, doc_shards=2, use_actors=True)
     for q, d in [("cat", 1), ("cat", 2), ("tale", 2), ("zzzz", 1),
                  ("scal", 1)]:
@@ -334,7 +332,7 @@ def test_source_quota_empty_block(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("layout", ["plain", "sharded", "doc_sharded"])
+@pytest.mark.parametrize("layout", ["plain", "doc_sharded"])
 def test_exclusion_differential(tmp_path, layout):
     """query(exclude=...) drops exactly the docs matching any exclude
     term (expansion mode respected), and top-k with exclusion returns
@@ -343,8 +341,7 @@ def test_exclusion_differential(tmp_path, layout):
     survivors)."""
     rng = np.random.default_rng(31)
     corpus = _mk_corpus(rng, 250)
-    eng = build_engine(tmp_path / layout, corpus,
-                       num_shards=3 if layout == "sharded" else 1)
+    eng = build_engine(tmp_path / layout, corpus)
     if layout == "doc_sharded":
         eng = SearchEngine(eng.index_dir, doc_shards=3, use_actors=True)
     texts = {i: t[0].split() for i, t in enumerate(corpus)}

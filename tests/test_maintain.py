@@ -208,11 +208,11 @@ def test_bulk_search_sharded_pool(tmp_path):
         .sort_values(["query_id", "rank"]).reset_index(drop=True)
     from probly_search_ray.pipelines.bulk import release_shard_pools
     try:
-        b = bulk_search(qds, idx, k=5, concurrency=2, num_shards=3) \
+        b = bulk_search(qds, idx, k=5, concurrency=2, doc_shards=2) \
             .to_pandas().sort_values(["query_id", "rank"]) \
             .reset_index(drop=True)
-        # release the term-sharded pool BEFORE spawning the doc-sharded
-        # one: both reserve ~all of the 4-CPU test session
+        # release the 2-shard pool BEFORE spawning the 3-shard one: both
+        # reserve ~all of the 4-CPU test session
         release_shard_pools()
         c = bulk_search(qds, idx, k=5, concurrency=2, doc_shards=3) \
             .to_pandas().sort_values(["query_id", "rank"]) \
@@ -398,8 +398,9 @@ def test_remove_crash_between_state_writes(tmp_path, monkeypatch):
     ``stats.json`` (``Stats.save`` raising) leaves stats that have not
     counted the removal.  The retried removal, or a vacuum, applies it:
     stats then equal a clean removal's and bm25 equals the reference.
-    An index whose stats predate ``tomb_applied`` reads as fully
-    applied."""
+    An engine opened after the crash, or refreshed across it, counts
+    the pending removal in memory and writes nothing.  An index whose
+    stats predate ``tomb_applied`` reads as fully applied."""
     import json
     import shutil
     f1 = str(tmp_path / "p.parquet")
@@ -408,7 +409,8 @@ def test_remove_crash_between_state_writes(tmp_path, monkeypatch):
     _write_file(f1, rows)
     base = str(tmp_path / "base")
     build_index([f1], base, field_cols=["f0"])
-    idx = {n: str(tmp_path / n) for n in ("clean", "retry", "vac", "old")}
+    idx = {n: str(tmp_path / n)
+           for n in ("clean", "retry", "vac", "old", "served")}
     for d in idx.values():
         shutil.copytree(base, d)
     victims = [3, 4]
@@ -417,12 +419,18 @@ def test_remove_crash_between_state_writes(tmp_path, monkeypatch):
 
     def boom(self):
         raise RuntimeError("crash between the state writes")
-    for n in ("retry", "vac"):
+    refreshed = SearchEngine(idx["served"])
+    for n in ("retry", "vac", "served"):
         with monkeypatch.context() as m:
             m.setattr(Stats, "save", boom)
             with pytest.raises(RuntimeError):
                 remove_documents(idx[n], victims)
         assert Stats(idx[n]).num_docs == 40    # the removal is uncounted
+    served = {"fresh": SearchEngine(idx["served"]), "refreshed": refreshed}
+    assert refreshed.refresh() is False
+    for eng in served.values():
+        assert eng.stats.data == want
+    assert Stats(idx["served"]).num_docs == 40
     assert remove_documents(idx["retry"], victims) == 0
     assert Stats(idx["retry"]).data == want
     vacuum(idx["vac"])
@@ -442,8 +450,11 @@ def test_remove_crash_between_state_writes(tmp_path, monkeypatch):
         ref.add_document([text], tok, d)
     for d in victims:
         ref.remove_document(d)
-    for n in ("retry", "vac", "old"):
-        eng = SearchEngine(idx[n])
+    clean = SearchEngine(idx["clean"])
+    for n in ("retry", "vac", "old", "fresh", "refreshed"):
+        eng = served[n] if n in served else SearchEngine(idx[n])
         for q in ("common", "w1", "w common"):
-            assert_results(eng.query(q, "bm25"),
-                           ref.query(q, BM25(), tok, [1.0]), f"{n}:{q!r}")
+            got = eng.query(q, "bm25")
+            assert got == clean.query(q, "bm25"), f"{n}:{q!r}"
+            assert_results(got, ref.query(q, BM25(), tok, [1.0]),
+                           f"{n}:{q!r}")

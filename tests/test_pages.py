@@ -37,7 +37,7 @@ def test_flagship_matches_refmodel(tmp_path, pages_dir):
     idx_dir = os.path.join(str(tmp_path), "pidx")
     build_pages_index(pages_dir, idx_dir, overwrite=True,
                       files_per_group=2, batch_size=64)
-    eng = SearchEngine(idx_dir, num_shards=2)
+    eng = SearchEngine(idx_dir, doc_shards=2)
 
     ref = RefIndex(2)
     rows = []

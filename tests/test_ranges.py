@@ -90,8 +90,7 @@ def test_trie_rank_matches_recursion_random():
                 got = [terms[sel[j]]
                        for j in np.argsort(rank[sel], kind="stable")]
                 assert got == exp, (terms, p)
-                sub = trie_rank([terms[i] for i in sel], fp[sel], fo[sel],
-                                len(p))
+                sub = trie_rank([terms[i] for i in sel], fp[sel], fo[sel])
                 assert [terms[sel[j]] for j in np.argsort(sub)] == exp
         finally:
             ShardData._FUZZY_WIDTH_CAP = old_cap
@@ -120,8 +119,7 @@ def test_rank_order_through_lifecycle(tmp_path):
     """After build, append, remove, vacuum and compact: every 1-3-char
     prefix orders like the recursion on the cache-loaded and freshly
     decoded dictionaries, and the engine's live expansions equal the
-    reference's on one shard and on three term-range shards (ranges
-    merged across shards are ranked afresh)."""
+    reference's on one shard and on three doc shards."""
     rng = np.random.default_rng(11)
     idx = str(tmp_path / "index")
     ref = RefIndex(1)
@@ -141,7 +139,7 @@ def test_rank_order_through_lifecycle(tmp_path):
         for sd in (ShardData(idx), ShardData(idx, use_cache=False)):
             _check_rank(sd)
         for shards in (1, 3):
-            eng = SearchEngine(idx, num_shards=shards)
+            eng = SearchEngine(idx, doc_shards=shards)
             for p in _prefixes(ShardData(idx).terms):
                 assert eng._expansions_for(p, True)[0] == \
                     _live_expansions(ref, p), (when, shards, p)
@@ -169,7 +167,7 @@ def _docs_with_prefix(corpus, term, removed):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("layout", ["plain", "term_sharded", "doc_sharded"])
+@pytest.mark.parametrize("layout", ["plain", "doc_sharded"])
 def test_scorers_match_refmodel_under_tombstones(tmp_path, layout):
     """zero_to_one and a custom scorer, with k in {1, 3, 10} and with
     require_all / exclude, against the reference model on a tombstoned
@@ -193,8 +191,7 @@ def test_scorers_match_refmodel_under_tombstones(tmp_path, layout):
         ref.add_document(list(corpus[d]), tok, d)
     for d in removed:
         ref.remove_document(d)
-    kw = {"plain": {}, "term_sharded": {"num_shards": 3},
-          "doc_sharded": {"doc_shards": 3}}[layout]
+    kw = {"plain": {}, "doc_sharded": {"doc_shards": 3}}[layout]
     eng = SearchEngine(idx, **kw)
     boosts = [1.0, 2.0]
     for q in ["k", "ka", "ma mu", "é x", "karr karr", "the k"]:
@@ -288,8 +285,7 @@ def _entry_state(eng, p):
             eng.complete(p, k=50), eng.query(p, "bm25", k=5))
 
 
-LAYOUTS = {"plain": {}, "term_sharded": {"num_shards": 3},
-           "doc_sharded": {"doc_shards": 3}}
+LAYOUTS = {"plain": {}, "doc_sharded": {"doc_shards": 3}}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -373,7 +369,7 @@ def test_shared_pool_refuses_other_tombstone_set(tmp_path):
     _write(f, _rows(rng, 0, 50))
     idx = str(tmp_path / "index")
     build_index([f], idx, field_cols=["f0"])
-    owner = SearchEngine(idx, num_shards=2, use_actors=True)
+    owner = SearchEngine(idx, doc_shards=2, use_actors=True)
     borrower = SearchEngine(idx, shard_handles=owner.shards)
     assert remove_documents(idx, [1, 2, 30]) == 3
     with pytest.raises(RuntimeError, match="tombstone set"):

@@ -81,7 +81,7 @@ def test_skewed_with_tombstones(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_stress_sharded_actors_differential(tmp_path):
-    """Hardest configuration: 5 term-range shards served by actors,
+    """Hardest configuration: 5 doc shards served by actors,
     tiny batches and posting blocks (maximum block fragmentation),
     prefix-nested zipf vocabulary, multi-term + repeated + prefix
     queries — must stay exactly rank-identical with the refmodel."""
@@ -98,7 +98,7 @@ def test_stress_sharded_actors_differential(tmp_path):
                      " ".join(rng.choice(base, size=max(k // 2, 1), p=probs)))
     eng = build_engine(tmp_path, corpus, batch_size=37, block_postings=11,
                        files_per_group=1)
-    eng_sharded = SearchEngine(eng.index_dir, num_shards=5, use_actors=True)
+    eng_sharded = SearchEngine(eng.index_dir, doc_shards=5, use_actors=True)
 
     ref = RefIndex(2)
     for d in sorted(corpus):

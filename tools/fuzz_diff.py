@@ -137,7 +137,7 @@ def main():
                 engines = [(e1, "one")]
                 if seed % 3 == 0:
                     engines.append(
-                        (SearchEngine(e1.index_dir, num_shards=4), "term4"))
+                        (SearchEngine(e1.index_dir, doc_shards=4), "doc4"))
                 if seed % 3 == 1:
                     engines.append(
                         (SearchEngine(e1.index_dir, doc_shards=3), "doc3"))

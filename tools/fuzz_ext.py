@@ -111,7 +111,7 @@ def run_seed(seed, td):
                       block_postings=int(rng.choice([3, 4096])))
     engines = [(e1, "one")]
     if seed % 4 == 0:
-        engines.append((SearchEngine(e1.index_dir, num_shards=3), "term3"))
+        engines.append((SearchEngine(e1.index_dir, doc_shards=3), "doc3"))
     if seed % 4 == 1:
         engines.append((SearchEngine(e1.index_dir, doc_shards=2), "doc2"))
 

@@ -239,8 +239,8 @@ def run_seed(seed, workdir):
         e1 = build_engine(td, corpus, batch_size=bs, block_postings=bp)
         engines = [(e1, "one")]
         if seed % 3 == 0:
-            engines.append((SearchEngine(e1.index_dir, num_shards=4),
-                            "term4"))
+            engines.append((SearchEngine(e1.index_dir, doc_shards=4),
+                            "doc4"))
         if seed % 3 == 1:
             engines.append((SearchEngine(e1.index_dir, doc_shards=3),
                             "doc3"))
