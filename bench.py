@@ -92,10 +92,9 @@ def bench_build(pages_dir: str, num_cpus: int, timed_runs: int = 2,
                 time_cache: bool = True) -> dict:
     """Core pipeline wall (read→encode→sort→shards, comparable across
     rounds) + the serving-cache construction timed as its OWN phase.
-    The cache build is partitioned per term file and per-node-parallel
-    on a real cluster, but on this VM its memmap IO is bounded by the
-    host-serialized page-fault service — a constant offset that says
-    nothing about pipeline scalability, hence the separate number."""
+    The cache build is one in-process decode of the whole index (the
+    engine's cold load), so it does not scale with the pipeline's
+    workers — hence the separate number."""
     from probly_search_ray.pipelines.pages import build_pages_index
     from probly_search_ray.search import build_csr_cache
     # per-(size, cpus) dir: the scaling legs (2.4M docs, run LAST)

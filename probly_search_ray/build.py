@@ -12,8 +12,9 @@ Pipeline shape (SURVEY.md §3.1 "Ray shape"):
                                                          # rows, not raw
                                                          # occurrences
       → write_parquet(terms/group=G)                     # term-sorted shards
-      → parallel finalize tasks                          # term ranges +
+      → finalize_group (in-process)                      # term ranges +
                                                          # docmeta + lineage
+      → build_csr_cache (in-process)                     # the serving cache
 
 The input file list is split into *partition groups*; each group is
 built and committed independently (manifest record with lineage +
@@ -46,44 +47,45 @@ from probly_search_ray.stages.segment import SegmentEncoder, read_docmeta_ipc
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 
 
-@ray.remote(num_cpus=1)
-def _finalize_file(path: str, num_fields: int):
-    """Per-output-file finalize: exact term range (files are term-sorted;
-    footer stats can truncate strings, so read first/last row group) and
-    doc-meta sentinel extraction (predicate pushdown skips everything
-    else).  Runs as a Ray task so group finalize scales with cores."""
-    import numpy as np
+def finalize_group(index_dir: str, group_dir: str, gid: str,
+                   num_fields: int) -> dict:
+    """Finalize the term files just written to ``group_dir`` for group
+    ``gid`` (by a build, a vacuum or a compaction): drop the empty files
+    a repartition leaves, record each file's exact term range and row
+    count (files are term-sorted; footer stats can truncate strings, so
+    the first and last row groups are read), and write the group's
+    docmeta from the files' sentinel rows (term ``""``, found by
+    predicate pushdown) to ``docmeta/group=<gid>.parquet``.  Returns the
+    group record's fields this derives: ``term_files`` with their
+    ``term_rows`` and ``term_bytes``, ``num_docs``, ``field_len_sums``
+    and the add-path stale-avg quirk inputs
+    (src/index.rs:112-113: avg only updates inside the per-value loop),
+    ``field_last_val_doc`` (per field, the max doc_id with >=1 VALUE)
+    and ``doc_max``; -1 = none."""
     import pyarrow as pa
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
 
-    from probly_search_ray.stages.segment import read_docmeta_ipc
-
-    pf = pq.ParquetFile(path)
-    nrg = pf.metadata.num_row_groups
-    tmin = tmax = None
-    if nrg and pf.metadata.num_rows:
+    term_files = []
+    tables = []
+    sums = [0] * num_fields
+    last_val_doc = [-1] * num_fields
+    doc_max = -1
+    for path in sorted(globmod.glob(os.path.join(group_dir, "*.parquet"))):
+        pf = pq.ParquetFile(path)
+        if pf.metadata.num_rows == 0:
+            os.unlink(path)  # empty block from repartition padding
+            continue
+        nrg = pf.metadata.num_row_groups
         first = pf.read_row_group(0, columns=["term"])["term"]
         last = first if nrg == 1 else \
             pf.read_row_group(nrg - 1, columns=["term"])["term"]
-        tmin = first[0].as_py()
-        tmax = last[-1].as_py()
-    rec = {"term_min": tmin, "term_max": tmax, "rows": pf.metadata.num_rows}
-    frag = pads.dataset(path).to_table(filter=pads.field("term") == "")
-    num_docs = 0
-    sums = [0] * num_fields
-    # add-path stale-avg quirk inputs (src/index.rs:112-113: avg only
-    # updates inside the per-value loop): per field, the max doc_id
-    # with >=1 VALUE, plus the file's max doc_id; -1 = none
-    last_val_doc = [-1] * num_fields
-    doc_max = -1
-    meta = None
-    if len(frag):
-        tables = []
+        term_files.append({"path": os.path.relpath(path, index_dir),
+                           "term_min": first[0].as_py(),
+                           "term_max": last[-1].as_py(),
+                           "rows": pf.metadata.num_rows})
+        frag = pads.dataset(path).to_table(filter=pads.field("term") == "")
         for blob in frag["blob"].to_pylist():
             mt = read_docmeta_ipc(blob)
             tables.append(mt)
-            num_docs += len(mt)
             ids = mt["doc_id"].to_numpy()
             if len(ids):
                 doc_max = max(doc_max, int(ids.max()))
@@ -98,8 +100,23 @@ def _finalize_file(path: str, num_fields: int):
                 if hv.any():
                     last_val_doc[fi] = max(last_val_doc[fi],
                                            int(ids[hv].max()))
-        meta = ray.put(pa.concat_tables(tables))
-    return rec, num_docs, sums, meta, last_val_doc, doc_max
+    meta_dir = os.path.join(index_dir, "docmeta")
+    os.makedirs(meta_dir, exist_ok=True)
+    meta_path = os.path.join(meta_dir, f"group={gid}.parquet")
+    if tables:
+        pq.write_table(pa.concat_tables(tables), meta_path + ".tmp")
+        os.replace(meta_path + ".tmp", meta_path)
+    elif os.path.exists(meta_path):
+        os.unlink(meta_path)
+    return {"term_files": term_files,
+            "term_rows": sum(r["rows"] for r in term_files),
+            "term_bytes": sum(os.path.getsize(os.path.join(index_dir,
+                                                           r["path"]))
+                              for r in term_files),
+            "num_docs": sum(len(t) for t in tables),
+            "field_len_sums": sums,
+            "field_last_val_doc": last_val_doc,
+            "doc_max": doc_max}
 
 
 def _count_docs_le(index_dir: str, doc_id: int) -> int:
@@ -348,58 +365,17 @@ def build_index(
         os.replace(tmp_dir, out_dir)
         t_job = time.perf_counter() - t0
 
-        # --- group finalize (parallel ray tasks): term ranges + doc-meta
-        out_files = []
-        for f in sorted(globmod.glob(os.path.join(out_dir, "*.parquet"))):
-            if pq.ParquetFile(f).metadata.num_rows == 0:
-                os.unlink(f)  # empty block from repartition padding
-            else:
-                out_files.append(f)
-        meta_dir = os.path.join(index_dir, "docmeta")
-        os.makedirs(meta_dir, exist_ok=True)
-        results = ray.get([_finalize_file.remote(f, len(field_cols))
-                           for f in out_files])
-        term_files = []
-        num_docs = 0
-        sums = np.zeros(len(field_cols), dtype=np.int64)
-        g_lvd = [-1] * len(field_cols)
-        g_dmax = -1
-        meta_refs = []
-        n_rows = 0
-        n_bytes = 0
-        for f, (rec, nd, fsums, meta_ref, lvd, dmax) in zip(out_files,
-                                                            results):
-            rec["path"] = os.path.relpath(f, index_dir)
-            term_files.append(rec)
-            n_rows += rec["rows"]
-            n_bytes += os.path.getsize(f)
-            num_docs += nd
-            sums += np.asarray(fsums, dtype=np.int64)
-            g_lvd = [max(a, b) for a, b in zip(g_lvd, lvd)]
-            g_dmax = max(g_dmax, dmax)
-            if meta_ref is not None:
-                meta_refs.append(meta_ref)
-        if meta_refs:
-            import pyarrow as pa
-            meta_tables = ray.get(meta_refs)
-            tmp = os.path.join(meta_dir, f"group={gid}.parquet.tmp")
-            pq.write_table(pa.concat_tables(meta_tables), tmp)
-            os.replace(tmp, os.path.join(meta_dir, f"group={gid}.parquet"))
-
+        # --- group finalize: term ranges + docmeta + lineage
+        rec = finalize_group(index_dir, out_dir, gid, len(field_cols))
         wall = time.perf_counter() - t0
         man.commit_group(gid, {
             "input_files": gfiles,
-            "num_docs": int(num_docs),
-            "field_len_sums": [int(s) for s in sums],
-            "field_last_val_doc": [int(v) for v in g_lvd],
-            "doc_max": int(g_dmax),
-            "term_files": term_files,
-            "term_rows": int(n_rows),
-            "term_bytes": int(n_bytes),
+            **rec,
             "wall_sec": round(wall, 3),
             "job_sec": round(t_job, 3),
             "finalize_sec": round(wall - t_job, 3),
-            "docs_per_sec": round(num_docs / wall, 1) if wall > 0 else None,
+            "docs_per_sec": (round(rec["num_docs"] / wall, 1) if wall > 0
+                             else None),
         })
 
     # --- global stats from group partials (reference replay) -------------
@@ -416,10 +392,9 @@ def build_index(
         finalize_stats(index_dir, man.groups, len(field_cols))
     Tombstones(index_dir)  # touch
     if warm_cache:
-        # pre-decode into the mmap cache (one Ray task per term file,
-        # default ON) so the FIRST serving engine starts in
-        # milliseconds instead of paying the cold whole-index decode;
-        # every doc shard filters the one cache
+        # pre-decode into the mmap cache (default ON) so the FIRST
+        # serving engine starts in milliseconds instead of paying the
+        # cold whole-index decode; every doc shard filters the one cache
         from probly_search_ray.search import build_csr_cache
         build_csr_cache(index_dir)
     return man.data

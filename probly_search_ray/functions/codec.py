@@ -9,7 +9,9 @@ columns with zero-copy.
 All encode/decode paths are numpy-vectorized: no Python loop over
 values.  Encoding N values costs ~10 vectorized passes (one per
 possible varint byte position); decoding a whole buffer is a single
-vectorized scan.
+vectorized scan.  Blocks are written by ``SegmentEncoder`` through
+``encode_many`` and read back by ``ShardData._decode_rows``;
+``varint_decode_all`` is the plain-stream decoder.
 
 Posting block layout (one *block* per value of a term within one doc
 range; a term's full posting list is an ordered sequence of blocks,
@@ -87,61 +89,6 @@ def varint_decode_all(buf: bytes | np.ndarray) -> np.ndarray:
         sel = lengths > j
         vals[sel] |= (b[starts[sel] + j].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * j)
     return vals
-
-
-def encode_block(doc_ids: np.ndarray,
-                 tfs: list[np.ndarray], lens: list[np.ndarray]) -> bytes:
-    """Encode one posting block.  ``doc_ids`` must be sorted ascending."""
-    n = len(doc_ids)
-    d = doc_ids.astype(np.uint64, copy=False)
-    deltas = np.diff(d)
-    parts = [np.array([n, d[0] if n else 0], dtype=np.uint64), deltas]
-    for tf in tfs:
-        parts.append(tf.astype(np.uint64, copy=False))
-    for ln in lens:
-        parts.append(ln.astype(np.uint64, copy=False))
-    return varint_encode(np.concatenate(parts))
-
-
-def decode_blob(blob: bytes, num_fields: int):
-    """Decode a blob = concatenation of one or more posting blocks.
-
-    Returns (doc_ids, occ, tfs[F], lens[F]) as uint64 arrays, concatenated
-    across blocks in stored order (doc-range order → globally sorted).
-    ``occ`` is reconstructed as Σ_f tf_f.
-    """
-    vals = varint_decode_all(blob)
-    out_docs = []
-    out_tfs = [[] for _ in range(num_fields)]
-    out_lens = [[] for _ in range(num_fields)]
-    i = 0
-    total = len(vals)
-    while i < total:
-        n = int(vals[i])
-        first = vals[i + 1]
-        j = i + 2
-        deltas = vals[j:j + max(n - 1, 0)]
-        j += max(n - 1, 0)
-        docs = np.empty(n, dtype=np.uint64)
-        if n:
-            docs[0] = first
-            if n > 1:
-                np.cumsum(deltas, out=docs[1:])
-                docs[1:] += first
-        out_docs.append(docs)
-        for f in range(num_fields):
-            out_tfs[f].append(vals[j:j + n]); j += n
-        for f in range(num_fields):
-            out_lens[f].append(vals[j:j + n]); j += n
-        i = j
-    cat = np.concatenate
-    docs = cat(out_docs) if out_docs else np.empty(0, np.uint64)
-    tfs = [cat(x) if x else np.empty(0, np.uint64) for x in out_tfs]
-    lens = [cat(x) if x else np.empty(0, np.uint64) for x in out_lens]
-    occ = np.zeros(len(docs), dtype=np.uint64)
-    for tf in tfs:
-        occ += tf
-    return docs, occ, tfs, lens
 
 
 def encode_many(values: np.ndarray, boundaries: np.ndarray) -> list[bytes]:

@@ -392,62 +392,26 @@ def compact_groups(index_dir: str) -> int:
     ds.repartition(nparts).sort(["term", "doc_lo"]).write_parquet(tmp_dir)
     os.replace(tmp_dir, new_dir)
 
-    term_files = []
-    meta_tables = []
-    import pyarrow.dataset as pads
-    for f in sorted(glob.glob(os.path.join(new_dir, "*.parquet"))):
-        pf = pq.ParquetFile(f)
-        if pf.metadata.num_rows == 0:
-            os.unlink(f)
-            continue
-        tcol = pads.dataset(f).to_table(columns=["term"])["term"]
-        term_files.append({"path": os.path.relpath(f, index_dir),
-                           "term_min": tcol[0].as_py(),
-                           "term_max": tcol[-1].as_py(),
-                           "rows": pf.metadata.num_rows})
-        mtab = pads.dataset(f).to_table(filter=pads.field("term") == "")
-        for blob in mtab["blob"].to_pylist():
-            meta_tables.append(read_docmeta_ipc(blob))
-
-    updates = {}
-    first = dict(man.groups[gids[0]])
-    first["term_files"] = term_files
-    first["num_docs"] = sum(man.groups[g]["num_docs"] for g in gids)
-    first["field_len_sums"] = [
-        sum(man.groups[g]["field_len_sums"][f] for g in gids)
-        for f in range(nf)]
-    if all("field_last_val_doc" in man.groups[g] for g in gids):
-        first["field_last_val_doc"] = [
-            max(man.groups[g]["field_last_val_doc"][f] for g in gids)
-            for f in range(nf)]
-        first["doc_max"] = max(man.groups[g].get("doc_max", -1)
-                               for g in gids)
-    first["compact_gen"] = gen
-    first["compacted_from"] = gids
-    updates[gids[0]] = first
-    for g in gids[1:]:
-        rec = dict(man.groups[g])
-        rec["term_files"] = []
-        rec["num_docs"] = 0
-        rec["field_len_sums"] = [0] * nf
-        rec["field_last_val_doc"] = [-1] * nf
-        rec["doc_max"] = -1
-        updates[g] = rec
     # new docmeta before the commit (duplicate rows across group files
     # are benign for readers; old files removed after the swap)
-    meta_dir = os.path.join(index_dir, "docmeta")
-    os.makedirs(meta_dir, exist_ok=True)
-    if meta_tables:
-        tmp = os.path.join(meta_dir, f"group={gids[0]}.parquet.tmp")
-        pq.write_table(pa.concat_tables(meta_tables), tmp)
-        os.replace(tmp, os.path.join(meta_dir, f"group={gids[0]}.parquet"))
+    from probly_search_ray.build import finalize_group
+    first = dict(man.groups[gids[0]])
+    first.update(finalize_group(index_dir, new_dir, gids[0], nf))
+    first["compact_gen"] = gen
+    first["compacted_from"] = gids
+    updates = {gids[0]: first}
+    for g in gids[1:]:
+        updates[g] = {**man.groups[g], "term_files": [], "term_rows": 0,
+                      "term_bytes": 0, "num_docs": 0,
+                      "field_len_sums": [0] * nf,
+                      "field_last_val_doc": [-1] * nf, "doc_max": -1}
     man.commit_groups(updates)  # ONE atomic swap
     for d in old_dirs:
         if os.path.normpath(d) != os.path.normpath(new_dir) \
                 and os.path.exists(d):
             shutil.rmtree(d)
     for g in gids[1:]:
-        p = os.path.join(meta_dir, f"group={g}.parquet")
+        p = os.path.join(index_dir, "docmeta", f"group={g}.parquet")
         if os.path.exists(p):
             os.unlink(p)
     from probly_search_ray.search import build_csr_cache
@@ -478,6 +442,7 @@ def vacuum(index_dir: str) -> None:
     _gc_unreferenced_group_dirs(index_dir, man)
     if len(tomb_arr) == 0:
         return
+    from probly_search_ray.build import finalize_group
     nf = man.data["config"]["num_fields"]
     for gid, rec in sorted(man.groups.items()):
         cur_files = sorted(os.path.join(index_dir, tf["path"])
@@ -501,51 +466,7 @@ def vacuum(index_dir: str) -> None:
         out.write_parquet(tmp_dir)
         os.replace(tmp_dir, new_dir)
         # refresh lineage: term ranges + docmeta for this group
-        term_files = []
-        meta_tables = []
-        num_docs = 0
-        sums = np.zeros(nf, dtype=np.int64)
-        lvd = [-1] * nf
-        doc_max = -1
-        import pyarrow.dataset as pads
-        for f in sorted(glob.glob(os.path.join(new_dir, "*.parquet"))):
-            pf = pq.ParquetFile(f)
-            if pf.metadata.num_rows == 0:
-                os.unlink(f)
-                continue
-            tcol = pads.dataset(f).to_table(columns=["term"])["term"]
-            tmin = tcol[0].as_py() if len(tcol) else None
-            tmax = tcol[-1].as_py() if len(tcol) else None
-            term_files.append({"path": os.path.relpath(f, index_dir),
-                               "term_min": tmin, "term_max": tmax,
-                               "rows": pf.metadata.num_rows})
-            mtab = pads.dataset(f).to_table(filter=pads.field("term") == "")
-            for blob in mtab["blob"].to_pylist():
-                mt = read_docmeta_ipc(blob)
-                meta_tables.append(mt)
-                num_docs += len(mt)
-                ids = mt["doc_id"].to_numpy()
-                if len(ids):
-                    doc_max = max(doc_max, int(ids.max()))
-                for fi in range(nf):
-                    sums[fi] += int(np.sum(mt[f"tot_{fi}"].to_numpy()))
-                    hv = mt[f"hv_{fi}"].to_numpy().astype(bool) \
-                        if f"hv_{fi}" in mt.column_names else \
-                        np.ones(len(ids), dtype=bool)
-                    if hv.any():
-                        lvd[fi] = max(lvd[fi], int(ids[hv].max()))
-        meta_path = os.path.join(index_dir, "docmeta", f"group={gid}.parquet")
-        if meta_tables:
-            tmp = meta_path + ".tmp"
-            pq.write_table(pa.concat_tables(meta_tables), tmp)
-            os.replace(tmp, meta_path)
-        elif os.path.exists(meta_path):
-            os.unlink(meta_path)
-        rec["term_files"] = term_files
-        rec["num_docs"] = int(num_docs)
-        rec["field_len_sums"] = [int(s) for s in sums]
-        rec["field_last_val_doc"] = [int(v) for v in lvd]
-        rec["doc_max"] = int(doc_max)
+        rec.update(finalize_group(index_dir, new_dir, gid, nf))
         rec["vacuum_gen"] = gen
         man.commit_group(gid, rec)  # atomic: now points at new_dir
         for d in old_dirs:

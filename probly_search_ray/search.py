@@ -222,9 +222,11 @@ class ShardData:
     access is a zero-copy numpy slice, with no per-expansion decode
     loop — the round-1 p95 tail was thousands of rare prefix expansions
     each paying a Python per-block decode.  The whole load path is
-    vectorized (one varint scan over the concatenated blob stream,
-    block headers parsed in rounds, segmented cumsum for the doc-id
-    deltas).
+    vectorized (varint scans over byte-bounded chunks of the
+    concatenated blob stream, block headers parsed in rounds, segmented
+    cumsum for the doc-id deltas).  A cold load writes the mmap'd cache
+    that later loads read; ``build_csr_cache`` is that same load, run
+    ahead of serving.
 
     A posting holds only what is its own: ``p_ord``, the doc's rank in
     the per-doc table ``doc_ids`` (sorted, so ordinals keep doc-id
@@ -347,6 +349,12 @@ class ShardData:
         return os.path.join(index_dir, "cache", f"csr-{rng}-{sig}")
 
     def _write_cache(self, cdir: str) -> None:
+        """Save the arrays into a temp dir beside ``cdir``, after
+        removing the caches of stale manifest states, and publish it as
+        ``cdir`` by an atomic rename.  Best-effort: a read-only index
+        dir serves without a cache."""
+        import shutil
+        import tempfile
         F = self.num_fields
         arrays = {"df": self.df, "first_pos": self.first_pos,
                   "first_off": self.first_off, "trie_rank": self.trie_rank,
@@ -357,10 +365,33 @@ class ShardData:
             arrays[f"doc_len_{f}"] = self.doc_len[f]
             arrays[f"tf_max_{f}"] = self.tf_max[f]
             arrays[f"len_min_{f}"] = self.len_min[f]
-        arrays.update(_frontier_files(self.fr))
-        tmp = _cache_tmp(cdir)
-        if tmp is not None:
-            _cache_commit(tmp, cdir, arrays, self.terms)
+        for (m, f), arrs in self.fr.items():
+            for part, arr in zip(("off", "tf", "len"), arrs):
+                arrays[f"fr_{part}_{m}_{f}"] = arr
+        # length-prefixed utf8 (terms may contain any byte but NUL)
+        enc = [t.encode() for t in self.terms]
+        arrays["term_lens"] = np.asarray([len(e) for e in enc],
+                                         dtype=np.int64)
+        parent = os.path.dirname(cdir)
+        prefix = os.path.basename(cdir).rsplit("-", 1)[0] + "-"
+        tmp = None
+        try:
+            os.makedirs(parent, exist_ok=True)
+            for d in os.listdir(parent):
+                if d.startswith(prefix) and os.path.join(parent, d) != cdir:
+                    shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
+            tmp = tempfile.mkdtemp(dir=parent)
+            for name, arr in arrays.items():
+                np.save(os.path.join(tmp, name + ".npy"), arr)
+            with open(os.path.join(tmp, "terms.bin"), "wb") as fh:
+                fh.write(b"".join(enc))
+            if not os.path.exists(cdir):
+                os.replace(tmp, cdir)
+        except OSError:
+            pass
+        finally:
+            if tmp is not None:
+                shutil.rmtree(tmp, ignore_errors=True)
 
     def _load_from_cache(self, cdir: str) -> bool:
         if not os.path.isdir(cdir):
@@ -494,11 +525,13 @@ class ShardData:
         """The removed-doc set this shard serves (see ``set_tombstones``)."""
         return self._tomb
 
-    # rows per decode chunk: bounds the varint-scan temporaries (which
-    # the tuned allocator then REUSES across chunks) — an unchunked scan
-    # allocates ~40 bytes of fresh pages per varint value, and
-    # first-touch page faults dominate this host
-    _DECODE_CHUNK_ROWS = 1_000_000
+    # blob bytes per decode chunk (a row larger than this is one chunk):
+    # the varint scan allocates ~40 bytes of temporaries per value,
+    # about one value a byte, so a chunk's temporaries stay near 40 MB
+    # and the tuned allocator REUSES them from chunk to chunk; an
+    # unbounded scan touches fresh pages for all of them, and where
+    # first-touch page faults are slow they dominate the decode
+    _DECODE_CHUNK_BYTES = 1 << 20
 
     @staticmethod
     def _decode_rows(stream: np.ndarray, row_byte_start: np.ndarray, F: int):
@@ -581,12 +614,16 @@ class ShardData:
         off_arr = off_buf[blob_col.offset: blob_col.offset + nrows + 1]
         data = np.frombuffer(blob_col.buffers()[2], dtype=np.uint8)
 
-        CH = self._DECODE_CHUNK_ROWS
         docs_p, rc_p = [], []
         tf_p = [[] for _ in range(F)]
         len_p = [[] for _ in range(F)]
-        for i0 in range(0, nrows, CH):
-            i1 = min(i0 + CH, nrows)
+        i1 = 0
+        while i1 < nrows:
+            i0 = i1
+            # the rows whose blobs end within the byte bound, at least one
+            i1 = max(i0 + 1, int(np.searchsorted(
+                off_arr, off_arr[i0] + self._DECODE_CHUNK_BYTES,
+                "right")) - 1)
             stream = data[off_arr[i0]:off_arr[i1]]
             rbs = (off_arr[i0:i1] - off_arr[i0]).astype(np.int64)
             d, tfs, lens, rc = self._decode_rows(stream, rbs, F)
@@ -1298,18 +1335,14 @@ class DictRange:
         return len(self.terms)
 
 
-def _narrow_dtype(vmax: int) -> np.dtype:
-    """The narrowest unsigned dtype holding ``vmax``: the one width
-    rule of the cache's tf and field-length arrays."""
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest unsigned dtype that holds its max: the one
+    width rule of the cache's tf and field-length arrays."""
+    vmax = int(a.max()) if len(a) else 0
     for dt in (np.uint8, np.uint16, np.uint32):
         if vmax <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    return np.dtype(np.uint64)
-
-
-def _narrow(a: np.ndarray) -> np.ndarray:
-    return a.astype(_narrow_dtype(int(a.max()) if len(a) else 0),
-                    copy=False)
+            return a.astype(dt, copy=False)
+    return a.astype(np.uint64, copy=False)
 
 
 def _ord_dtype(n_docs: int) -> np.dtype:
@@ -1317,272 +1350,23 @@ def _ord_dtype(n_docs: int) -> np.dtype:
     return np.dtype(np.uint32 if n_docs <= 1 << 32 else np.uint64)
 
 
-def _frontier_files(fr) -> dict:
-    return {f"fr_{part}_{m}_{f}": arr for (m, f), arrs in fr.items()
-            for part, arr in zip(("off", "tf", "len"), arrs)}
-
-
-def _cache_tmp(cdir: str) -> str | None:
-    """A fresh temp dir next to ``cdir``, after removing the caches of
-    stale manifest states; None when the index dir is read-only (the
-    cache is best-effort)."""
-    import shutil
-    import tempfile
-    try:
-        parent = os.path.dirname(cdir)
-        os.makedirs(parent, exist_ok=True)
-        prefix = os.path.basename(cdir).rsplit("-", 1)[0] + "-"
-        for d in os.listdir(parent):
-            if d.startswith(prefix) and os.path.join(parent, d) != cdir:
-                shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
-        return tempfile.mkdtemp(dir=parent)
-    except OSError:
-        return None
-
-
-def _cache_commit(tmp: str, cdir: str, arrays: dict, terms) -> bool:
-    """Save ``arrays`` (file name → array) and the terms into ``tmp``
-    and publish it as ``cdir`` by an atomic rename."""
-    import shutil
-    try:
-        for name, arr in arrays.items():
-            np.save(os.path.join(tmp, name + ".npy"), arr)
-        # length-prefixed utf8 (terms may contain any byte but NUL)
-        enc = [t.encode() for t in terms]
-        np.save(os.path.join(tmp, "term_lens.npy"),
-                np.asarray([len(e) for e in enc], dtype=np.int64))
-        with open(os.path.join(tmp, "terms.bin"), "wb") as fh:
-            fh.write(b"".join(enc))
-        os.replace(tmp, cdir) if not os.path.exists(cdir) else \
-            shutil.rmtree(tmp)
-        return True
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        return False
-
-
-def _decode_term_file(path: str, F: int, docs):
-    """Decode ONE term-sorted parquet shard file into partial CSR arrays
-    against the per-doc table ``docs`` (runs as a Ray task in the
-    parallel cache build).  Returns dictionary-size metadata inline; the
-    posting-size arrays stay in the OBJECT STORE (ref) so the calling
-    process never touches them."""
-    import pyarrow as pa
-    import pyarrow.dataset as pads
-    import ray
-    from probly_search_ray.functions.mem import tune_allocator
-    from probly_search_ray.stages.segment import SEGMENT_SCHEMA
-    tune_allocator()
-    t = pads.dataset(path).to_table(
-        filter=pads.field("term") != "",
-        columns=["term", "doc_lo", "df", "first_pos",
-                         "first_off", "blob"])
-    if not len(t):
-        return None
-    want = pa.schema([SEGMENT_SCHEMA.field(n) for n in t.column_names])
-    sd = ShardData.__new__(ShardData)
-    sd.num_fields = F
-    sd._load_csr(t.cast(want), F, docs)  # rows are (term, doc_lo)-sorted
-    cnt = np.diff(sd.post_off)
-    # zero-posting terms (df-0 vacuum witnesses) own no doc range;
-    # ordinals keep doc-id order, so the ranges compare as ordinals
-    doc_lo = np.zeros(len(cnt), np.int64)
-    doc_hi = np.zeros(len(cnt), np.int64)
-    nz = cnt > 0
-    if nz.any():
-        doc_lo[nz] = sd.p_ord[sd.post_off[:-1][nz]]
-        doc_hi[nz] = sd.p_ord[(sd.post_off[1:] - 1)[nz]]
-    big = ray.put((sd.p_ord, sd.p_tf))
-    # per-part Pareto frontier CANDIDATES (already computed by
-    # _compute_bounds inside _load_csr): dictionary-scale, returned
-    # inline; the caller re-filters the per-term union across parts.
-    # A part whose postings name docs the table lacks extended its own
-    # table, so its ordinals are not the caller's (``extended``).
-    extended = len(sd.doc_ids) != len(docs[0])
-    return (sd.terms, sd.df, sd.first_pos, cnt, sd.tf_max, sd.len_min,
-            doc_lo, doc_hi, big, sd.fr, sd.first_off, extended)
-
-
-def _write_cache_slices(tmp_dir: str, F: int, big, dest_starts,
-                        counts):
-    """Phase-2 writer task: place one part's posting arrays into the
-    preallocated memmap .npy files at the destination offsets computed
-    by the driver (disjoint ranges across tasks → safe parallel
-    writes).  ``big`` arrives as an auto-dereferenced object-store
-    ref."""
-    from probly_search_ray.functions.mem import tune_allocator
-    tune_allocator()
-    p_ord, p_tf = big
-    idx = np.repeat(dest_starts, counts) + _grouped_arange(counts)
-    for name, arr in (("p_ord", p_ord),
-                      *((f"p_tf_{f}", p_tf[f]) for f in range(F))):
-        mm = np.load(os.path.join(tmp_dir, name + ".npy"), mmap_mode="r+")
-        mm[idx] = arr
-        del mm
-    return True
-
-
 def build_csr_cache(index_dir: str) -> bool:
-    """Build the decoded-CSR mmap cache fully in parallel —
-    so the first serving engine after a fresh build starts from the
-    cache instead of paying a cold single-process varint decode of the
-    whole index (minutes at 10⁶+ docs).  Every doc shard filters it.
-
-    Shape (this process only touches DICTIONARY- and DOC-sized data):
-      docs — it reads the per-doc table from docmeta;
-      phase 1 — one Ray task per term file decodes partial CSR arrays
-        (doc ids become ordinals into the table); posting-sized arrays
-        stay in the object store, only per-term metadata returns to the
-        driver;
-      merge — the driver stable-sorts dictionary rows by (term, group)
-        (groups carry ascending doc ranges for sequential ids, so
-        appends keep this path) and computes each part's destination
-        offsets — all vocab-sized arithmetic;
-      phase 2 — writer tasks place each part's postings into
-        PREALLOCATED memmap .npy files at disjoint offsets (parallel
-        writes; the driver never materializes a posting array).
-
-    Falls back to the in-process sorted ``ShardData`` load (which also
-    writes the cache) for hashed string keys, overlapping per-term
-    doc ranges, where postings need a global re-sort, and postings of
-    docs docmeta lacks.  Returns True when a cache exists on exit."""
-    import shutil
-
-    import ray
-
-    from probly_search_ray.maintain import docmeta_table
-
+    """Write the decoded-CSR mmap cache of the index's current manifest
+    state, so the first serving engine after a build or a maintenance
+    step starts from the cache instead of a cold varint decode.  It is
+    ``ShardData``'s own cold load (one in-process decode, the same
+    bytes any cold load writes) without the serving-only parts: no
+    doc-ordered posting index, no doc-mod view.  Every doc shard
+    filters this one cache.  Returns True when a cache exists on
+    exit."""
     man = Manifest(index_dir)
     if not man.data["config"]:
         return False
-    F = man.data["config"]["num_fields"]
-    cdir = ShardData._cache_path(index_dir, man)
-    if os.path.isdir(cdir):
+    if os.path.isdir(ShardData._cache_path(index_dir, man)):
         return True
-    if man.data["config"].get("string_key"):
-        ShardData(index_dir)  # hashed ids interleave → needs the re-sort
-        return os.path.isdir(cdir)
-    recs = sorted(man.term_files(),
-                  key=lambda r: (r["term_min"] or "", r["path"]))
-    if not recs:
-        return False
-    docs = docmeta_table(index_dir, F)
-    docs_ref = ray.put(docs)   # one object-store copy for every task
-    task = ray.remote(num_cpus=1)(_decode_term_file)
-    results = ray.get([task.remote(os.path.join(index_dir, r["path"]), F,
-                                   docs_ref) for r in recs])
-    grank = {g: i for i, g in
-             enumerate(sorted({r["group"] for r in recs}))}
-    parts = [(p, grank[r["group"]])
-             for p, r in zip(results, recs) if p is not None]
-    if not parts:
-        return False
-    if any(p[11] for p, _ in parts):
-        ShardData(index_dir)  # docs missing from docmeta: one table
-        return os.path.isdir(cdir)
-    # --- dictionary-level merge (everything here is vocab-sized) -----
-    terms = np.asarray([t for p, _ in parts for t in p[0]], dtype=object)
-    nrows = len(terms)
-    df = np.concatenate([p[1] for p, _ in parts])
-    fp = np.concatenate([p[2] for p, _ in parts])
-    fo = np.concatenate([p[10] for p, _ in parts])
-    cnt = np.concatenate([p[3] for p, _ in parts])
-    tfm = [np.concatenate([p[4][f] for p, _ in parts]) for f in range(F)]
-    lmn = [np.concatenate([p[5][f] for p, _ in parts]) for f in range(F)]
-    doc_lo = np.concatenate([p[6] for p, _ in parts])
-    doc_hi = np.concatenate([p[7] for p, _ in parts])
-    row_g = np.concatenate([np.full(len(p[0]), g, dtype=np.int64)
-                            for p, g in parts])
-    o1 = np.argsort(row_g, kind="stable")
-    order = o1[np.argsort(terms[o1], kind="stable")]
-    t_o = terms[order]
-    lo_o, hi_o = doc_lo[order], doc_hi[order]
-    if nrows > 1:
-        same = t_o[1:] == t_o[:-1]
-        if (same & (lo_o[1:] <= hi_o[:-1])).any():
-            ShardData(index_dir)  # overlapping doc ranges: global sort
-            return os.path.isdir(cdir)
-    cnt_o = cnt[order]
-    new = np.ones(nrows, dtype=bool)
-    new[1:] = t_o[1:] != t_o[:-1]
-    runs = np.flatnonzero(new)
-    terms_m = [str(t) for t in t_o[runs]]
-    df_m = np.add.reduceat(df[order], runs)
-    fp_m = np.minimum.reduceat(fp[order], runs)
-    run_l = np.diff(np.concatenate((runs, [nrows])))
-    fo_o = np.where(fp[order] == np.repeat(fp_m, run_l),
-                    fo[order], np.uint32(0xFFFFFFFF))
-    fo_m = np.minimum.reduceat(fo_o, runs).astype(np.uint32)
-    cnt_m = np.add.reduceat(cnt_o, runs)
-    tfm_m = [np.maximum.reduceat(t[order], runs).astype(np.uint32)
-             for t in tfm]
-    # df-0 witness rows own no postings: their len_min 0 must not drag
-    # a merged term's bound down, so they carry the uint32 max instead
-    # (a term with ONLY witness rows keeps 0, like _compute_bounds)
-    wit = cnt_o == 0
-    lmn_m = [np.minimum.reduceat(np.where(wit, np.uint32(0xFFFFFFFF),
-                                          l[order]), runs).astype(np.uint32)
-             for l in lmn]
-    for l in lmn_m:
-        l[cnt_m == 0] = 0
-    # merge per-part Pareto frontier candidates: union each merged
-    # term's candidates across parts, re-filter (dictionary-scale work
-    # — candidate width per term is ≤ #distinct tf values; a posting's
-    # support class is a per-posting property, so per-part classes
-    # union cleanly)
-    n_m = len(runs)
-    mrow = np.cumsum(new) - 1          # merged term id per ordered row
-    fr_m = {}
-    for ch in _frontier_channels(F):
-        c_cnt = np.concatenate([np.diff(p[9][ch][0]) for p, _ in parts])
-        c_tf = np.concatenate([p[9][ch][1] for p, _ in parts])
-        c_ln = np.concatenate([p[9][ch][2] for p, _ in parts])
-        starts = np.cumsum(c_cnt) - c_cnt
-        oc = c_cnt[order]
-        gi = np.repeat(starts[order], oc) + _grouped_arange(oc)
-        ctid = np.repeat(mrow, oc)
-        fr_m[ch] = _pareto_filter(ctid, c_tf[gi], c_ln[gi], n_m)
-    post_off = np.concatenate(([0], np.cumsum(cnt_m))).astype(np.int64)
-    total = int(post_off[-1])
-    # destination offset of each source row: by construction post_off
-    # follows the same (term, group) order, so it's the running count
-    dest_o = np.cumsum(cnt_o) - cnt_o
-    dest = np.empty(nrows, dtype=np.int64)
-    dest[order] = dest_o
-    # --- preallocate memmaps + phase-2 parallel slice writes ---------
-    tmp = _cache_tmp(cdir)
-    if tmp is None:
-        return False
-    # the narrow tf dtype of a field holds its largest tf_max
-    dtypes = {"p_ord": _ord_dtype(len(docs[0])),
-              **{f"p_tf_{f}": _narrow_dtype(int(tfm_m[f].max()))
-                 for f in range(F)}}
-    try:
-        for name, dt in dtypes.items():
-            np.lib.format.open_memmap(os.path.join(tmp, name + ".npy"),
-                                      mode="w+", dtype=dt, shape=(total,))
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        return False
-    wtask = ray.remote(num_cpus=1)(_write_cache_slices)
-    futs = []
-    row0 = 0
-    for p, _ in parts:
-        nr = len(p[0])
-        futs.append(wtask.remote(tmp, F, p[8], dest[row0:row0 + nr],
-                                 cnt[row0:row0 + nr]))
-        row0 += nr
-    ray.get(futs)
-    arrays = {"df": df_m, "first_pos": fp_m, "first_off": fo_m,
-              "trie_rank": trie_rank(terms_m, fp_m, fo_m),
-              "post_off": post_off, "doc_ids": docs[0]}
-    for f in range(F):
-        arrays[f"doc_len_{f}"] = _narrow(docs[1][f])
-        arrays[f"tf_max_{f}"] = tfm_m[f]
-        arrays[f"len_min_{f}"] = lmn_m[f]
-    arrays.update(_frontier_files(fr_m))
-    return _cache_commit(tmp, cdir, arrays, terms_m) \
-        and os.path.isdir(cdir)
+    sd = ShardData.__new__(ShardData)
+    sd._open(index_dir, use_cache=True, doc_mod=None)
+    return os.path.isdir(sd._cache_dir)
 
 
 def _reduce_max_by_doc(d, s):

@@ -268,8 +268,8 @@ def test_zero_average_field_scores_without_warnings(tmp_path):
 def test_docs_missing_from_docmeta_take_blob_lengths(tmp_path):
     """A vacuum that crashed after rewriting docmeta, before its commit,
     leaves tombstoned docs' postings with no docmeta row: the cache
-    build falls back to the in-process load, which adds those docs to
-    the per-doc table with the lengths their postings carry."""
+    build (the in-process load) adds those docs to the per-doc table
+    with the lengths their postings carry."""
     from probly_search_ray.search import build_csr_cache
     rng = np.random.default_rng(5)
     path = str(tmp_path / "m.parquet")
@@ -295,6 +295,64 @@ def test_docs_missing_from_docmeta_take_blob_lengths(tmp_path):
             assert sd.doc_len[f][sd.p_ord].tolist() == [
                 blob[(sd.terms[e], d)][f] for e, d in zip(ent.tolist(), docs)]
     assert [SearchEngine(idx).query(q, "bm25") for q in queries] == before
+
+
+_NO_RAY_CACHE_BUILD = """
+import sys
+sys.modules["ray"] = None          # every ``import ray`` now raises
+import numpy as np
+from probly_search_ray.search import ShardData, build_csr_cache
+from probly_search_ray.state.manifest import Manifest
+
+idx = sys.argv[1]
+assert build_csr_cache(idx)
+man = Manifest(idx)
+sd = ShardData.__new__(ShardData)
+sd.num_fields = man.data["config"]["num_fields"]
+assert sd._load_from_cache(ShardData._cache_path(idx, man))
+ShardData._DECODE_CHUNK_BYTES = 37  # many chunks, some of one big row
+raw = ShardData(idx, use_cache=False)
+assert sd.terms == raw.terms
+pairs = [(getattr(sd, n), getattr(raw, n)) for n in (
+    "df", "first_pos", "first_off", "trie_rank", "post_off", "doc_ids",
+    "p_ord")]
+for n in ("p_tf", "doc_len", "tf_max", "len_min"):
+    pairs += list(zip(getattr(sd, n), getattr(raw, n)))
+assert set(sd.fr) == set(raw.fr)
+pairs += [(a, b) for ch in raw.fr for a, b in zip(sd.fr[ch], raw.fr[ch])]
+for got, want in pairs:
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+print("ok", len(pairs))
+"""
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_cache_build_needs_no_ray(tmp_path):
+    """``build_csr_cache`` is the engine's own in-process decode: in a
+    process where ``import ray`` raises, it rebuilds the removed cache
+    of a 2-group index, and every cache array equals a fresh decode's,
+    dtype included, also when that decode runs in many small chunks."""
+    import shutil
+    import subprocess
+    import sys
+    rng = np.random.default_rng(9)
+    idx = str(tmp_path / "index")
+    files = []
+    for g, (lo, hi) in enumerate([(0, 40), (40, 70)]):
+        files.append(str(tmp_path / f"g{g}.parquet"))
+        _write(files[-1], _rows(rng, lo, hi))
+    build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
+                batch_size=9)
+    assert sum(1 for g in Manifest(idx).groups.values()
+               if g["term_files"]) == 2
+    copy = str(tmp_path / "copy")
+    shutil.copytree(idx, copy, ignore=shutil.ignore_patterns("cache"))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", _NO_RAY_CACHE_BUILD, copy],
+                         cwd=root, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ok")
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -459,9 +459,9 @@ def _assert_same_postings(hit, raw):
 
 @pytest.mark.usefixtures("ray_session")
 def test_csr_cache_multigroup_merge(tmp_path):
-    """Parallel build-time cache with MULTIPLE un-compacted groups
-    (interleaved term ranges): the driver-side (term, group) merge must
-    yield the same dictionary + results as the in-proc sorted load."""
+    """Build-time cache with MULTIPLE un-compacted groups (interleaved
+    term ranges): it must yield the same dictionary + results as an
+    uncached load."""
     rng = np.random.default_rng(17)
     vocab = np.array(["a", "ab", "abc", "b", "ba", "ca", "zz", "zq"])
     corpus = _rand_corpus(rng, 90, 1, vocab)
@@ -474,15 +474,14 @@ def test_csr_cache_multigroup_merge(tmp_path):
                  for gi in range(3)], idx, key_col="doc_id",
                 field_cols=["f0"], files_per_group=1, overwrite=True)
     from probly_search_ray.search import ShardData
-    hit = ShardData(idx)                        # build-time merged cache
-    raw = ShardData(idx, use_cache=False)       # in-proc sorted load
+    hit = ShardData(idx)                        # build-time cache
+    raw = ShardData(idx, use_cache=False)       # uncached load
     assert hit.terms == raw.terms
     assert (np.asarray(hit.df) == raw.df).all()
     _assert_same_postings(hit, raw)
     for f in range(1):
         assert (np.asarray(hit.tf_max[f]) == raw.tf_max[f]).all()
-    # the driver-side merged Pareto frontiers (union-across-groups then
-    # re-filter) must equal the fresh single-pass computation
+    # the cached Pareto frontiers equal the fresh computation
     assert set(hit.fr) == set(raw.fr)
     for ch in raw.fr:
         for a, b in zip(raw.fr[ch], hit.fr[ch]):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probly_search_ray.functions.codec import (
-    decode_blob, encode_block, encode_many, varint_decode_all, varint_encode)
+    encode_many, varint_decode_all, varint_encode)
 from probly_search_ray.functions.hashing import (
     hash_tokens_u64, minhash_signatures, rolling_fingerprint,
     shingle_hashes, simhash64)
@@ -31,22 +31,34 @@ def test_encode_many_boundaries():
 
 
 def test_block_roundtrip_multiblock():
+    """Posting blocks in ``SegmentEncoder``'s layout, varint-encoded
+    with ``encode_many``, decode with ``ShardData._decode_rows``: a row
+    holding three blocks and a row holding one come back with their
+    docs, per-field tfs and lengths, and per-row posting counts."""
+    from probly_search_ray.search import ShardData
+    from probly_search_ray.stages.segment import SegmentEncoder
     rng = np.random.default_rng(1)
-    blobs = b""
-    all_docs = []
-    base = 0
-    for _ in range(3):
-        d = np.unique(rng.integers(base, base + 10**6, 50).astype(np.uint64))
-        base += 10**6
-        tfs = [rng.integers(1, 3, len(d)).astype(np.uint64),
-               rng.integers(0, 3, len(d)).astype(np.uint64)]
-        lens = [rng.integers(1, 99, len(d)).astype(np.uint64)] * 2
-        blobs += encode_block(d, tfs, lens)
-        all_docs.append((d, tfs[0] + tfs[1]))
-    docs, occ, tfs, lens = decode_blob(blobs, 2)
-    assert (docs == np.concatenate([d for d, _ in all_docs])).all()
-    # occ reconstructed as sum of per-field tf
-    assert (occ == np.concatenate([o for _, o in all_docs])).all()
+    F = 2
+    docs = [np.unique(rng.integers(b * 10**6, (b + 1) * 10**6, 50))
+            for b in range(4)]
+    blk_lens = np.asarray([len(d) for d in docs])
+    docs = np.concatenate(docs).astype(np.uint64)
+    tfs = [rng.integers(1, 3, len(docs)).astype(np.uint64),
+           rng.integers(0, 3, len(docs)).astype(np.uint64)]
+    lens = [rng.integers(1, 99, len(docs)).astype(np.uint64)
+            for _ in range(F)]
+    values, bounds = SegmentEncoder._value_stream(
+        docs, tfs, lens, np.cumsum(blk_lens) - blk_lens, blk_lens, F)
+    blocks = encode_many(values, bounds)
+    rows = [b"".join(blocks[:3]), blocks[3]]
+    got_docs, got_tfs, got_lens, counts = ShardData._decode_rows(
+        np.frombuffer(b"".join(rows), np.uint8),
+        np.asarray([0, len(rows[0])], np.int64), F)
+    assert counts.tolist() == [int(blk_lens[:3].sum()), int(blk_lens[3])]
+    assert np.array_equal(got_docs, docs)
+    for f in range(F):
+        assert np.array_equal(got_tfs[f], tfs[f])
+        assert np.array_equal(got_lens[f], lens[f])
 
 
 def test_token_hash_deterministic_and_distinct():

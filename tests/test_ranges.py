@@ -221,9 +221,9 @@ def test_scorers_match_refmodel_under_tombstones(tmp_path, layout):
 @pytest.mark.usefixtures("ray_session")
 def test_cache_len_min_ignores_vacuum_witness(tmp_path):
     """A term whose postings all died in one group keeps a df-0 witness
-    row there after vacuum; the build-time cache merge must give the
-    term its live postings' len_min (the fresh decode's), not the
-    witness's 0."""
+    row there after vacuum; the cache ``build_csr_cache`` writes must
+    give the term its live postings' len_min (the fresh decode's), not
+    the witness's 0."""
     from probly_search_ray.search import build_csr_cache
     idx = str(tmp_path / "index")
     files = []
