@@ -37,6 +37,7 @@ import shutil
 import time
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -47,23 +48,24 @@ from probly_search_ray.stages.segment import SegmentEncoder, read_docmeta_ipc
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 
 
-def finalize_group(index_dir: str, group_dir: str, gid: str,
-                   num_fields: int) -> dict:
-    """Finalize the term files just written to ``group_dir`` for group
-    ``gid`` (by a build, a vacuum or a compaction): drop the empty files
-    a repartition leaves, record each file's exact term range and row
+def finalize_group(index_dir: str, group_dir: str,
+                   num_fields: int) -> tuple[dict, pa.Table | None]:
+    """Finalize the term files just written to ``group_dir`` (by a
+    build, a vacuum or a compaction): drop the empty files a
+    repartition leaves, record each file's exact term range and row
     count (files are term-sorted; footer stats can truncate strings, so
-    the first and last row groups are read), and write the group's
+    the first and last row groups are read), and collect the group's
     docmeta from the files' sentinel rows (term ``""``, found by
-    predicate pushdown) to ``docmeta/group=<gid>.parquet``.  Returns the
-    group record's fields this derives: ``term_files`` with their
+    predicate pushdown).  Returns ``(record, docmeta)``: the group
+    record's fields this derives — ``term_files`` with their
     ``term_rows`` and ``term_bytes``, ``num_docs``, ``field_len_sums``
-    and the add-path stale-avg quirk inputs
-    (src/index.rs:112-113: avg only updates inside the per-value loop),
-    ``field_last_val_doc`` (per field, the max doc_id with >=1 VALUE)
-    and ``doc_max``; -1 = none."""
-    import pyarrow as pa
-
+    and the add-path stale-avg quirk inputs (src/index.rs:112-113: avg
+    only updates inside the per-value loop), ``field_last_val_doc``
+    (per field, the max doc_id with >=1 VALUE) and ``doc_max``; -1 =
+    none — and the docmeta table (None if the group has no docs), for
+    ``write_docmeta``.  Docmeta must hold every doc a committed posting
+    names: a build or a compaction writes it before its manifest
+    commit, a vacuum (whose docmeta shrinks) after it."""
     term_files = []
     tables = []
     sums = [0] * num_fields
@@ -100,23 +102,30 @@ def finalize_group(index_dir: str, group_dir: str, gid: str,
                 if hv.any():
                     last_val_doc[fi] = max(last_val_doc[fi],
                                            int(ids[hv].max()))
+    rec = {"term_files": term_files,
+           "term_rows": sum(r["rows"] for r in term_files),
+           "term_bytes": sum(os.path.getsize(os.path.join(index_dir,
+                                                          r["path"]))
+                             for r in term_files),
+           "num_docs": sum(len(t) for t in tables),
+           "field_len_sums": sums,
+           "field_last_val_doc": last_val_doc,
+           "doc_max": doc_max}
+    return rec, (pa.concat_tables(tables) if tables else None)
+
+
+def write_docmeta(index_dir: str, gid: str,
+                  meta: pa.Table | None) -> None:
+    """Atomically replace ``docmeta/group=<gid>.parquet`` with the
+    table ``meta``, or remove it when ``meta`` is None."""
     meta_dir = os.path.join(index_dir, "docmeta")
     os.makedirs(meta_dir, exist_ok=True)
     meta_path = os.path.join(meta_dir, f"group={gid}.parquet")
-    if tables:
-        pq.write_table(pa.concat_tables(tables), meta_path + ".tmp")
+    if meta is not None:
+        pq.write_table(meta, meta_path + ".tmp")
         os.replace(meta_path + ".tmp", meta_path)
     elif os.path.exists(meta_path):
         os.unlink(meta_path)
-    return {"term_files": term_files,
-            "term_rows": sum(r["rows"] for r in term_files),
-            "term_bytes": sum(os.path.getsize(os.path.join(index_dir,
-                                                           r["path"]))
-                              for r in term_files),
-            "num_docs": sum(len(t) for t in tables),
-            "field_len_sums": sums,
-            "field_last_val_doc": last_val_doc,
-            "doc_max": doc_max}
 
 
 def _count_docs_le(index_dir: str, doc_id: int) -> int:
@@ -242,6 +251,8 @@ def build_index(
 
     Returns the manifest data.  Docs must carry unique ``key_col`` ids;
     insertion order (for reference-order parity) is ascending doc_id.
+    An existing index of another posting format is not appended to (a
+    ``ValueError``): rebuild it with ``overwrite=True``.
 
     ``string_key=True``: ``key_col`` holds string keys (urls) — the
     reference's generic ``T`` key (``src/index.rs:35``).  Each key is
@@ -280,13 +291,12 @@ def build_index(
     groups = [files[i:i + files_per_group]
               for i in range(0, len(files), files_per_group)]
 
-    from probly_search_ray.functions.codec import FORMAT_VERSION
+    from probly_search_ray.functions.codec import (
+        FORMAT_VERSION, check_format_version)
     man = Manifest(index_dir)
-    if man.groups and man.data["config"].get("format_version") != FORMAT_VERSION:
-        # stale on-disk format → full rebuild
-        shutil.rmtree(index_dir)
-        os.makedirs(index_dir, exist_ok=True)
-        man = Manifest(index_dir)
+    if man.groups:  # appending: never mix posting formats in one index
+        check_format_version(index_dir,
+                             man.data["config"].get("format_version"))
     man.set_config({
         "format_version": FORMAT_VERSION,
         "string_key": bool(string_key),
@@ -366,7 +376,8 @@ def build_index(
         t_job = time.perf_counter() - t0
 
         # --- group finalize: term ranges + docmeta + lineage
-        rec = finalize_group(index_dir, out_dir, gid, len(field_cols))
+        rec, meta = finalize_group(index_dir, out_dir, len(field_cols))
+        write_docmeta(index_dir, gid, meta)
         wall = time.perf_counter() - t0
         man.commit_group(gid, {
             "input_files": gfiles,

@@ -6,24 +6,30 @@ docID-sorted, delta+varint-compressed posting blocks — the layout the
 north star asks for and the one that streams through Arrow binary
 columns with zero-copy.
 
-All encode/decode paths are numpy-vectorized: no Python loop over
-values.  Encoding N values costs ~10 vectorized passes (one per
-possible varint byte position); decoding a whole buffer is a single
-vectorized scan.  Blocks are written by ``SegmentEncoder`` through
-``encode_many`` and read back by ``ShardData._decode_rows``;
-``varint_decode_all`` is the plain-stream decoder.
+This module owns the posting-blob layout: ``encode_rows`` writes it
+(the index build's ``SegmentEncoder`` and vacuum's ``_Compactor``)
+and ``decode_rows`` reads it (the engine's cold load, ``_Compactor``
+and the ``index_postings`` export).  All encode/decode paths are
+numpy-vectorized: no Python loop over values.  Encoding N values costs
+~10 vectorized passes (one per possible varint byte position);
+decoding a whole buffer is a single vectorized scan
+(``varint_decode_all``, which ``decode_rows`` runs over its rows'
+bytes).
 
-Posting block layout (one *block* per value of a term within one doc
-range; a term's full posting list is an ordered sequence of blocks,
-possibly spread over several dictionary rows):
+Posting block layout (format v5; a *row* is one term's postings
+within one doc range, its blob an ordered sequence of blocks of at
+most ``block_postings`` postings; a term's full posting list may
+spread over several dictionary rows):
 
     varint stream of:
       n                      number of postings in the block
       first_doc              absolute doc_id of the first posting
-      delta[1..n-1]          doc_id deltas (doc ids strictly increasing)
+      delta[1..n-1]          doc_id deltas (uint64 differences)
       for f in fields: tf_f[0..n-1]    per-field term frequency
-      for f in fields: len_f[0..n-1]   per-field doc length (denormalized
-                             to avoid a doc-meta join at query time)
+
+A doc's field lengths are not in the blobs: they live once per doc in
+docmeta (the reference's ``DocumentDetails.field_length``,
+src/index.rs:348), and every reader takes them from there.
 
 The per-doc occurrence count (df is occurrence-counted,
 src/index.rs:281-297) is NOT stored: occ ≡ Σ_f tf_f, reconstructed at
@@ -37,7 +43,18 @@ import numpy as np
 
 # bump when the posting-block layout changes; stored in the manifest and
 # checked at load so a stale index is rebuilt, not misread
-FORMAT_VERSION = 4  # v4: term-file first_pos split into doc + first_off
+FORMAT_VERSION = 5  # v5: no per-posting field lengths in the blobs
+
+
+def check_format_version(index_dir: str, ver) -> None:
+    """Refuse an index written in another posting format: no older
+    layout is read, the index is rebuilt instead."""
+    if ver != FORMAT_VERSION:
+        raise ValueError(
+            f"index at {index_dir} has format_version={ver}, engine "
+            f"expects {FORMAT_VERSION}; rebuild with "
+            f"build_index(..., overwrite=True)")
+
 
 _POW7 = [np.uint64(1) << np.uint64(7 * k) for k in range(10)]
 
@@ -108,3 +125,109 @@ def encode_many(values: np.ndarray, boundaries: np.ndarray) -> list[bytes]:
         out.append(raw[prev:end])
         prev = end
     return out
+
+
+def grouped_arange(lengths: np.ndarray) -> np.ndarray:
+    """[0..l0), [0..l1), ... concatenated (vectorized per-group arange)."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
+
+
+def encode_rows(docs: np.ndarray, tfs: list[np.ndarray],
+                row_counts: np.ndarray, block_postings: int) -> list[bytes]:
+    """One blob per row: row ``r`` holds the next ``row_counts[r]``
+    postings of ``docs``/``tfs[F]`` in their order, split into blocks of
+    at most ``block_postings`` postings; a row of no postings gets
+    ``b""``.  All blocks go through one vectorized varint pass."""
+    docs = np.asarray(docs, dtype=np.uint64)
+    F = len(tfs)
+    rc = np.asarray(row_counts, dtype=np.int64)
+    r_start = np.cumsum(rc) - rc
+    nblocks = (rc + block_postings - 1) // block_postings
+    b_start = np.repeat(r_start, nblocks) + \
+        grouped_arange(nblocks) * block_postings
+    n = np.minimum(b_start + block_postings,
+                   np.repeat(r_start + rc, nblocks)) - b_start
+    # blocks tile the postings in order: block j's postings are
+    # docs[b_start[j]:b_start[j] + n[j]]
+    offs = np.concatenate(([0], np.cumsum(1 + n * (1 + F))))
+    vals = np.empty(int(offs[-1]), dtype=np.uint64)
+    vals[offs[:-1]] = n
+    dd = docs.copy()
+    dd[1:] -= docs[:-1]
+    dd[b_start] = docs[b_start]   # [first, deltas…] per block
+    ia = grouped_arange(n)
+    sec = offs[:-1] + 1
+    vals[np.repeat(sec, n) + ia] = dd
+    for f in range(F):
+        vals[np.repeat(sec + (1 + f) * n, n) + ia] = tfs[f]
+    return encode_many(vals, offs[np.cumsum(nblocks)])
+
+
+def blob_buffers(col) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy ``(bytes, offsets)`` of one Arrow ``large_binary``
+    array (not chunked): blob ``i`` is ``bytes[offsets[i]:offsets[i+1]]``."""
+    bufs = col.buffers()
+    offs = np.frombuffer(bufs[1], dtype=np.int64)
+    return (np.frombuffer(bufs[2], dtype=np.uint8),
+            offs[col.offset: col.offset + len(col) + 1])
+
+
+def decode_rows(data: np.ndarray, offsets: np.ndarray, F: int):
+    """Decode the contiguous rows whose blobs are
+    ``data[offsets[i]:offsets[i+1]]`` → ``(docs, tfs[F],
+    postings per row)``, docs uint64 and tfs uint32 (exact small ints;
+    half the bytes)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    nrows = len(offsets) - 1
+    stream = data[offsets[0]:offsets[-1]]
+    vals = varint_decode_all(stream)
+    nvals = len(vals)
+    # rows start at value boundaries: a row's first value is the count
+    # of values that end before its first byte.  Block headers are
+    # parsed in rounds (#rounds = max blocks per row, small by
+    # construction)
+    v_row = np.searchsorted(np.flatnonzero((stream & 0x80) == 0),
+                            offsets[:-1] - offsets[0])
+    v_row_end = np.concatenate((v_row[1:], [nvals]))
+    # zero-byte rows (df-0 creation-order witnesses kept by vacuum)
+    # own no values — drop them before the first header round or
+    # they would misread the NEXT row's block header
+    alive = v_row < v_row_end
+    act_v, act_row, act_end = (v_row[alive],
+                               np.arange(nrows, dtype=np.int64)[alive],
+                               v_row_end[alive])
+    if not act_v.size:
+        return (np.empty(0, np.uint64), [np.empty(0, np.uint32)] * F,
+                np.zeros(nrows, dtype=np.int64))
+    bv_parts, bn_parts, brow_parts = [], [], []
+    while act_v.size:
+        n = vals[act_v].astype(np.int64)
+        bv_parts.append(act_v)
+        bn_parts.append(n)
+        brow_parts.append(act_row)
+        nxt = act_v + 1 + n * (1 + F)
+        cont = nxt < act_end
+        act_v, act_row, act_end = nxt[cont], act_row[cont], act_end[cont]
+    bv = np.concatenate(bv_parts)
+    bn = np.concatenate(bn_parts)
+    brow = np.concatenate(brow_parts)
+    order = np.lexsort((bv, brow))  # block order within each row
+    bv, bn, brow = bv[order], bn[order], brow[order]
+
+    # doc ids: gather [first, deltas…] per block, segmented cumsum
+    ia = grouped_arange(bn)
+    raw = vals[np.repeat(bv + 1, bn) + ia]
+    cs = np.cumsum(raw)
+    seg_starts = np.cumsum(bn) - bn
+    base = cs[seg_starts] - raw[seg_starts]
+    docs = (cs - np.repeat(base, bn)).astype(np.uint64)
+    tf_base = bv + 1 + bn
+    tfs = [vals[np.repeat(tf_base + f * bn, bn) + ia].astype(np.uint32)
+           for f in range(F)]
+    row_counts = np.bincount(brow, weights=bn, minlength=nrows) \
+        .astype(np.int64)
+    return docs, tfs, row_counts

@@ -24,7 +24,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from probly_search_ray.search import _grouped_arange, _in_sorted
+from probly_search_ray.functions.codec import (
+    blob_buffers, decode_rows, encode_rows)
+from probly_search_ray.search import _in_sorted
 from probly_search_ray.stages.segment import SEGMENT_SCHEMA, docmeta_ipc, read_docmeta_ipc
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 
@@ -193,16 +195,19 @@ def docmeta_table(index_dir: str, num_fields: int):
 class _Compactor:
     """map_batches stage: drop tombstoned postings from every blob.
 
-    Vectorized like the query-side loader: ONE ``_decode_rows`` pass
+    Vectorized like the query-side loader: ONE ``decode_rows`` pass
     over the batch's concatenated blob stream, one tombstone anti-join
-    over all postings, one ``encode_many`` re-encode — no per-term
-    Python decode/encode loop (the same pattern whose query-side twin
-    caused the round-1 p95 blow-up).  Doc-meta sentinel rows (few per
-    batch) keep their per-blob IPC path."""
+    over all postings, one ``encode_rows`` re-encode in blocks of the
+    index's ``block_postings`` — no per-term Python decode/encode loop
+    (the same pattern whose query-side twin caused the round-1 p95
+    blow-up).  Doc-meta sentinel rows (few per batch) keep their
+    per-blob IPC path."""
 
-    def __init__(self, tomb_sorted: np.ndarray, num_fields: int):
+    def __init__(self, tomb_sorted: np.ndarray, num_fields: int,
+                 block_postings: int):
         self.tomb = tomb_sorted
         self.nf = num_fields
+        self.block_postings = block_postings
         from probly_search_ray.functions.mem import tune_allocator
         tune_allocator()
 
@@ -240,12 +245,9 @@ class _Compactor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        from probly_search_ray.functions.codec import encode_many
-        from probly_search_ray.search import ShardData
 
         meta_out = self._meta_rows(batch)
         post_tbl = batch.filter(pc.invert(pc.equal(batch["term"], "")))
-        F = self.nf
         nrows = len(post_tbl)
         if nrows == 0:
             # build the empty table FROM the schema: the input batch can
@@ -253,17 +255,14 @@ class _Compactor:
             # terms/group=G/...), which a cast() would reject
             return meta_out if meta_out is not None else \
                 SEGMENT_SCHEMA.empty_table()
-        blob_col = post_tbl["blob"].combine_chunks()
-        off_buf = np.frombuffer(blob_col.buffers()[1], dtype=np.int64)
-        off_arr = off_buf[blob_col.offset: blob_col.offset + nrows + 1]
-        data = np.frombuffer(blob_col.buffers()[2], dtype=np.uint8)
-        stream = data[off_arr[0]:off_arr[-1]]
-        rbs = (off_arr[:-1] - off_arr[0]).astype(np.int64)
-        docs, tfs, lens, row_counts = ShardData._decode_rows(stream, rbs, F)
+        docs, tfs, row_counts = decode_rows(
+            *blob_buffers(post_tbl["blob"].combine_chunks()), self.nf)
 
         keep = ~_in_sorted(docs, self.tomb)
         row_idx = np.repeat(np.arange(nrows, dtype=np.int64), row_counts)
         cnt = np.bincount(row_idx[keep], minlength=nrows).astype(np.int64)
+        docs_k = docs[keep]
+        tfs_k = [t[keep] for t in tfs]
         # rows whose postings ALL died are kept as df-0 rows with an
         # empty blob: they carry the term's (first_pos, first_off)
         # creation-order witness, which the reference's vacuum preserves
@@ -272,51 +271,22 @@ class _Compactor:
         # and reorder trie siblings.  df-0 terms are filtered out of
         # expansion lists (count_documents == 0 semantics), so fully
         # pruned subtrees still vanish from results exactly as the
-        # reference's node pruning does.
-        keep_rows = cnt > 0
-        docs_k = docs[keep]
-        tfs_k = [t[keep].astype(np.uint64) for t in tfs]
-        lens_k = [l[keep].astype(np.uint64) for l in lens]
-        c = cnt[keep_rows]           # postings per surviving row
-        nsurv = len(c)
+        # reference's node pruning does.  Dead rows keep their original
+        # term/first_pos/first_off (and doc range, inert at df 0).
+        blobs = encode_rows(docs_k, tfs_k, cnt, self.block_postings)
+        ki = np.flatnonzero(cnt)
+        c = cnt[ki]                  # postings per surviving row
         rs = np.cumsum(c) - c        # posting start per surviving row
-
-        # value layout per row: [n, first, deltas…, tf_f…, len_f…]
-        per_row = 2 + (c - 1) + 2 * F * c
-        v_ends = np.cumsum(per_row)
-        v_starts = v_ends - per_row
-        vals = np.empty(int(v_ends[-1]) if nsurv else 0, dtype=np.uint64)
-        vals[v_starts] = c.astype(np.uint64)
-        # docs as [first, deltas…]: absolute at each row start, delta after
-        dd = docs_k.copy()
-        dd[1:] -= docs_k[:-1]
-        dd[rs] = docs_k[rs]
-        ga = _grouped_arange(c)
-        vals[np.repeat(v_starts + 1, c) + ga] = dd
-        for f in range(F):
-            vals[np.repeat(v_starts + 1 + c + f * c, c) + ga] = tfs_k[f]
-        for f in range(F):
-            vals[np.repeat(v_starts + 1 + c + (F + f) * c, c) + ga] = lens_k[f]
-        new_blobs = encode_many(vals, v_ends)
-
         occ = np.zeros(len(docs_k), dtype=np.uint64)
         for t in tfs_k:
             occ += t
-        new_df = np.add.reduceat(occ, rs) if nsurv else np.empty(0, np.uint64)
-        # expand the surviving-row results back over ALL rows: dead rows
-        # keep their original term/first_pos/first_off (and doc range,
-        # inert at df 0) with an empty blob
-        blobs_all: list[bytes] = [b""] * nrows
         df_all = np.zeros(nrows, dtype=np.uint64)
         lo_all = post_tbl["doc_lo"].to_numpy().copy()
         hi_all = post_tbl["doc_hi"].to_numpy().copy()
-        ki = np.flatnonzero(keep_rows)
-        for j, i in enumerate(ki):
-            blobs_all[int(i)] = new_blobs[j]
-        df_all[ki] = new_df
-        if nsurv:
+        if len(ki):
+            df_all[ki] = np.add.reduceat(occ, rs)
             lo_all[ki] = docs_k[rs]
-            hi_all[ki] = docs_k[np.cumsum(c) - 1]
+            hi_all[ki] = docs_k[rs + c - 1]
         out = pa.table({
             "term": post_tbl["term"],
             "doc_lo": pa.array(lo_all, type=pa.uint64()),
@@ -324,7 +294,7 @@ class _Compactor:
             "df": pa.array(df_all, type=pa.uint64()),
             "first_pos": post_tbl["first_pos"],
             "first_off": post_tbl["first_off"],
-            "blob": pa.array(blobs_all, type=pa.large_binary()),
+            "blob": pa.array(blobs, type=pa.large_binary()),
         }, schema=SEGMENT_SCHEMA)
         if meta_out is not None:
             out = pa.concat_tables([meta_out, out])
@@ -394,9 +364,11 @@ def compact_groups(index_dir: str) -> int:
 
     # new docmeta before the commit (duplicate rows across group files
     # are benign for readers; old files removed after the swap)
-    from probly_search_ray.build import finalize_group
+    from probly_search_ray.build import finalize_group, write_docmeta
     first = dict(man.groups[gids[0]])
-    first.update(finalize_group(index_dir, new_dir, gids[0], nf))
+    rec, meta = finalize_group(index_dir, new_dir, nf)
+    write_docmeta(index_dir, gids[0], meta)
+    first.update(rec)
     first["compact_gen"] = gen
     first["compacted_from"] = gids
     updates = {gids[0]: first}
@@ -424,11 +396,14 @@ def vacuum(index_dir: str) -> None:
 
     Crash-safe swap: the compacted group is written under a NEW
     versioned dir (``terms/group=G.vN``), the manifest is atomically
-    committed to point at it, and only then is the old dir deleted — at
-    every intermediate state the manifest references files that exist.
-    Stray dirs from a crashed run are garbage-collected up front, and
-    stats first apply any tombstones a crashed removal left uncounted
-    (``_replay_pending``).
+    committed to point at it, and only then are the group's trimmed
+    docmeta written and the old dir deleted — at every intermediate
+    state the manifest references files that exist, and docmeta holds
+    every doc a committed posting names (before the docmeta write it
+    still holds the removed docs too, which stay tombstoned until the
+    run ends).  Stray dirs from a crashed run are garbage-collected up
+    front, and stats first apply any tombstones a crashed removal left
+    uncounted (``_replay_pending``); a re-run after a crash converges.
     """
     import ray.data
 
@@ -442,8 +417,9 @@ def vacuum(index_dir: str) -> None:
     _gc_unreferenced_group_dirs(index_dir, man)
     if len(tomb_arr) == 0:
         return
-    from probly_search_ray.build import finalize_group
-    nf = man.data["config"]["num_fields"]
+    from probly_search_ray.build import finalize_group, write_docmeta
+    cfg = man.data["config"]
+    nf = cfg["num_fields"]
     for gid, rec in sorted(man.groups.items()):
         cur_files = sorted(os.path.join(index_dir, tf["path"])
                            for tf in rec["term_files"])
@@ -459,16 +435,19 @@ def vacuum(index_dir: str) -> None:
         ds = read_parquet_clean(cur_files)
         # one vacuum pass is order-preserving per block; re-sort to keep
         # the term-sorted invariant across output files
-        out = ds.map_batches(_Compactor(tomb_arr, nf),
-                             batch_format="pyarrow")
+        out = ds.map_batches(
+            _Compactor(tomb_arr, nf, cfg["block_postings"]),
+            batch_format="pyarrow")
         out = out.sort(["term", "doc_lo"])
         os.makedirs(tmp_dir, exist_ok=True)  # zero rows → no dir written
         out.write_parquet(tmp_dir)
         os.replace(tmp_dir, new_dir)
         # refresh lineage: term ranges + docmeta for this group
-        rec.update(finalize_group(index_dir, new_dir, gid, nf))
+        fin, meta = finalize_group(index_dir, new_dir, nf)
+        rec.update(fin)
         rec["vacuum_gen"] = gen
         man.commit_group(gid, rec)  # atomic: now points at new_dir
+        write_docmeta(index_dir, gid, meta)
         for d in old_dirs:
             if os.path.normpath(d) != os.path.normpath(new_dir) \
                     and os.path.exists(d):

@@ -187,7 +187,7 @@ def bm25_snippets(sf_dir: str):
 
     import ray as _ray
 
-    from probly_search_ray.search import _grouped_arange
+    from probly_search_ray.functions.codec import grouped_arange
 
     eng = _engine(sf_dir)
     res = eng.query(" ".join(BM25_QUERY_TERMS), "bm25", expand=False)
@@ -222,7 +222,7 @@ def bm25_snippets(sf_dir: str):
         e_byte = np.minimum(s_byte + 60, off[1:])
         lens = e_byte - s_byte
         new_off = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-        out = data[np.repeat(s_byte, lens) + _grouped_arange(lens)] \
+        out = data[np.repeat(s_byte, lens) + grouped_arange(lens)] \
             if new_off[-1] else np.empty(0, np.uint8)
         snippet = pa.Array.from_buffers(
             pa.large_string(), len(sub),
@@ -483,14 +483,19 @@ def bm25_top_per_source(sf_dir: str):
 def index_postings(sf_dir: str):
     """Index-as-dataset export: read the committed term-shard parquet
     files back as a Ray Dataset and decode the posting blocks
-    DISTRIBUTED (the vectorized ``ShardData._decode_rows`` kernel per
+    DISTRIBUTED (the vectorized ``codec.decode_rows`` kernel per
     batch — no per-blob Python) into (term, doc_id, tf, field_len)
-    rows.  Gates the whole build/encode path at posting granularity
-    and doubles as the escape hatch from the index format to columnar
-    tooling (the reference keeps its index in-memory only,
+    rows, ``field_len`` looked up by doc id in docmeta.  Gates the
+    whole build/encode path at posting granularity and doubles as the
+    escape hatch from the index format to columnar tooling (the
+    reference keeps its index in-memory only,
     `/root/reference/src/index.rs`)."""
     import pyarrow.compute as _pc
-    from probly_search_ray.search import ShardData
+
+    import ray as _ray
+
+    from probly_search_ray.functions.codec import blob_buffers, decode_rows
+    from probly_search_ray.maintain import docmeta_table
     from probly_search_ray.state.manifest import Manifest
 
     eng = _engine(sf_dir)
@@ -498,6 +503,8 @@ def index_postings(sf_dir: str):
     files = [os.path.join(eng.index_dir, r["path"])
              for r in man.term_files()]
     F = man.data["config"]["num_fields"]
+    meta_ids, meta_lens = docmeta_table(eng.index_dir, F)
+    meta = _ray.put((meta_ids, meta_lens[0]))
 
     def decode(b: pa.Table) -> pa.Table:
         b = b.filter(_pc.not_equal(b["term"], ""))
@@ -507,13 +514,9 @@ def index_postings(sf_dir: str):
                           "field_len": pa.array([], pa.int64())})
         if not len(b):
             return empty
-        blob = _pc.cast(b["blob"], pa.large_binary()).combine_chunks()
-        off_all = np.frombuffer(blob.buffers()[1], dtype=np.int64)
-        off = off_all[blob.offset: blob.offset + len(b) + 1]
-        data = np.frombuffer(blob.buffers()[2], dtype=np.uint8)
-        stream = data[off[0]:off[-1]]
-        rbs = (off[:-1] - off[0]).astype(np.int64)
-        docs, tfs, lens, rc = ShardData._decode_rows(stream, rbs, F)
+        docs, tfs, rc = decode_rows(*blob_buffers(_pc.cast(
+            b["blob"], pa.large_binary()).combine_chunks()), F)
+        ids, len0 = _ray.get(meta)
         ridx = np.repeat(np.arange(len(b), dtype=np.int64), rc)
         occ = np.zeros(len(docs), dtype=np.int64)
         for f in range(F):
@@ -522,7 +525,8 @@ def index_postings(sf_dir: str):
             "term": b["term"].combine_chunks().take(pa.array(ridx)),
             "doc_id": pa.array(docs.astype(np.int64)),
             "tf": pa.array(occ),
-            "field_len": pa.array(lens[0].astype(np.int64)),
+            "field_len": pa.array(
+                len0[np.searchsorted(ids, docs)].astype(np.int64)),
         })
 
     ds = read_parquet_clean(files, columns=["term", "blob"])

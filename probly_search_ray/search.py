@@ -41,16 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from probly_search_ray.functions.codec import (
+    FORMAT_VERSION, blob_buffers, check_format_version, decode_rows,
+    grouped_arange)
 from probly_search_ray.functions.tokenize import get_tokenizer
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
-
-
-def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
 
 
 def _tie_floor(kth: float) -> float:
@@ -253,7 +248,6 @@ class ShardData:
         self._index_docs()
 
     def _open(self, index_dir, use_cache, doc_mod):
-        from probly_search_ray.functions.codec import FORMAT_VERSION
         from probly_search_ray.functions.mem import tune_allocator
         tune_allocator()  # shard actors are fresh processes; reuse arena
         # pages so per-query numpy temporaries don't re-fault cold pages
@@ -263,11 +257,8 @@ class ShardData:
             raise FileNotFoundError(
                 f"no index at {index_dir} (missing/empty manifest.json); "
                 f"build one with build_index(...) or the CLI 'build' command")
-        ver = man.data["config"].get("format_version")
-        if ver != FORMAT_VERSION:
-            raise ValueError(
-                f"index at {index_dir} has format_version={ver}, engine "
-                f"expects {FORMAT_VERSION}; rebuild with build_index(...)")
+        check_format_version(index_dir, man.data["config"].get(
+            "format_version"))
         self.num_fields = man.data["config"]["num_fields"]
         # mmap'd decoded-CSR cache: the first load of a manifest state
         # decodes the varint blobs and persists the flat arrays;
@@ -337,7 +328,6 @@ class ShardData:
     def _cache_path(index_dir: str, man: Manifest):
         import hashlib
         import json as _json
-        from probly_search_ray.functions.codec import FORMAT_VERSION
         sig_src = _json.dumps([
             6,  # cache layout version (v6: per-doc tables, p_ord, narrow tf)
             FORMAT_VERSION,
@@ -503,7 +493,7 @@ class ShardData:
         j = self._ords_of(new)
         lo = self._doc_off[j].astype(np.int64)
         n = self._doc_off[j + 1] - lo
-        g = self._doc_perm[np.repeat(lo, n) + _grouped_arange(n)] \
+        g = self._doc_perm[np.repeat(lo, n) + grouped_arange(n)] \
             .astype(np.int64)
         if not len(g):
             return
@@ -533,90 +523,15 @@ class ShardData:
     # first-touch page faults are slow they dominate the decode
     _DECODE_CHUNK_BYTES = 1 << 20
 
-    @staticmethod
-    def _decode_rows(stream: np.ndarray, row_byte_start: np.ndarray, F: int):
-        """Vectorized decode of a contiguous run of rows → (docs,
-        tfs[F], lens[F], postings-per-row)."""
-        nrows = len(row_byte_start)
-        term_mask = (stream & 0x80) == 0
-        v_ends = np.flatnonzero(term_mask)
-        v_starts = np.empty_like(v_ends)
-        if len(v_ends):
-            v_starts[0] = 0
-            v_starts[1:] = v_ends[:-1] + 1
-        lengths = v_ends - v_starts + 1
-        nvals = len(v_ends)
-        vals = np.zeros(nvals, dtype=np.uint64)
-        maxlen = int(lengths.max()) if nvals else 0
-        for j in range(maxlen):
-            sel = lengths > j
-            vals[sel] |= (stream[v_starts[sel] + j].astype(np.uint64)
-                          & np.uint64(0x7F)) << np.uint64(7 * j)
-
-        # rows start at value boundaries; parse block headers in rounds
-        # (#rounds = max blocks per row, small by construction)
-        v_row = np.searchsorted(v_starts, row_byte_start)
-        v_row_end = np.concatenate((v_row[1:], [nvals]))
-        # zero-byte rows (df-0 creation-order witnesses kept by vacuum)
-        # own no values — drop them before the first header round or
-        # they would misread the NEXT row's block header
-        alive = v_row < v_row_end
-        act_v, act_row, act_end = (v_row[alive],
-                                   np.arange(nrows, dtype=np.int64)[alive],
-                                   v_row_end[alive])
-        if not act_v.size:
-            return (np.empty(0, np.uint64),
-                    [np.empty(0, np.uint32)] * F,
-                    [np.empty(0, np.uint32)] * F,
-                    np.zeros(nrows, dtype=np.int64))
-        bv_parts, bn_parts, brow_parts = [], [], []
-        while act_v.size:
-            n = vals[act_v].astype(np.int64)
-            bv_parts.append(act_v)
-            bn_parts.append(n)
-            brow_parts.append(act_row)
-            nxt = act_v + 1 + n * (1 + 2 * F)
-            cont = nxt < act_end
-            act_v, act_row, act_end = nxt[cont], act_row[cont], act_end[cont]
-        bv = np.concatenate(bv_parts)
-        bn = np.concatenate(bn_parts)
-        brow = np.concatenate(brow_parts)
-        order = np.lexsort((bv, brow))  # doc-range order within each row
-        bv, bn, brow = bv[order], bn[order], brow[order]
-
-        # doc ids: gather [first, deltas…] per block, segmented cumsum
-        gidx = np.repeat(bv + 1, bn) + _grouped_arange(bn)
-        raw = vals[gidx]
-        cs = np.cumsum(raw)
-        seg_starts = np.cumsum(bn) - bn
-        base = cs[seg_starts] - raw[seg_starts]
-        docs = (cs - np.repeat(base, bn)).astype(np.uint64)
-        # per-field tf / len stored uint32 (exact small ints — cast to
-        # float64 after the per-query gather): halves resident bytes
-        ia = _grouped_arange(bn)
-        sec_base = bv + 1 + bn
-        tfs = [vals[np.repeat(sec_base + f * bn, bn) + ia]
-               .astype(np.uint32) for f in range(F)]
-        lens = [vals[np.repeat(sec_base + (F + f) * bn, bn) + ia]
-                .astype(np.uint32) for f in range(F)]
-        row_counts = np.bincount(brow, weights=bn, minlength=nrows) \
-            .astype(np.int64)
-        return docs, tfs, lens, row_counts
-
     def _load_csr(self, full: pa.Table, F: int, docs) -> None:
         """Decode term-sorted rows into the CSR arrays; ``docs`` is the
         per-doc table ``(doc_ids, [len_f])`` (``maintain.docmeta_table``)."""
         import pyarrow as pa
         nrows = len(full)
-        blob_col = full["blob"].combine_chunks()
-        # zero-copy view of the concatenated blob bytes + per-row offsets
-        off_buf = np.frombuffer(blob_col.buffers()[1], dtype=np.int64)
-        off_arr = off_buf[blob_col.offset: blob_col.offset + nrows + 1]
-        data = np.frombuffer(blob_col.buffers()[2], dtype=np.uint8)
+        data, off_arr = blob_buffers(full["blob"].combine_chunks())
 
         docs_p, rc_p = [], []
         tf_p = [[] for _ in range(F)]
-        len_p = [[] for _ in range(F)]
         i1 = 0
         while i1 < nrows:
             i0 = i1
@@ -624,17 +539,13 @@ class ShardData:
             i1 = max(i0 + 1, int(np.searchsorted(
                 off_arr, off_arr[i0] + self._DECODE_CHUNK_BYTES,
                 "right")) - 1)
-            stream = data[off_arr[i0]:off_arr[i1]]
-            rbs = (off_arr[i0:i1] - off_arr[i0]).astype(np.int64)
-            d, tfs, lens, rc = self._decode_rows(stream, rbs, F)
+            d, tfs, rc = decode_rows(data, off_arr[i0:i1 + 1], F)
             docs_p.append(d)
             rc_p.append(rc)
             for f in range(F):
                 tf_p[f].append(tfs[f])
-                len_p[f].append(lens[f])
         p_docs = np.concatenate(docs_p)
         self.p_tf = [_narrow(np.concatenate(x)) for x in tf_p]
-        p_len = [np.concatenate(x) for x in len_p]
         row_counts = np.concatenate(rc_p)
 
         # term dictionary: rows are term-sorted, so runs of equal codes
@@ -672,15 +583,14 @@ class ShardData:
                 order = np.lexsort((p_docs, tid))
                 p_docs = p_docs[order]
                 self.p_tf = [t[order] for t in self.p_tf]
-                p_len = [l[order] for l in p_len]
-        self._attach_docs(p_docs, p_len, *docs)
+        self._attach_docs(p_docs, *docs)
         self._compute_bounds()
 
-    def _attach_docs(self, p_docs, p_len, doc_ids, doc_len) -> None:
-        """Set the per-doc tables and each posting's ordinal.  A posting
-        whose doc the table lacks (a crash after a vacuum rewrote
-        docmeta, before its manifest commit, leaves the removed docs'
-        postings behind) adds the doc with the lengths it carries."""
+    def _attach_docs(self, p_docs, doc_ids, doc_len) -> None:
+        """Set the per-doc tables and each posting's ordinal.  Every
+        writer commits a posting only once docmeta holds its doc, so a
+        posting whose doc the table lacks is a damaged index: a
+        ``ValueError``."""
         doc_ids = np.asarray(doc_ids, np.uint64)
         n = len(doc_ids)
         span = int(doc_ids[-1]) - int(doc_ids[0]) + 1 if n else 0
@@ -696,13 +606,11 @@ class ShardData:
         else:
             o, hit = _find_sorted(p_docs, doc_ids)
         if not hit.all():
-            extra, at = np.unique(p_docs[~hit], return_index=True)
-            order = np.argsort(np.concatenate((doc_ids, extra)),
-                               kind="stable")
-            doc_ids = np.concatenate((doc_ids, extra))[order]
-            doc_len = [np.concatenate((dl, ln[~hit][at]))[order]
-                       for dl, ln in zip(doc_len, p_len)]
-            o = np.searchsorted(doc_ids, p_docs)
+            miss = np.unique(p_docs[~hit])
+            raise ValueError(
+                f"{len(miss)} posted doc(s) have no docmeta row (doc "
+                f"{int(miss[0])}, ...); rebuild with "
+                f"build_index(..., overwrite=True)")
         self.doc_ids = doc_ids
         self.doc_len = [_narrow(np.asarray(dl)) for dl in doc_len]
         self.p_ord = o.astype(_ord_dtype(len(doc_ids)))
@@ -719,42 +627,21 @@ class ShardData:
         nt = len(self.terms)
         # the lengths scoring reads, so the bounds bound real scores
         p_len = [dl[self.p_ord] for dl in self.doc_len]
-        if nt == 0:
-            self.tf_max = [np.empty(0, np.uint32)] * F
-            self.len_min = [np.empty(0, np.uint32)] * F
-            self.fr = {ch: (np.zeros(1, np.int64),
-                            np.empty(0, np.uint32),
-                            np.empty(0, np.uint32))
-                       for ch in _frontier_channels(F)}
-            return
         seg_n = np.diff(self.post_off)
-        if (seg_n == 0).any():
-            # zero-posting terms (df-0 vacuum witnesses): reduceat on a
-            # zero-length segment misreads the neighbour (or walks off
-            # the end), so clip the offsets and zero the results
-            np_total = int(self.post_off[-1])
-            segc = np.minimum(seg, max(np_total - 1, 0))
-            empty = seg_n == 0
-            self.tf_max = []
-            self.len_min = []
-            for f in range(F):
-                if np_total:
-                    tm = np.maximum.reduceat(self.p_tf[f], segc) \
-                        .astype(np.uint32)
-                    lm = np.minimum.reduceat(p_len[f], segc) \
-                        .astype(np.uint32)
-                else:
-                    tm = np.zeros(nt, np.uint32)
-                    lm = np.zeros(nt, np.uint32)
-                tm[empty] = 0
-                lm[empty] = 0
-                self.tf_max.append(tm)
-                self.len_min.append(lm)
-        else:
-            self.tf_max = [np.maximum.reduceat(self.p_tf[f], seg)
-                           .astype(np.uint32) for f in range(F)]
-            self.len_min = [np.minimum.reduceat(p_len[f], seg)
-                            .astype(np.uint32) for f in range(F)]
+        # zero-posting terms (df-0 vacuum witnesses): reduceat on a
+        # zero-length segment misreads the neighbour (or walks off the
+        # end), so the offsets are clipped and those terms read 0
+        n_post = int(self.post_off[-1])
+        segc = np.minimum(seg, max(n_post - 1, 0))
+        empty = seg_n == 0
+
+        def per_term(red, a):
+            out = red.reduceat(a, segc).astype(np.uint32) if n_post \
+                else np.zeros(nt, np.uint32)
+            out[empty] = 0
+            return out
+        self.tf_max = [per_term(np.maximum, t) for t in self.p_tf]
+        self.len_min = [per_term(np.minimum, ln) for ln in p_len]
         tid = np.repeat(np.arange(nt, dtype=np.int64), seg_n)
         support = np.zeros(len(tid), dtype=np.int64)
         for f in range(F):
@@ -793,7 +680,7 @@ class ShardData:
                 continue
             lo = off[ic]
             n_f = np.where(present, off[ic + 1] - lo, 0)
-            g = np.repeat(lo, n_f) + _grouped_arange(n_f)
+            g = np.repeat(lo, n_f) + grouped_arange(n_f)
             if not len(g):
                 continue
             tf = np.asarray(ftf)[g].astype(np.float64)
@@ -911,7 +798,7 @@ class ShardData:
                 kept = [enc[i] for i in short]
                 flat = np.frombuffer(b"".join(kept), dtype=np.uint8)
                 rows = np.repeat(np.arange(len(short)), lens)
-                cols = _grouped_arange(lens)
+                cols = grouped_arange(lens)
                 mat[rows, cols] = flat
             dm = self._dmat = (mat, lens, short, long_idx)
         return dm
@@ -985,7 +872,7 @@ class ShardData:
         n = self.post_off[idx + 1] - lo
         if len(idx) and (np.diff(idx) == 1).all():
             return slice(int(lo[0]), int(lo[0] + n.sum())), n
-        return np.repeat(lo, n) + _grouped_arange(n), n
+        return np.repeat(lo, n) + grouped_arange(n), n
 
     def tomb_hits_many(self, idx) -> np.ndarray:
         """Occurrence-counted df mass that tombstoned docs carry in this
@@ -1963,9 +1850,11 @@ class SearchEngine:
             concurrent = [self._submit(reduced(ti, restrict_docs))
                           for ti in range(len(term_infos))]
         # per-term score upper bounds for the multi-term TAAT suffix
-        # restriction (bounds fetched lazily — only top-k queries pay)
+        # restriction (bounds fetched lazily — only top-k queries pay;
+        # a conjunctive query's restriction is set, so it never fires)
         term_ubs = None
-        if k is not None and len(term_infos) > 1 and concurrent is None:
+        if k is not None and len(term_infos) > 1 and concurrent is None \
+                and restrict_docs is None:
             term_ubs = [float(_score_ub(
                 *self._bounds_for(term, expand, fuzzy), w, fields_boost,
                 avgs, k1, b).max()) for term, _, w in term_infos]

@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from probly_search_ray.functions.codec import grouped_arange
 from probly_search_ray.functions.hashing import (
     band_hashes, content_hash_hex, hash_tokens_u64, minhash_signatures,
     shingle_hashes)
@@ -94,15 +95,6 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[idx] == values
 
 
-def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
-    """[0..l0), [0..l1), ... concatenated (vectorized per-group arange)."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-
-
 _EMPTY_PAIRS = {"a": pd.Series(dtype=np.int64),
                 "b": pd.Series(dtype=np.int64)}
 
@@ -163,7 +155,7 @@ def lsh_candidate_pairs(docs_ds, k: int = 128, bands: int = 16, w: int = 3,
         # element at in-bucket index j pairs with its j predecessors;
         # docs are sorted within the bucket, so left < right = (a, b)
         pos = np.arange(len(bk), dtype=np.int64)
-        left = np.repeat(pos - ia, ia) + _grouped_arange(ia)
+        left = np.repeat(pos - ia, ia) + grouped_arange(ia)
         right = np.repeat(pos, ia)
         df = pd.DataFrame({"a": dc[left].astype(np.int64),
                            "b": dc[right].astype(np.int64)})
@@ -294,11 +286,11 @@ def _verify_chunk(sh_ds, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n_mem = de_[pos] - ds_[pos]
         # one output row per (membership, shingle) combo of each doc
         mem_of = np.repeat(np.arange(len(ids), dtype=np.int64), n_mem)
-        mem_idx = np.repeat(ds_[pos], n_mem) + _grouped_arange(n_mem)
+        mem_idx = np.repeat(ds_[pos], n_mem) + grouped_arange(n_mem)
         out_pid = np.repeat(pid_[mem_idx], counts[mem_of])
         sh_starts = np.cumsum(counts) - counts
         sh_idx = np.repeat(sh_starts[mem_of], counts[mem_of]) \
-            + _grouped_arange(counts[mem_of])
+            + grouped_arange(counts[mem_of])
         return pa.table({
             "pp": pa.array(out_pid % parts),
             "pid": pa.array(out_pid),

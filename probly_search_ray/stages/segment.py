@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from probly_search_ray.functions.codec import encode_many, varint_byte_lengths
+from probly_search_ray.functions.codec import encode_rows, grouped_arange
 from probly_search_ray.functions.tokenize import get_tokenizer
 
 POS_BITS = 20
@@ -55,15 +55,6 @@ SEGMENT_SCHEMA = pa.schema([
     ("first_off", pa.uint32()),
     ("blob", pa.large_binary()),
 ])
-
-
-def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
-    """[0..l0), [0..l1), ... concatenated."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
 
 
 def docmeta_ipc(doc_ids: np.ndarray, lens: list[np.ndarray],
@@ -206,8 +197,7 @@ class SegmentEncoder:
         stream_order = np.argsort(all_didx, kind="stable")
         didx_s = all_didx[stream_order]
         per_doc_counts = np.bincount(didx_s, minlength=B)
-        pos_in_doc = _grouped_arange(per_doc_counts[np.unique(didx_s)]) \
-            if False else _grouped_arange(per_doc_counts[per_doc_counts > 0])
+        pos_in_doc = grouped_arange(per_doc_counts[per_doc_counts > 0])
         # positions back in field-major order:
         pos_field_major = np.empty(total_tokens, dtype=np.int64)
         pos_field_major[stream_order] = pos_in_doc
@@ -263,32 +253,13 @@ class SegmentEncoder:
         occ_s = occ[row_order]
         fo_s = first_off_key[row_order]
         tfs_s = [t[row_order] for t in tfs]
-        lens_s = [lens[f][key_doc[row_order]].astype(np.uint64) for f in range(F)]
 
-        # --- block boundaries: term runs split at block_postings ---------
+        # --- one row (blob) per term run ---------------------------------
         term_start = np.flatnonzero(
             np.concatenate(([True], rank_s[1:] != rank_s[:-1])))
         term_end = np.concatenate((term_start[1:], [len(rank_s)]))
         term_lens = term_end - term_start
-        nblocks = (term_lens + self.block_postings - 1) // self.block_postings
-        blk_starts = np.repeat(term_start, nblocks) + \
-            _grouped_arange(nblocks) * self.block_postings
-        blk_term_end = np.repeat(term_end, nblocks)
-        blk_lens = np.minimum(blk_starts + self.block_postings, blk_term_end) - blk_starts
-
-        values_stream, boundaries = self._value_stream(
-            doc_s, tfs_s, lens_s, blk_starts, blk_lens, F)
-        block_blobs = encode_many(values_stream, boundaries)
-
-        # merge a term's blocks into one row blob (terms mostly 1 block)
-        blobs: list[bytes] = []
-        bi = 0
-        for nb in nblocks:
-            if nb == 1:
-                blobs.append(block_blobs[bi])
-            else:
-                blobs.append(b"".join(block_blobs[bi:bi + nb]))
-            bi += int(nb)
+        blobs = encode_rows(doc_s, tfs_s, term_lens, self.block_postings)
 
         term_per_row = vocab.take(pa.array(key_code[row_order][term_start]))
         df_per_term = np.add.reduceat(occ_s, term_start)
@@ -317,30 +288,3 @@ class SegmentEncoder:
         }, schema=SEGMENT_SCHEMA)
         meta = pa.table(meta_row, schema=SEGMENT_SCHEMA)
         return pa.concat_tables([meta, out])
-
-    @staticmethod
-    def _value_stream(docs, tfs, lens, blk_starts, blk_lens, F):
-        """Build the interleaved varint value stream for all blocks in one
-        vectorized pass.  Per block: [n, first_doc, deltas, tf_f.., len_f..]."""
-        n = blk_lens.astype(np.int64)
-        per_blk = 1 + n * (1 + 2 * F)
-        offs = np.concatenate(([0], np.cumsum(per_blk)))
-        total = int(offs[-1])
-        out = np.zeros(total, dtype=np.uint64)
-        out[offs[:-1]] = n.astype(np.uint64)
-        out[offs[:-1] + 1] = docs[blk_starts]
-        # deltas
-        nd = np.maximum(n - 1, 0)
-        ia = _grouped_arange(nd)
-        pos = np.repeat(offs[:-1] + 2, nd) + ia
-        src = np.repeat(blk_starts, nd) + ia
-        out[pos] = docs[src + 1] - docs[src]
-        # per-posting sections
-        ia2 = _grouped_arange(n)
-        src2 = np.repeat(blk_starts, n) + ia2
-        sec_base = offs[:-1] + 1 + n  # after n, first, deltas
-        for f in range(F):
-            out[np.repeat(sec_base + f * n, n) + ia2] = tfs[f][src2]
-        for f in range(F):
-            out[np.repeat(sec_base + (F + f) * n, n) + ia2] = lens[f][src2]
-        return out, offs[1:]

@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from probly_search_ray.build import build_index
+from probly_search_ray.functions.codec import decode_rows
 from probly_search_ray.maintain import (
     compact_groups, merge_indexes, remove_documents, vacuum)
 from probly_search_ray.refmodel import (
@@ -37,20 +38,19 @@ def _rows(rng, lo, hi):
             for d in range(lo, hi)]
 
 
-def _blob_lengths(idx, F):
-    """(term, doc id) → field lengths, decoded row by row straight from
-    the term files' blobs."""
-    out = {}
+def _blob_postings(idx, F):
+    """The (term, doc id) pairs of the term files' blobs, decoded row
+    by row."""
+    out = set()
     for rec in Manifest(idx).term_files():
         t = pq.read_table(os.path.join(idx, rec["path"]),
                           columns=["term", "blob"])
         for term, blob in zip(t["term"].to_pylist(), t["blob"].to_pylist()):
             if term == "" or not blob:
                 continue
-            docs, _, lens, _ = ShardData._decode_rows(
-                np.frombuffer(blob, np.uint8), np.zeros(1, np.int64), F)
-            for j, d in enumerate(docs.tolist()):
-                out[(term, d)] = [int(ln[j]) for ln in lens]
+            docs, _, _ = decode_rows(np.frombuffer(blob, np.uint8),
+                                     np.asarray([0, len(blob)]), F)
+            out.update((term, d) for d in docs.tolist())
     return out
 
 
@@ -65,11 +65,11 @@ def _docmeta_lengths(idx, F):
 
 
 def _check_doc_tables(sd, idx, full=True):
-    """Every posting's ``doc_len_f[p_ord]`` equals the length its blob
-    carries and docmeta's ``len_f``; the per-doc table is sorted and
-    unique; dtypes follow the one width rule."""
+    """The loaded postings are the blobs' postings; every posting's
+    ``doc_len_f[p_ord]`` equals docmeta's ``len_f``; the per-doc table
+    is sorted and unique; dtypes follow the one width rule."""
     F = sd.num_fields
-    blob, meta = _blob_lengths(idx, F), _docmeta_lengths(idx, F)
+    blob, meta = _blob_postings(idx, F), _docmeta_lengths(idx, F)
     assert sd.doc_ids.dtype == np.uint64 and sd.p_ord.dtype == np.uint32
     assert (np.diff(sd.doc_ids.astype(np.float64)) > 0).all()
     ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
@@ -79,7 +79,6 @@ def _check_doc_tables(sd, idx, full=True):
         assert len(keys) == len(blob) and set(keys) == set(blob)
     for f in range(F):
         got = sd.doc_len[f][sd.p_ord].tolist()
-        assert got == [blob[k][f] for k in keys], f
         assert got == [meta[d][f] for d in docs], f
         for arr in (sd.doc_len[f], sd.p_tf[f]):
             top = int(arr.max()) if len(arr) else 0
@@ -107,8 +106,8 @@ def _check_all_loads(idx):
 @pytest.mark.usefixtures("ray_session")
 def test_doc_tables_match_blobs_and_docmeta(tmp_path):
     """Build, append, remove, vacuum, compact and merge: in each state
-    the full load, a fresh decode and the doc-mod views all read
-    lengths equal to the blobs' and docmeta's."""
+    the full load, a fresh decode and the doc-mod views all hold the
+    blobs' postings and read docmeta's lengths."""
     rng = np.random.default_rng(3)
     idx = str(tmp_path / "index")
     files = []
@@ -189,13 +188,13 @@ def test_wide_tf_takes_uint16_and_scores_bit_identically(tmp_path):
         assert int(sd.p_tf[0].max()) == 300
         _check_doc_tables(sd, idx)
     sd = ShardData(idx)
-    blob = _blob_lengths(idx, 2)
+    meta = _docmeta_lengths(idx, 2)
     for term in sd.terms:
         i = sd.terms.index(term)
         g = slice(int(sd.post_off[i]), int(sd.post_off[i + 1]))
         docs = sd.doc_ids[sd.p_ord[g]]
         tf = [np.asarray(t[g]) for t in sd.p_tf]
-        fl = [np.asarray([blob[(term, int(d))][f] for d in docs],
+        fl = [np.asarray([meta[int(d)][f] for d in docs],
                          np.uint32) for f in range(2)]
         for k1, b, fb, avgs in [(1.2, 0.75, [1.0, 1.0], [31.0, 9.5]),
                                 (0.7, 0.2, [2.0, 0.5], [4.0, 300.0])]:
@@ -265,36 +264,95 @@ def test_zero_average_field_scores_without_warnings(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_docs_missing_from_docmeta_take_blob_lengths(tmp_path):
-    """A vacuum that crashed after rewriting docmeta, before its commit,
-    leaves tombstoned docs' postings with no docmeta row: the cache
-    build (the in-process load) adds those docs to the per-doc table
-    with the lengths their postings carry."""
-    from probly_search_ray.search import build_csr_cache
-    rng = np.random.default_rng(5)
-    path = str(tmp_path / "m.parquet")
-    _write(path, _rows(rng, 0, 25))
-    idx = str(tmp_path / "index")
-    build_index(path, idx, field_cols=["f0", "f1"])
-    remove_documents(idx, [3, 4])
-    queries = ("k", "ka mu", "x")
-    before = [SearchEngine(idx).query(q, "bm25") for q in queries]
-    for meta in glob.glob(os.path.join(idx, "docmeta", "*.parquet")):
-        t = pq.read_table(meta)
-        keep = ~np.isin(t["doc_id"].to_numpy(), [3, 4])
-        pq.write_table(t.filter(pa.array(keep)), meta)
+def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
+    """Docmeta holds every doc a committed posting names.  (a) A vacuum
+    that crashes after its manifest commit, before its docmeta write,
+    leaves docmeta a superset: the engine serves the pre-crash results,
+    ``build_csr_cache`` succeeds, and re-running ``vacuum`` converges to
+    a clean vacuum's results and docmeta.  (b) Docmeta that lacks a
+    live doc is a damaged index: a fresh decode raises ``ValueError``."""
     import shutil
+
+    import probly_search_ray.build as build
+    from probly_search_ray.search import build_csr_cache
+    from probly_search_ray.state.manifest import Tombstones
+    rng = np.random.default_rng(5)
+    files = []
+    for g, (lo, hi) in enumerate([(0, 25), (25, 45)]):
+        files.append(str(tmp_path / f"g{g}.parquet"))
+        _write(files[-1], _rows(rng, lo, hi))
+    idx = str(tmp_path / "index")
+    build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
+                batch_size=9)
+    remove_documents(idx, [3, 4, 30])
+    clean = str(tmp_path / "clean")
+    shutil.copytree(idx, clean)
+    vacuum(clean)
+
+    def results(i):
+        eng = SearchEngine(i)
+        return [eng.query(q, s) for q in ("k", "ka mu", "x", "m")
+                for s in ("bm25", "zero_to_one")]
+
+    before = results(idx)
+
+    def crash(*a, **kw):
+        raise RuntimeError("crash before the docmeta write")
+    monkeypatch.setattr(build, "write_docmeta", crash)
+    with pytest.raises(RuntimeError, match="crash"):
+        vacuum(idx)
+    monkeypatch.undo()
+    assert Manifest(idx).groups["00000"]["vacuum_gen"] == 1
+    assert {3, 4} <= set(_docmeta_lengths(idx, 2))
+    assert Tombstones(idx).doc_ids == [3, 4, 30]
+    assert results(idx) == before
     shutil.rmtree(os.path.join(idx, "cache"))
     assert build_csr_cache(idx)
-    blob = _blob_lengths(idx, 2)
-    for sd in (ShardData(idx), ShardData(idx, use_cache=False)):
-        assert {3, 4} <= set(sd.doc_ids.tolist())
-        ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
-        docs = sd.doc_ids[sd.p_ord].tolist()
-        for f in range(2):
-            assert sd.doc_len[f][sd.p_ord].tolist() == [
-                blob[(sd.terms[e], d)][f] for e, d in zip(ent.tolist(), docs)]
-    assert [SearchEngine(idx).query(q, "bm25") for q in queries] == before
+    assert results(idx) == before
+    vacuum(idx)
+    assert not Tombstones(idx).doc_ids
+    assert results(idx) == results(clean)
+    assert _docmeta_lengths(idx, 2) == _docmeta_lengths(clean, 2)
+    assert not {3, 4, 30} & set(_docmeta_lengths(idx, 2))
+
+    meta = os.path.join(clean, "docmeta", "group=00001.parquet")
+    t = pq.read_table(meta)
+    pq.write_table(t.filter(pa.array(t["doc_id"].to_numpy() != 40)), meta)
+    with pytest.raises(ValueError, match="no docmeta row"):
+        ShardData(clean, use_cache=False)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_format_v4_index_asks_for_rebuild(tmp_path):
+    """An index whose manifest records ``format_version`` 4 (posting
+    blobs with per-posting lengths) is not read: ``ShardData`` and an
+    appending ``build_index`` raise the rebuild error and leave the
+    index as it is; ``overwrite=True`` rebuilds it."""
+    import json
+    rng = np.random.default_rng(8)
+    files = [str(tmp_path / f"g{g}.parquet") for g in range(2)]
+    _write(files[0], _rows(rng, 0, 20))
+    _write(files[1], _rows(rng, 20, 30))
+    idx = str(tmp_path / "index")
+    build_index(files[:1], idx, field_cols=["f0", "f1"], files_per_group=1)
+    path = os.path.join(idx, "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    man["config"]["format_version"] = 4
+    with open(path, "w") as f:
+        json.dump(man, f)
+    for use_cache in (True, False):
+        with pytest.raises(ValueError, match=r"format_version=4.*rebuild "
+                           r"with build_index"):
+            ShardData(idx, use_cache=use_cache)
+    with pytest.raises(ValueError, match=r"format_version=4.*rebuild "
+                       r"with build_index"):
+        build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1)
+    with open(path) as f:
+        assert json.load(f) == man
+    build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
+                overwrite=True)
+    assert len(ShardData(idx).doc_ids) == 30
 
 
 _NO_RAY_CACHE_BUILD = """
@@ -392,8 +450,8 @@ def test_only_docs_restriction_sparse_and_dense(tmp_path):
 def test_attach_docs_ordinals_match_the_search():
     """Postings get the ordinal a ``searchsorted`` into the per-doc table
     gives, whether the ids are one contiguous range or dense with gaps
-    (looked up by offset), sparse or hashed 64-bit keys (searched), or
-    the postings name docs the table lacks (the table grows)."""
+    (looked up by offset), sparse or hashed 64-bit keys (searched); a
+    posting whose doc the table lacks is a ``ValueError``."""
     rng = np.random.default_rng(11)
     lo = 1 << 40
     run = np.arange(lo, lo + 300, dtype=np.uint64)
@@ -407,34 +465,26 @@ def test_attach_docs_ordinals_match_the_search():
              (("contiguous", run), ("dense", dense), ("sparse", sparse),
               ("hashed", hashed))]
     outside = np.asarray([lo - 1, lo + 1000], np.uint64)
-    cases += [
+    missing = [
         ("missing outside", run, np.concatenate((rng.choice(run, 2000),
                                                  outside))),
         ("missing in a gap", dense, np.concatenate((rng.choice(dense, 2000),
                                                     gaps[:3]))),
         ("missing ends", np.delete(run, [0, 150, 299]), rng.choice(run, 2000)),
     ]
-    for name, ids, p_docs in cases:
+    for name, ids, p_docs in cases + missing:
         p_docs = p_docs.astype(np.uint64)
         lens = [rng.integers(1, 50, len(ids)).astype(np.uint32)
                 for _ in range(2)]
-        p_len = [rng.integers(1, 50, len(p_docs)).astype(np.uint32)
-                 for _ in range(2)]
         sd = ShardData.__new__(ShardData)
-        sd._attach_docs(p_docs, p_len, ids, lens)
-        assert set(sd.doc_ids.tolist()) == set(ids.tolist()) | set(
-            p_docs.tolist()), name
-        assert np.all(sd.doc_ids[1:] > sd.doc_ids[:-1]), name
+        if name.startswith("missing"):
+            assert not np.isin(p_docs, ids).all(), name
+            with pytest.raises(ValueError, match="no docmeta row"):
+                sd._attach_docs(p_docs, ids, lens)
+            continue
+        sd._attach_docs(p_docs, ids, lens)
+        assert np.array_equal(sd.doc_ids, ids), name
         assert sd.p_ord.dtype == np.uint32, name
-        assert np.array_equal(sd.p_ord, np.searchsorted(sd.doc_ids, p_docs)), \
-            name
-        known = np.isin(sd.doc_ids, ids)
+        assert np.array_equal(sd.p_ord, np.searchsorted(ids, p_docs)), name
         for f in range(2):
-            assert np.array_equal(
-                sd.doc_len[f][known],
-                lens[f][np.searchsorted(ids, sd.doc_ids[known])]), name
-            # a doc the table lacked takes the length its posting carries
-            new = np.flatnonzero(~known)
-            at = [int(np.flatnonzero(p_docs == d)[0])
-                  for d in sd.doc_ids[new]]
-            assert np.array_equal(sd.doc_len[f][new], p_len[f][at]), name
+            assert np.array_equal(sd.doc_len[f], lens[f]), name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probly_search_ray.functions.codec import (
-    encode_many, varint_decode_all, varint_encode)
+    decode_rows, encode_many, encode_rows, varint_decode_all, varint_encode)
 from probly_search_ray.functions.hashing import (
     hash_tokens_u64, minhash_signatures, rolling_fingerprint,
     shingle_hashes, simhash64)
@@ -31,34 +31,39 @@ def test_encode_many_boundaries():
 
 
 def test_block_roundtrip_multiblock():
-    """Posting blocks in ``SegmentEncoder``'s layout, varint-encoded
-    with ``encode_many``, decode with ``ShardData._decode_rows``: a row
-    holding three blocks and a row holding one come back with their
-    docs, per-field tfs and lengths, and per-row posting counts."""
-    from probly_search_ray.search import ShardData
-    from probly_search_ray.stages.segment import SegmentEncoder
+    """Rows written by ``codec.encode_rows`` in blocks of at most
+    ``block_postings`` postings decode with ``codec.decode_rows``: a
+    row of three blocks (the last one short), a row of no postings and
+    a row of one block come back with their docs, per-field tfs and
+    per-row posting counts; a block holds ``[n, first_doc, deltas…,
+    tf_0…, tf_1…]`` and no field lengths (format v5)."""
     rng = np.random.default_rng(1)
-    F = 2
-    docs = [np.unique(rng.integers(b * 10**6, (b + 1) * 10**6, 50))
-            for b in range(4)]
-    blk_lens = np.asarray([len(d) for d in docs])
-    docs = np.concatenate(docs).astype(np.uint64)
-    tfs = [rng.integers(1, 3, len(docs)).astype(np.uint64),
-           rng.integers(0, 3, len(docs)).astype(np.uint64)]
-    lens = [rng.integers(1, 99, len(docs)).astype(np.uint64)
-            for _ in range(F)]
-    values, bounds = SegmentEncoder._value_stream(
-        docs, tfs, lens, np.cumsum(blk_lens) - blk_lens, blk_lens, F)
-    blocks = encode_many(values, bounds)
-    rows = [b"".join(blocks[:3]), blocks[3]]
-    got_docs, got_tfs, got_lens, counts = ShardData._decode_rows(
-        np.frombuffer(b"".join(rows), np.uint8),
-        np.asarray([0, len(rows[0])], np.int64), F)
-    assert counts.tolist() == [int(blk_lens[:3].sum()), int(blk_lens[3])]
+    F, bp = 2, 50
+    counts = np.asarray([120, 0, 37])
+    docs = np.concatenate([np.sort(rng.choice(10**9, c, replace=False))
+                           for c in counts]).astype(np.uint64)
+    tfs = [rng.integers(1, 300, len(docs)).astype(np.uint32),
+           rng.integers(0, 3, len(docs)).astype(np.uint32)]
+    blobs = encode_rows(docs, tfs, counts, bp)
+    assert len(blobs) == 3 and blobs[1] == b""
+    # the short third block of row 0: its n, first doc, deltas, tfs
+    blk = varint_decode_all(blobs[0])
+    assert blk[0] == 50 and blk[1 + 50 * 3] == 50 and \
+        blk[2 + 50 * 3 * 2] == 20
+    tail = blk[3 + 50 * 3 * 2:]
+    assert len(tail) == 20 * (1 + F)
+    assert tail[0] == docs[100]
+    assert np.array_equal(tail[1:20], np.diff(docs[100:120]))
+    assert np.array_equal(tail[20:40], tfs[0][100:120])
+    assert np.array_equal(tail[40:60], tfs[1][100:120])
+    offs = np.concatenate(([0], np.cumsum([len(b) for b in blobs])))
+    got_docs, got_tfs, got_counts = decode_rows(
+        np.frombuffer(b"".join(blobs), np.uint8), offs, F)
+    assert got_counts.tolist() == counts.tolist()
     assert np.array_equal(got_docs, docs)
     for f in range(F):
+        assert got_tfs[f].dtype == np.uint32
         assert np.array_equal(got_tfs[f], tfs[f])
-        assert np.array_equal(got_lens[f], lens[f])
 
 
 def test_token_hash_deterministic_and_distinct():
