@@ -4,7 +4,10 @@ Pipeline shape (SURVEY.md §3.1 "Ray shape"):
 
     read_parquet(group files, columns=[key]+fields)      # prune at read
       → map_batches(extract+tokenize+count+encode)       # ONE fused stage,
-                                                         # no shuffle
+                                                         # no shuffle; each
+                                                         # batch's docmeta
+                                                         # goes to a side
+                                                         # file
       → repartition(~2 blocks/CPU)                       # bound the sort's
                                                          # shuffle matrix
       → sort(["term", "doc_lo"])                         # THE one wide op:
@@ -12,8 +15,9 @@ Pipeline shape (SURVEY.md §3.1 "Ray shape"):
                                                          # rows, not raw
                                                          # occurrences
       → write_parquet(terms/group=G)                     # term-sorted shards
-      → finalize_group (in-process)                      # term ranges +
-                                                         # docmeta + lineage
+      → finalize_group (in-process)                      # side files →
+                                                         # docmeta/group=G.npz
+                                                         # + lineage
       → build_csr_cache (in-process)                     # the serving cache
 
 The input file list is split into *partition groups*; each group is
@@ -37,111 +41,73 @@ import shutil
 import time
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 import ray.data
 
+from probly_search_ray.maintain import (
+    _docmeta_files, _load_npz, _save_npz, docmeta_union, write_docmeta)
 from probly_search_ray.sources.readers import read_parquet_clean
-from probly_search_ray.stages.segment import SegmentEncoder, read_docmeta_ipc
+from probly_search_ray.stages.segment import SegmentEncoder
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 
 
-def finalize_group(index_dir: str, group_dir: str,
-                   num_fields: int) -> tuple[dict, pa.Table | None]:
+def finalize_group(index_dir: str, group_dir: str, meta: dict) -> dict:
     """Finalize the term files just written to ``group_dir`` (by a
-    build, a vacuum or a compaction): drop the empty files a
-    repartition leaves, record each file's exact term range and row
-    count (files are term-sorted; footer stats can truncate strings, so
-    the first and last row groups are read), and collect the group's
-    docmeta from the files' sentinel rows (term ``""``, found by
-    predicate pushdown).  Returns ``(record, docmeta)``: the group
-    record's fields this derives — ``term_files`` with their
-    ``term_rows`` and ``term_bytes``, ``num_docs``, ``field_len_sums``
+    build, a vacuum or a compaction) and the group's docmeta arrays
+    ``meta`` (``SegmentEncoder``'s columns, ids sorted and unique): drop
+    the empty files a repartition leaves and derive the group record's
+    fields — ``term_files`` with each file's footer row count,
+    ``term_rows``, ``term_bytes``, ``num_docs``, ``field_len_sums``
     and the add-path stale-avg quirk inputs (src/index.rs:112-113: avg
     only updates inside the per-value loop), ``field_last_val_doc``
     (per field, the max doc_id with >=1 VALUE) and ``doc_max``; -1 =
-    none — and the docmeta table (None if the group has no docs), for
-    ``write_docmeta``.  Docmeta must hold every doc a committed posting
-    names: a build or a compaction writes it before its manifest
-    commit, a vacuum (whose docmeta shrinks) after it."""
+    none.  ``write_docmeta`` stores ``meta``: docmeta must hold every
+    doc a committed posting names, so a build or a compaction writes it
+    before its manifest commit, a vacuum (whose docmeta shrinks) after
+    it."""
     term_files = []
-    tables = []
-    sums = [0] * num_fields
-    last_val_doc = [-1] * num_fields
-    doc_max = -1
     for path in sorted(globmod.glob(os.path.join(group_dir, "*.parquet"))):
-        pf = pq.ParquetFile(path)
-        if pf.metadata.num_rows == 0:
+        rows = pq.read_metadata(path).num_rows
+        if rows == 0:
             os.unlink(path)  # empty block from repartition padding
             continue
-        nrg = pf.metadata.num_row_groups
-        first = pf.read_row_group(0, columns=["term"])["term"]
-        last = first if nrg == 1 else \
-            pf.read_row_group(nrg - 1, columns=["term"])["term"]
         term_files.append({"path": os.path.relpath(path, index_dir),
-                           "term_min": first[0].as_py(),
-                           "term_max": last[-1].as_py(),
-                           "rows": pf.metadata.num_rows})
-        frag = pads.dataset(path).to_table(filter=pads.field("term") == "")
-        for blob in frag["blob"].to_pylist():
-            mt = read_docmeta_ipc(blob)
-            tables.append(mt)
-            ids = mt["doc_id"].to_numpy()
-            if len(ids):
-                doc_max = max(doc_max, int(ids.max()))
-            for fi in range(num_fields):
-                # corpus sums accumulate ALL values (tot), not the
-                # stored last-value field_length (src/index.rs:112-114)
-                sums[fi] += int(np.sum(mt[f"tot_{fi}"].to_numpy()))
-                col = f"hv_{fi}"
-                hv = mt[col].to_numpy().astype(bool) \
-                    if col in mt.column_names else \
-                    np.ones(len(ids), dtype=bool)
-                if hv.any():
-                    last_val_doc[fi] = max(last_val_doc[fi],
-                                           int(ids[hv].max()))
-    rec = {"term_files": term_files,
-           "term_rows": sum(r["rows"] for r in term_files),
-           "term_bytes": sum(os.path.getsize(os.path.join(index_dir,
-                                                          r["path"]))
-                             for r in term_files),
-           "num_docs": sum(len(t) for t in tables),
-           "field_len_sums": sums,
-           "field_last_val_doc": last_val_doc,
-           "doc_max": doc_max}
-    return rec, (pa.concat_tables(tables) if tables else None)
+                           "rows": rows})
+    ids = meta["doc_id"]
+    nf = sum(c.startswith("len_") for c in meta)
+    hvs = [meta[f"hv_{f}"].astype(bool) for f in range(nf)]
+    return {"term_files": term_files,
+            "term_rows": sum(r["rows"] for r in term_files),
+            "term_bytes": sum(os.path.getsize(os.path.join(index_dir,
+                                                           r["path"]))
+                              for r in term_files),
+            "num_docs": len(ids),
+            # corpus sums accumulate ALL values (tot), not the stored
+            # last-value field_length (src/index.rs:112-114)
+            "field_len_sums": [int(meta[f"tot_{f}"].sum(dtype=np.int64))
+                               for f in range(nf)],
+            "field_last_val_doc": [int(ids[hv].max()) if hv.any() else -1
+                                   for hv in hvs],
+            "doc_max": int(ids.max()) if len(ids) else -1}
 
 
-def write_docmeta(index_dir: str, gid: str,
-                  meta: pa.Table | None) -> None:
-    """Atomically replace ``docmeta/group=<gid>.parquet`` with the
-    table ``meta``, or remove it when ``meta`` is None."""
-    meta_dir = os.path.join(index_dir, "docmeta")
-    os.makedirs(meta_dir, exist_ok=True)
-    meta_path = os.path.join(meta_dir, f"group={gid}.parquet")
-    if meta is not None:
-        pq.write_table(meta, meta_path + ".tmp")
-        os.replace(meta_path + ".tmp", meta_path)
-    elif os.path.exists(meta_path):
-        os.unlink(meta_path)
+def _merge_side_files(meta_dir: str, num_fields: int) -> dict:
+    """The group's docmeta from its encoders' side files: a doc in two
+    (a retried batch split another way) counts once."""
+    return docmeta_union([_load_npz(p) for p in sorted(
+        globmod.glob(os.path.join(meta_dir, "*.npz")))], num_fields)
 
 
 def _count_docs_le(index_dir: str, doc_id: int) -> int:
-    """Count docs with id <= doc_id — one predicate-pushdown read of the
-    docmeta ids (rare path: only needed when some field's last
-    doc-with-values is not the corpus max, i.e. trailing docs with
-    empty multi-value lists)."""
-    meta_dir = os.path.join(index_dir, "docmeta")
-    files = sorted(globmod.glob(os.path.join(meta_dir, "*.parquet")))
-    if not files:
-        return 0
+    """Count docs with id <= doc_id (rare path: only needed when some
+    field's last doc-with-values is not the corpus max, i.e. trailing
+    docs with empty multi-value lists)."""
     # distinct ids, not rows: a crash between compact_groups' manifest
     # commit and its file cleanup leaves a doc's docmeta row twice
-    ids = pads.dataset(files).to_table(
-        columns=["doc_id"], filter=pads.field("doc_id") <= doc_id)["doc_id"]
-    return len(np.unique(ids.to_numpy()))
+    heads = [m["doc_id"][:np.searchsorted(m["doc_id"], doc_id, "right")]
+             for m in _docmeta_files(index_dir)]
+    return len(np.unique(np.concatenate(heads))) if heads else 0
 
 
 def finalize_stats(index_dir: str, groups: dict, num_fields: int) -> None:
@@ -201,18 +167,27 @@ def finalize_stats(index_dir: str, groups: dict, num_fields: int) -> None:
 
 class _FusedEncoder:
     """Actor-pool stage fusing the optional pre-transform (e.g. HTML
-    extraction) with segment encoding — one pool, one pass."""
+    extraction) with segment encoding — one pool, one pass.  It returns
+    the segment rows and writes the batch's docmeta to ``meta_dir`` as a
+    side file named by the batch's doc ids, so a retried task rewrites
+    its own file; the build merges the files (``docmeta_union``)."""
 
     def __init__(self, key_col, field_cols, tokenizer, block_postings,
-                 pre_transform=None):
+                 meta_dir, pre_transform=None):
         self.pre = pre_transform
+        self.meta_dir = meta_dir
         self.enc = SegmentEncoder(key_col, field_cols, tokenizer=tokenizer,
                                   block_postings=block_postings)
 
     def __call__(self, batch):
         if self.pre is not None:
             batch = self.pre(batch)
-        return self.enc(batch)
+        rows, meta = self.enc(batch)
+        ids = meta["doc_id"]
+        if len(ids):
+            _save_npz(os.path.join(self.meta_dir, f"{int(ids.min())}-"
+                                   f"{int(ids.max())}-{len(ids)}.npz"), meta)
+        return rows
 
 
 def _expand_paths(paths) -> list[str]:
@@ -338,10 +313,12 @@ def build_index(
         t0 = time.perf_counter()
         out_dir = os.path.join(index_dir, "terms", f"group={gid}")
         tmp_dir = out_dir + ".tmp"
-        if os.path.exists(tmp_dir):
-            shutil.rmtree(tmp_dir)
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
+        # the encoders' docmeta side files, merged at finalize
+        meta_dir = os.path.join(index_dir, "docmeta", f"group={gid}.tmp")
+        for d in (tmp_dir, out_dir, meta_dir):
+            if os.path.exists(d):
+                shutil.rmtree(d)
+        os.makedirs(meta_dir)
 
         if string_key:
             # (key, doc_id) sidecar for this group — same resume unit
@@ -358,7 +335,8 @@ def build_index(
         # and reuse warm workers across build invocations.
         fused = _FusedEncoder(
             key_col=key_col, field_cols=field_cols, tokenizer=tokenizer,
-            block_postings=block_postings, pre_transform=pre_transform)
+            block_postings=block_postings, meta_dir=meta_dir,
+            pre_transform=pre_transform)
         kwargs = {"concurrency": concurrency} if concurrency else {}
         rows = ds.map_batches(
             fused, batch_format="pyarrow", batch_size=batch_size,
@@ -371,13 +349,16 @@ def build_index(
         nparts = max(16, 2 * int(ray.available_resources().get("CPU", 8)))
         rows = rows.repartition(nparts)
         rows = rows.sort(["term", "doc_lo"])
+        os.makedirs(tmp_dir)  # a group without terms writes no file
         rows.write_parquet(tmp_dir)
         os.replace(tmp_dir, out_dir)
         t_job = time.perf_counter() - t0
 
-        # --- group finalize: term ranges + docmeta + lineage
-        rec, meta = finalize_group(index_dir, out_dir, len(field_cols))
+        # --- group finalize: docmeta + lineage
+        meta = _merge_side_files(meta_dir, len(field_cols))
+        rec = finalize_group(index_dir, out_dir, meta)
         write_docmeta(index_dir, gid, meta)
+        shutil.rmtree(meta_dir)
         wall = time.perf_counter() - t0
         man.commit_group(gid, {
             "input_files": gfiles,

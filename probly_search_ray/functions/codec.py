@@ -16,7 +16,7 @@ decoding a whole buffer is a single vectorized scan
 (``varint_decode_all``, which ``decode_rows`` runs over its rows'
 bytes).
 
-Posting block layout (format v5; a *row* is one term's postings
+Posting block layout (since format v5; a *row* is one term's postings
 within one doc range, its blob an ordered sequence of blocks of at
 most ``block_postings`` postings; a term's full posting list may
 spread over several dictionary rows):
@@ -27,9 +27,11 @@ spread over several dictionary rows):
       delta[1..n-1]          doc_id deltas (uint64 differences)
       for f in fields: tf_f[0..n-1]    per-field term frequency
 
-A doc's field lengths are not in the blobs: they live once per doc in
-docmeta (the reference's ``DocumentDetails.field_length``,
-src/index.rs:348), and every reader takes them from there.
+A doc's field lengths are not in the blobs, and since format v6 no
+term file row carries docmeta: every row is a real term's.  A doc's
+details live once, in its group's ``docmeta/group=G.npz`` (the
+reference's ``DocumentDetails.field_length``, src/index.rs:348), and
+every reader takes them from there.
 
 The per-doc occurrence count (df is occurrence-counted,
 src/index.rs:281-297) is NOT stored: occ ≡ Σ_f tf_f, reconstructed at
@@ -43,7 +45,7 @@ import numpy as np
 
 # bump when the posting-block layout changes; stored in the manifest and
 # checked at load so a stale index is rebuilt, not misread
-FORMAT_VERSION = 5  # v5: no per-posting field lengths in the blobs
+FORMAT_VERSION = 6  # v6: docmeta only in docmeta/group=G.npz
 
 
 def check_format_version(index_dir: str, ver) -> None:

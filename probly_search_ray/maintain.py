@@ -12,6 +12,11 @@ compaction job over the term shards (decode → filter → re-encode →
 atomic rewrite per group).  ``first_pos`` values are preserved for
 surviving terms — the reference's trie keeps node creation order across
 vacuum, so expansion order must not change.
+
+The removal path (``remove_documents``, and ``replay_pending`` in an
+engine) loads NumPy and the standard library only: docmeta is one
+``docmeta/group=G.npz`` per group, read by ``np.load``, and pyarrow is
+imported inside the jobs that rewrite term files.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ import os
 import shutil
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 from probly_search_ray.functions.codec import (
-    blob_buffers, decode_rows, encode_rows)
-from probly_search_ray.search import _in_sorted
-from probly_search_ray.stages.segment import SEGMENT_SCHEMA, docmeta_ipc, read_docmeta_ipc
+    blob_buffers, check_format_version, decode_rows, encode_rows)
+from probly_search_ray.search import _in_sorted, _narrow
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 
 
@@ -103,59 +105,38 @@ def remove_documents_by_key(index_dir: str, keys) -> int:
     return remove_documents(index_dir, [int(h) for h in hash_keys(list(keys))])
 
 
-# docmeta dir → {file: ((st_ino, st_mtime_ns, st_size), sorted doc ids,
-# [len_f in id order])}; a file's entry is re-read once its stat changes
+# docmeta dir → {file: ((st_ino, st_mtime_ns, st_size), {"doc_id": sorted
+# ids, "len_f": ...})}; a file's entry is re-read once its stat changes
 _DOCMETA_MEMO: dict[str, dict] = {}
 _DOCMETA_MEMO_DIRS = 8
 
 
 def _docmeta_lengths(path: str, old):
-    """A docmeta file's ``doc_id`` column sorted, with each ``len_*``
-    column in the same order — ``old`` when the file is unchanged.  A
-    duplicated id keeps its last row."""
+    """A docmeta file's ``doc_id`` (sorted, unique) and ``len_*``
+    arrays — ``old`` when the file is unchanged."""
     st = os.stat(path)
     key = (st.st_ino, st.st_mtime_ns, st.st_size)
     if old is not None and old[0] == key:
         return old
-    pf = pq.ParquetFile(path)
-    cols = [c for c in pf.schema_arrow.names if c.startswith("len_")]
-    t = pf.read(columns=["doc_id", *cols])
-    ids = _int_column(t["doc_id"])
-    order = np.argsort(ids, kind="stable")
-    s = ids[order]
-    last = order[np.r_[s[1:] != s[:-1], True]] if len(s) else order
-    return (key, ids[last],
-            [_int_column(t[f"len_{f}"])[last] for f in range(len(cols))])
+    with np.load(path) as z:
+        return key, {c: z[c] for c in z.files
+                     if c == "doc_id" or c.startswith("len_")}
 
 
-def _int_column(col: pa.ChunkedArray) -> np.ndarray:
-    """A null-free integer column as one NumPy array, read through its
-    Arrow data buffers.  ``to_numpy()`` gives the same values but
-    imports pandas on first use (pyarrow's conversion layer), and that
-    import would land inside a serving process's first removal."""
-    t = col.type
-    if not pa.types.is_integer(t) or col.null_count:
-        raise TypeError(f"expected a null-free integer column, got {t}")
-    dt = np.dtype(f"{'u' if pa.types.is_unsigned_integer(t) else 'i'}"
-                  f"{t.bit_width // 8}")
-    parts = [np.frombuffer(c.buffers()[1], dt, count=len(c),
-                           offset=c.offset * dt.itemsize)
-             for c in col.chunks if len(c)]
-    return np.concatenate(parts) if parts else np.empty(0, dt)
-
-
-def _docmeta_files(index_dir: str) -> list[tuple]:
-    """``(sorted doc ids, [len_f])`` of each docmeta file, in file
-    order, memoized per file.  The memo keeps only the current listing."""
+def _docmeta_files(index_dir: str) -> list[dict]:
+    """The ``doc_id`` and ``len_f`` arrays of each docmeta file
+    (``docmeta/group=G.npz``), in file order, memoized per file: the
+    removal lookup, the cache build, ``build._count_docs_le`` and
+    merge's disjointness check read docmeta here.  The memo keeps only
+    the current listing."""
     meta_dir = os.path.join(index_dir, "docmeta")
-    files = sorted(glob.glob(os.path.join(meta_dir, "*.parquet"))) \
-        if os.path.isdir(meta_dir) else []
+    files = sorted(glob.glob(os.path.join(meta_dir, "*.npz")))
     old = _DOCMETA_MEMO.pop(meta_dir, {})
     memo = _DOCMETA_MEMO[meta_dir] = {
         p: _docmeta_lengths(p, old.get(p)) for p in files}
     while len(_DOCMETA_MEMO) > _DOCMETA_MEMO_DIRS:
         del _DOCMETA_MEMO[next(iter(_DOCMETA_MEMO))]
-    return [memo[p][1:] for p in files]
+    return [memo[p][1] for p in files]
 
 
 def _docs_field_lengths(index_dir: str, doc_ids) -> dict[int, list[int]]:
@@ -168,28 +149,77 @@ def _docs_field_lengths(index_dir: str, doc_ids) -> dict[int, list[int]]:
         return {}
     want = np.asarray([int(d) for d in doc_ids], dtype=np.uint64)
     out: dict[int, list[int]] = {}
-    for ids, lens in _docmeta_files(index_dir):
+    for m in _docmeta_files(index_dir):
+        ids = m["doc_id"]
+        lens = [m[f"len_{f}"] for f in range(len(m) - 1)]
         found = want[_in_sorted(want, ids)]
         for d, j in zip(found.tolist(), np.searchsorted(ids, found).tolist()):
             out[d] = [int(ln[j]) for ln in lens]
     return out
 
 
-def docmeta_table(index_dir: str, num_fields: int):
-    """Every doc's field lengths: ``(sorted unique doc ids, [len_f])``
-    over all docmeta files, with the rules of ``_docs_field_lengths``
-    (last row wins within a file, a later file wins across files).
-    The serving cache's per-doc tables come from here."""
-    parts = _docmeta_files(index_dir)
+def docmeta_union(parts: list[dict], num_fields: int) -> dict:
+    """The docmeta arrays ``parts`` (dicts of equal-length columns, one
+    of them ``doc_id``) as one, ids sorted and unique: an id in several
+    parts keeps its row of the last.  No parts: every column, empty."""
     if not parts:
-        return (np.empty(0, np.uint64),
-                [np.empty(0, np.uint32) for _ in range(num_fields)])
-    ids = np.concatenate([i for i, _ in parts]).astype(np.uint64)
+        parts = [{"doc_id": np.empty(0, np.uint64), **{
+            f"{c}_{f}": np.empty(0, np.uint32)
+            for c in ("len", "tot", "hv") for f in range(num_fields)}}]
+    cols = {c: np.concatenate([p[c] for p in parts]) for c in parts[0]}
+    ids = cols["doc_id"]
     order = np.argsort(ids, kind="stable")
     s = ids[order]
-    last = order[np.r_[s[1:] != s[:-1], True]]
-    return ids[last], [np.concatenate([ln[f] for _, ln in parts])[last]
-                       for f in range(num_fields)]
+    last = order[np.r_[s[1:] != s[:-1], True]] if len(s) else order
+    return {c: a[last] for c, a in cols.items()}
+
+
+def docmeta_table(index_dir: str, num_fields: int):
+    """Every doc's field lengths: ``(sorted unique doc ids, [len_f])``
+    over all docmeta files, a later file winning for an id in several
+    (as in ``_docs_field_lengths``).  The serving cache's per-doc
+    tables come from here."""
+    u = docmeta_union(_docmeta_files(index_dir), num_fields)
+    return u["doc_id"], [u[f"len_{f}"] for f in range(num_fields)]
+
+
+def _save_npz(path: str, arrays: dict, compress: bool = False) -> None:
+    """Write ``arrays`` to ``path`` (npz) by tmp + rename: a reader, or
+    a retried writer of the same file, never sees half of it."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        (np.savez_compressed if compress else np.savez)(fh, **arrays)
+    os.replace(tmp, path)
+
+
+def _docmeta_path(index_dir: str, gid: str) -> str:
+    return os.path.join(index_dir, "docmeta", f"group={gid}.npz")
+
+
+def _load_npz(path: str) -> dict:
+    with np.load(path) as z:
+        return {c: z[c] for c in z.files}
+
+
+def read_docmeta(index_dir: str, gid: str) -> dict | None:
+    """Every docmeta column of group ``gid`` (None: the group has no
+    docs)."""
+    path = _docmeta_path(index_dir, gid)
+    return _load_npz(path) if os.path.exists(path) else None
+
+
+def write_docmeta(index_dir: str, gid: str, meta: dict | None) -> None:
+    """Atomically replace ``docmeta/group=<gid>.npz`` with the arrays
+    ``meta`` (ids sorted and unique; the other columns stored in the
+    cache's narrowest-dtype rule), or remove it when ``meta`` holds no
+    doc."""
+    path = _docmeta_path(index_dir, gid)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    if meta is not None and len(meta["doc_id"]):
+        _save_npz(path, {c: a if c == "doc_id" else _narrow(a)
+                         for c, a in meta.items()}, compress=True)
+    elif os.path.exists(path):
+        os.unlink(path)
 
 
 class _Compactor:
@@ -200,8 +230,7 @@ class _Compactor:
     over all postings, one ``encode_rows`` re-encode in blocks of the
     index's ``block_postings`` — no per-term Python decode/encode loop
     (the same pattern whose query-side twin caused the round-1 p95
-    blow-up).  Doc-meta sentinel rows (few per batch) keep their
-    per-blob IPC path."""
+    blow-up)."""
 
     def __init__(self, tomb_sorted: np.ndarray, num_fields: int,
                  block_postings: int):
@@ -211,53 +240,18 @@ class _Compactor:
         from probly_search_ray.functions.mem import tune_allocator
         tune_allocator()
 
-    def _meta_rows(self, batch: pa.Table) -> pa.Table | None:
-        import pyarrow.compute as pc
-        mt_tbl = batch.filter(pc.equal(batch["term"], ""))
-        keep_rows, new_blobs, new_df, new_lo, new_hi = [], [], [], [], []
-        for i, blob in enumerate(mt_tbl["blob"].to_pylist()):
-            mt = read_docmeta_ipc(blob)
-            ids = mt["doc_id"].to_numpy()
-            keep = ~_in_sorted(ids, self.tomb)
-            if not keep.any():
-                continue
-            lens = [mt[f"len_{f}"].to_numpy()[keep] for f in range(self.nf)]
-            tots = [mt[f"tot_{f}"].to_numpy()[keep] for f in range(self.nf)]
-            hvs = [mt[f"hv_{f}"].to_numpy()[keep] for f in range(self.nf)] \
-                if "hv_0" in mt.column_names else None
-            keep_rows.append(i)
-            new_blobs.append(docmeta_ipc(ids[keep], lens, tots, hvs))
-            new_df.append(int(keep.sum()))
-            new_lo.append(int(ids[keep].min()))
-            new_hi.append(int(ids[keep].max()))
-        if not keep_rows:
-            return None
-        sub = mt_tbl.take(pa.array(keep_rows, type=pa.int64()))
-        return pa.table({
-            "term": sub["term"],
-            "doc_lo": pa.array(new_lo, type=pa.uint64()),
-            "doc_hi": pa.array(new_hi, type=pa.uint64()),
-            "df": pa.array(new_df, type=pa.uint64()),
-            "first_pos": sub["first_pos"],
-            "first_off": sub["first_off"],
-            "blob": pa.array(new_blobs, type=pa.large_binary()),
-        }, schema=SEGMENT_SCHEMA)
+    def __call__(self, batch):
+        import pyarrow as pa
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        meta_out = self._meta_rows(batch)
-        post_tbl = batch.filter(pc.invert(pc.equal(batch["term"], "")))
-        nrows = len(post_tbl)
+        from probly_search_ray.stages.segment import SEGMENT_SCHEMA
+        nrows = len(batch)
         if nrows == 0:
             # build the empty table FROM the schema: the input batch can
             # carry a hive-inferred `group` partition column (read from
             # terms/group=G/...), which a cast() would reject
-            return meta_out if meta_out is not None else \
-                SEGMENT_SCHEMA.empty_table()
+            return SEGMENT_SCHEMA.empty_table()
         docs, tfs, row_counts = decode_rows(
-            *blob_buffers(post_tbl["blob"].combine_chunks()), self.nf)
-
+            *blob_buffers(batch["blob"].combine_chunks()), self.nf)
         keep = ~_in_sorted(docs, self.tomb)
         row_idx = np.repeat(np.arange(nrows, dtype=np.int64), row_counts)
         cnt = np.bincount(row_idx[keep], minlength=nrows).astype(np.int64)
@@ -281,24 +275,21 @@ class _Compactor:
         for t in tfs_k:
             occ += t
         df_all = np.zeros(nrows, dtype=np.uint64)
-        lo_all = post_tbl["doc_lo"].to_numpy().copy()
-        hi_all = post_tbl["doc_hi"].to_numpy().copy()
+        lo_all = batch["doc_lo"].to_numpy().copy()
+        hi_all = batch["doc_hi"].to_numpy().copy()
         if len(ki):
             df_all[ki] = np.add.reduceat(occ, rs)
             lo_all[ki] = docs_k[rs]
             hi_all[ki] = docs_k[rs + c - 1]
-        out = pa.table({
-            "term": post_tbl["term"],
+        return pa.table({
+            "term": batch["term"],
             "doc_lo": pa.array(lo_all, type=pa.uint64()),
             "doc_hi": pa.array(hi_all, type=pa.uint64()),
             "df": pa.array(df_all, type=pa.uint64()),
-            "first_pos": post_tbl["first_pos"],
-            "first_off": post_tbl["first_off"],
+            "first_pos": batch["first_pos"],
+            "first_off": batch["first_off"],
             "blob": pa.array(blobs, type=pa.large_binary()),
         }, schema=SEGMENT_SCHEMA)
-        if meta_out is not None:
-            out = pa.concat_tables([meta_out, out])
-        return out
 
 
 def _gc_unreferenced_group_dirs(index_dir: str, man: Manifest) -> None:
@@ -335,7 +326,9 @@ def compact_groups(index_dir: str) -> int:
     """
     import ray.data
 
+    from probly_search_ray.build import finalize_group
     from probly_search_ray.sources.readers import read_parquet_clean
+    from probly_search_ray.stages.segment import SEGMENT_SCHEMA
 
     man = Manifest(index_dir)
     _gc_unreferenced_group_dirs(index_dir, man)
@@ -362,13 +355,13 @@ def compact_groups(index_dir: str) -> int:
     ds.repartition(nparts).sort(["term", "doc_lo"]).write_parquet(tmp_dir)
     os.replace(tmp_dir, new_dir)
 
-    # new docmeta before the commit (duplicate rows across group files
-    # are benign for readers; old files removed after the swap)
-    from probly_search_ray.build import finalize_group, write_docmeta
-    first = dict(man.groups[gids[0]])
-    rec, meta = finalize_group(index_dir, new_dir, nf)
+    # the union docmeta before the commit (an id in two files is
+    # benign for readers; the old files are removed after the swap)
+    meta = docmeta_union([m for m in (read_docmeta(index_dir, g)
+                                      for g in gids) if m is not None], nf)
     write_docmeta(index_dir, gids[0], meta)
-    first.update(rec)
+    first = dict(man.groups[gids[0]])
+    first.update(finalize_group(index_dir, new_dir, meta))
     first["compact_gen"] = gen
     first["compacted_from"] = gids
     updates = {gids[0]: first}
@@ -383,9 +376,7 @@ def compact_groups(index_dir: str) -> int:
                 and os.path.exists(d):
             shutil.rmtree(d)
     for g in gids[1:]:
-        p = os.path.join(index_dir, "docmeta", f"group={g}.parquet")
-        if os.path.exists(p):
-            os.unlink(p)
+        write_docmeta(index_dir, g, None)
     from probly_search_ray.search import build_csr_cache
     build_csr_cache(index_dir)  # next engine start is cache-warm
     return len(gids)
@@ -417,14 +408,19 @@ def vacuum(index_dir: str) -> None:
     _gc_unreferenced_group_dirs(index_dir, man)
     if len(tomb_arr) == 0:
         return
-    from probly_search_ray.build import finalize_group, write_docmeta
+    from probly_search_ray.build import finalize_group
     cfg = man.data["config"]
     nf = cfg["num_fields"]
     for gid, rec in sorted(man.groups.items()):
+        meta = read_docmeta(index_dir, gid)
+        if meta is None:
+            continue  # the group holds no doc: nothing to drop
+        dead = _in_sorted(meta["doc_id"], tomb_arr)
         cur_files = sorted(os.path.join(index_dir, tf["path"])
                            for tf in rec["term_files"])
-        if not cur_files:
+        if not (cur_files or dead.any()):
             continue
+        meta = {c: a[~dead] for c, a in meta.items()}
         old_dirs = {os.path.dirname(f) for f in cur_files}
         gen = int(rec.get("vacuum_gen", 0)) + 1
         new_dir = os.path.join(index_dir, "terms", f"group={gid}.v{gen}")
@@ -432,19 +428,19 @@ def vacuum(index_dir: str) -> None:
         for d in (tmp_dir, new_dir):
             if os.path.exists(d):
                 shutil.rmtree(d)
-        ds = read_parquet_clean(cur_files)
-        # one vacuum pass is order-preserving per block; re-sort to keep
-        # the term-sorted invariant across output files
-        out = ds.map_batches(
-            _Compactor(tomb_arr, nf, cfg["block_postings"]),
-            batch_format="pyarrow")
-        out = out.sort(["term", "doc_lo"])
-        os.makedirs(tmp_dir, exist_ok=True)  # zero rows → no dir written
-        out.write_parquet(tmp_dir)
-        os.replace(tmp_dir, new_dir)
-        # refresh lineage: term ranges + docmeta for this group
-        fin, meta = finalize_group(index_dir, new_dir, nf)
-        rec.update(fin)
+        if cur_files:  # a group whose docs have no terms has no files
+            ds = read_parquet_clean(cur_files)
+            # one vacuum pass is order-preserving per block; re-sort to
+            # keep the term-sorted invariant across output files
+            out = ds.map_batches(
+                _Compactor(tomb_arr, nf, cfg["block_postings"]),
+                batch_format="pyarrow")
+            out = out.sort(["term", "doc_lo"])
+            os.makedirs(tmp_dir, exist_ok=True)  # zero rows → no dir
+            out.write_parquet(tmp_dir)
+            os.replace(tmp_dir, new_dir)
+        # refresh lineage: the group's term files and docmeta
+        rec.update(finalize_group(index_dir, new_dir, meta))
         rec["vacuum_gen"] = gen
         man.commit_group(gid, rec)  # atomic: now points at new_dir
         write_docmeta(index_dir, gid, meta)
@@ -459,32 +455,6 @@ def vacuum(index_dir: str) -> None:
     stats.save()
     from probly_search_ray.search import build_csr_cache
     build_csr_cache(index_dir)  # next engine start is cache-warm
-
-
-def _docmeta_id_ranges(index_dir: str) -> list[tuple[int, int]]:
-    """(min, max) doc id per docmeta file, from parquet FOOTER row-group
-    statistics only — no data pages are read."""
-    out = []
-    meta_dir = os.path.join(index_dir, "docmeta")
-    for f in sorted(glob.glob(os.path.join(meta_dir, "*.parquet"))):
-        md = pq.ParquetFile(f).metadata
-        idx = md.schema.to_arrow_schema().get_field_index("doc_id")
-        lo, hi = None, None
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or not st.has_min_max:
-                # fall back for THIS file only: read its ids
-                import pyarrow.dataset as pads
-                ids = pads.dataset(f).to_table(
-                    columns=["doc_id"])["doc_id"].to_numpy()
-                if len(ids):
-                    lo, hi = int(ids.min()), int(ids.max())
-                break
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
-        if lo is not None:
-            out.append((int(lo), int(hi)))
-    return out
 
 
 _MERGE_CFG_KEYS = ("format_version", "string_key", "key_col",
@@ -507,9 +477,10 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
     to the existing distributed ``compact_groups``.
 
     Checked up front: identical build config across sources and
-    doc-id disjointness (parquet-footer interval fast path; on interval
-    overlap, an exact distributed duplicate check over the docmeta ids
-    — one Ray count aggregate, never a driver set).  String-key indexes
+    doc-id disjointness (the first and last of each source's sorted
+    docmeta ids; where those intervals overlap, one in-process
+    ``np.unique`` over the ids — the cache build that ends the merge
+    holds every doc id in one process anyway).  String-key indexes
     are refused: hashed ids can collide ACROSS sources and the keymap
     collision certificate is per-index.
 
@@ -531,6 +502,7 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
     for s, m in zip(source_dirs, mans):
         if not m.data["config"]:
             raise FileNotFoundError(f"no index at {s}")
+        check_format_version(s, m.data["config"].get("format_version"))
         if m.data["config"].get("string_key"):
             raise ValueError(
                 "merge_indexes does not support string-key indexes: "
@@ -544,32 +516,13 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
                     f"{cfg0.get(k)!r}, {s} has {m.data['config'].get(k)!r}")
 
     # --- doc-id disjointness ------------------------------------------
-    ranges = [_docmeta_id_ranges(s) for s in source_dirs]
-    spans = [(min(lo for lo, _ in r), max(hi for _, hi in r))
-             for r in ranges if r]
-    order = sorted(range(len(spans)), key=lambda i: spans[i])
-    interval_ok = all(spans[order[i]][1] < spans[order[i + 1]][0]
-                      for i in range(len(order) - 1))
-    if not interval_ok:
-        # exact check: one distributed count aggregate over docmeta ids
-        import ray.data
-        from ray.data.aggregate import Count
-
-        from probly_search_ray.sources.readers import read_parquet_clean
-        meta_files = [f for s in source_dirs for f in sorted(
-            glob.glob(os.path.join(s, "docmeta", "*.parquet")))]
-        def _dups_only(b):
-            import pyarrow.compute as pc
-            return b.filter(pc.greater(b["n"], 1))
-
-        # vectorized filter: the aggregate is one row PER DOC — a
-        # Python row filter here would walk the whole corpus
-        dup = read_parquet_clean(meta_files, columns=["doc_id"]) \
-            .groupby("doc_id").aggregate(Count(alias_name="n")) \
-            .map_batches(_dups_only, batch_format="pyarrow").take(1)
-        if dup:
-            raise ValueError(
-                f"duplicate doc_id across sources (e.g. {dup[0]['doc_id']})")
+    ids = [docmeta_table(s, cfg0["num_fields"])[0] for s in source_dirs]
+    spans = sorted((int(a[0]), int(a[-1])) for a in ids if len(a))
+    if any(lo <= hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
+        u, n = np.unique(np.concatenate(ids), return_counts=True)
+        if (n > 1).any():
+            raise ValueError(f"duplicate doc_id across sources (e.g. "
+                             f"{int(u[n > 1][0])})")
 
     # --- link files + build the one atomic manifest commit ------------
     if overwrite and os.path.exists(dest_dir):
@@ -603,10 +556,9 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
             nrec["term_files"] = nfiles
             nrec["merged_from"] = os.path.join(s, f"group={gid}")
             records[ngid] = nrec
-            mp = os.path.join(s, "docmeta", f"group={gid}.parquet")
+            mp = _docmeta_path(s, gid)
             if os.path.exists(mp):
-                _link(mp, os.path.join(dest_dir, "docmeta",
-                                       f"group={ngid}.parquet"))
+                _link(mp, _docmeta_path(dest_dir, ngid))
         tomb_ids.extend(Tombstones(s).doc_ids)
         input_files.extend(m.data["config"].get("input_files", []))
 

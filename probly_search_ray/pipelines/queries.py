@@ -507,7 +507,6 @@ def index_postings(sf_dir: str):
     meta = _ray.put((meta_ids, meta_lens[0]))
 
     def decode(b: pa.Table) -> pa.Table:
-        b = b.filter(_pc.not_equal(b["term"], ""))
         empty = pa.table({"term": pa.array([], pa.string()),
                           "doc_id": pa.array([], pa.int64()),
                           "tf": pa.array([], pa.int64()),

@@ -275,18 +275,13 @@ class ShardData:
         # needs pyarrow, so a warm-cache load never imports it
         import pyarrow as pa
         import pyarrow.dataset as pads
-        tables = []
-        for rec in man.term_files():
-            path = os.path.join(index_dir, rec["path"])
-            t = pads.dataset(path).to_table(
-                filter=pads.field("term") != "",
-                columns=["term", "doc_lo", "df", "first_pos", "first_off",
-                         "blob"])
-            if len(t):
-                from probly_search_ray.stages.segment import SEGMENT_SCHEMA
-                want = pa.schema([SEGMENT_SCHEMA.field(n)
-                                  for n in t.column_names])
-                tables.append(t.cast(want))
+
+        from probly_search_ray.stages.segment import SEGMENT_SCHEMA
+        cols = ["term", "doc_lo", "df", "first_pos", "first_off", "blob"]
+        want = pa.schema([SEGMENT_SCHEMA.field(n) for n in cols])
+        tables = [pads.dataset(os.path.join(index_dir, rec["path"]))
+                  .to_table(columns=cols).cast(want)
+                  for rec in man.term_files()]
 
         F = self.num_fields
         self.terms: list[str] = []
@@ -308,8 +303,6 @@ class ShardData:
             return
         full = pa.concat_tables(tables).sort_by(
             [("term", "ascending"), ("doc_lo", "ascending")])
-        if not len(full):
-            return
         from probly_search_ray.maintain import docmeta_table
         self._load_csr(full, F, docmeta_table(index_dir, F))
         self.trie_rank = trie_rank(self.terms, self.first_pos,
@@ -1490,8 +1483,8 @@ class SearchEngine:
         stats = Stats(self.index_dir)
         ids = Tombstones(self.index_dir).doc_ids
         if stats.pending(ids):
-            # reads the docs' lengths from docmeta (pyarrow): imported
-            # only for this crash case
+            # reads the docs' lengths from docmeta (``np.load``):
+            # imported only for this crash case
             from probly_search_ray.maintain import replay_pending
             replay_pending(self.index_dir, stats, ids)
         self.stats = stats

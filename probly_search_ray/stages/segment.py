@@ -2,11 +2,11 @@
 
 One ``map_batches`` call turns a batch of documents into *segment
 dictionary rows*: per distinct term in the batch, one row carrying a
-docID-sorted delta+varint posting block set for the docs of this batch,
-plus one sentinel row (``term == ""``) carrying the batch's doc-meta
-(field lengths) as Arrow IPC bytes.  ``""`` can never collide with a
-real term because the reference drops empty tokens
-(``/root/reference/src/index.rs:100-110``).
+docID-sorted delta+varint posting block set for the docs of this batch.
+The batch's docmeta (per-doc field lengths, the reference's
+``DocumentDetails``, ``src/index.rs:348``) comes back beside the rows
+as NumPy arrays: the build keeps it out of the term files and the
+sort, and stores it once per group (``maintain.write_docmeta``).
 
 This replaces the reference's one-doc-at-a-time trie mutation
 (``src/index.rs:77-158``) with a fully vectorized, shuffle-free local
@@ -57,45 +57,21 @@ SEGMENT_SCHEMA = pa.schema([
 ])
 
 
-def docmeta_ipc(doc_ids: np.ndarray, lens: list[np.ndarray],
-                tots: list[np.ndarray] | None = None,
-                hvs: list[np.ndarray] | None = None) -> bytes:
-    """Per-doc metadata: ``len_f`` is the reference's stored
-    ``field_length`` (LAST value's kept-token count for multi-value
-    fields, src/index.rs:114 — used for BM25 normalization and the
-    remove-path stat subtraction); ``tot_f`` is the total kept-token
-    count over all values (what ``fields[i].sum`` accumulates,
-    src/index.rs:112).  They coincide for single-value fields.
-    ``hv_f`` records whether the doc's accessor yielded ≥1 VALUE for
-    the field (``vlen > 0`` — 1 for every doc of a single-value string
-    column, even empty text): the reference updates ``fields[i].avg``
-    only inside the per-value loop (src/index.rs:112-113), so a doc
-    with an EMPTY value list leaves avg stale — ``hv_f`` is what lets
-    the build finalize reproduce that stale avg exactly."""
-    cols = {"doc_id": pa.array(doc_ids.astype(np.uint64), type=pa.uint64())}
-    for f, ln in enumerate(lens):
-        cols[f"len_{f}"] = pa.array(ln.astype(np.uint32), type=pa.uint32())
-    for f, t in enumerate(tots if tots is not None else lens):
-        cols[f"tot_{f}"] = pa.array(t.astype(np.uint32), type=pa.uint32())
-    nf = len(lens)
-    for f in range(nf):
-        hv = hvs[f] if hvs is not None else \
-            np.ones(len(doc_ids), dtype=np.uint8)
-        cols[f"hv_{f}"] = pa.array(hv.astype(np.uint8), type=pa.uint8())
-    table = pa.table(cols)
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, table.schema) as w:
-        w.write_table(table)
-    return sink.getvalue().to_pybytes()
-
-
-def read_docmeta_ipc(blob: bytes) -> pa.Table:
-    return pa.ipc.open_stream(pa.BufferReader(blob)).read_all()
-
-
 class SegmentEncoder:
-    """Callable class for ``map_batches`` (actor pool): tokenizer setup
-    happens once per actor (ST-pattern), encoding per batch."""
+    """Per-batch encoder, set up once per worker (the tokenizer).  A
+    call returns the batch's segment rows and its docmeta arrays:
+    ``doc_id``; ``len_f``, the reference's stored ``field_length`` (the
+    LAST value's kept-token count for multi-value fields,
+    src/index.rs:114 — used for BM25 normalization and the remove-path
+    stat subtraction); ``tot_f``, the kept-token count over all values
+    (what ``fields[i].sum`` accumulates, src/index.rs:112), equal to
+    ``len_f`` for single-value fields; and ``hv_f``, whether the doc's
+    accessor yielded ≥1 VALUE for the field (1 for every doc of a
+    single-value string column, even empty text).  The reference
+    updates ``fields[i].avg`` only inside the per-value loop
+    (src/index.rs:112-113), so a doc with an EMPTY value list leaves
+    avg stale — ``hv_f`` is what lets the build reproduce that stale
+    avg exactly."""
 
     def __init__(self, key_col: str, field_cols: list[str],
                  tokenizer="whitespace", block_postings: int = 4096):
@@ -106,12 +82,10 @@ class SegmentEncoder:
         self.tok = get_tokenizer(tokenizer)
         self.block_postings = int(block_postings)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> tuple[pa.Table, dict]:
         F = len(self.field_cols)
         doc_ids = batch[self.key_col].to_numpy().astype(np.uint64)
         B = len(doc_ids)
-        if B == 0:
-            return SEGMENT_SCHEMA.empty_table()
 
         # --- tokenize each field, flatten, drop empty tokens -------------
         # Fields may be string columns (single-value accessor) or
@@ -181,15 +155,11 @@ class SegmentEncoder:
         all_didx = np.concatenate(tok_doc_idx) if tok_doc_idx else np.empty(0, np.int64)
         total_tokens = len(all_didx)
 
-        meta_blob = docmeta_ipc(doc_ids, lens, tots, hvs)
-        meta_row = {
-            "term": [""], "doc_lo": [int(doc_ids.min()) if B else 0],
-            "doc_hi": [int(doc_ids.max()) if B else 0],
-            "df": [B], "first_pos": [0], "first_off": [0],
-            "blob": [meta_blob],
-        }
+        meta = {"doc_id": doc_ids}
+        for name, cols in (("len", lens), ("tot", tots), ("hv", hvs)):
+            meta.update((f"{name}_{f}", c) for f, c in enumerate(cols))
         if total_tokens == 0:
-            return pa.table(meta_row, schema=SEGMENT_SCHEMA)
+            return SEGMENT_SCHEMA.empty_table(), meta
 
         # --- occurrence-stream positions (docs asc, fields in order) -----
         # Stable sort of the field-major concat by doc index preserves the
@@ -286,5 +256,4 @@ class SegmentEncoder:
             "first_off": pa.array(fp_off, type=pa.uint32()),
             "blob": pa.array(blobs, type=pa.large_binary()),
         }, schema=SEGMENT_SCHEMA)
-        meta = pa.table(meta_row, schema=SEGMENT_SCHEMA)
-        return pa.concat_tables([meta, out])
+        return out, meta

@@ -6,7 +6,7 @@ Index layout (the on-disk replacement for the reference's in-RAM
     index_dir/
       manifest.json            build config + per-group commit records
                                (input files, counts, timings, output
-                               files with term ranges) — the unit of
+                               files with row counts) — the unit of
                                resumability ("per-partition lineage")
       stats.json               N + per-field sum/avg (src/index.rs:112-113
                                semantics; updated immediately on remove,
@@ -14,7 +14,9 @@ Index layout (the on-disk replacement for the reference's in-RAM
                                count of tombstones those figures include
       tombstones.json          latent-deleted doc ids (src/index.rs:30-32)
       terms/group=G/*.parquet  term-sorted dictionary+postings rows
-      docmeta/group=G.parquet  (doc_id, len_0..len_{F-1})
+      docmeta/group=G.npz      one row per doc of the group, ids
+                               sorted and unique: doc_id, len_f (the
+                               stored field length), tot_f, hv_f
 
 All JSON writes are atomic (tmp + rename) so a crashed build never
 leaves a half-written manifest.
@@ -77,7 +79,7 @@ class Manifest:
         _atomic_write_json(self.path, self.data)
 
     def term_files(self) -> list[dict]:
-        """All committed term files with their term ranges."""
+        """All committed term files with their group and row count."""
         out = []
         for gid, rec in sorted(self.data["groups"].items()):
             for f in rec["term_files"]:

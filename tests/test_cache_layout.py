@@ -46,7 +46,7 @@ def _blob_postings(idx, F):
         t = pq.read_table(os.path.join(idx, rec["path"]),
                           columns=["term", "blob"])
         for term, blob in zip(t["term"].to_pylist(), t["blob"].to_pylist()):
-            if term == "" or not blob:
+            if not blob:
                 continue
             docs, _, _ = decode_rows(np.frombuffer(blob, np.uint8),
                                      np.asarray([0, len(blob)]), F)
@@ -57,10 +57,11 @@ def _blob_postings(idx, F):
 def _docmeta_lengths(idx, F):
     """doc id → docmeta's ``len_f``, later files winning."""
     out = {}
-    for path in sorted(glob.glob(os.path.join(idx, "docmeta", "*.parquet"))):
-        t = pq.read_table(path).to_pydict()
-        for j, d in enumerate(t["doc_id"]):
-            out[d] = [t[f"len_{f}"][j] for f in range(F)]
+    for path in sorted(glob.glob(os.path.join(idx, "docmeta", "*.npz"))):
+        with np.load(path) as z:
+            lens = [z[f"len_{f}"].tolist() for f in range(F)]
+            for j, d in enumerate(z["doc_id"].tolist()):
+                out[d] = [ln[j] for ln in lens]
     return out
 
 
@@ -273,7 +274,7 @@ def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
     live doc is a damaged index: a fresh decode raises ``ValueError``."""
     import shutil
 
-    import probly_search_ray.build as build
+    import probly_search_ray.maintain as maintain
     from probly_search_ray.search import build_csr_cache
     from probly_search_ray.state.manifest import Tombstones
     rng = np.random.default_rng(5)
@@ -298,7 +299,7 @@ def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
 
     def crash(*a, **kw):
         raise RuntimeError("crash before the docmeta write")
-    monkeypatch.setattr(build, "write_docmeta", crash)
+    monkeypatch.setattr(maintain, "write_docmeta", crash)
     with pytest.raises(RuntimeError, match="crash"):
         vacuum(idx)
     monkeypatch.undo()
@@ -315,19 +316,120 @@ def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
     assert _docmeta_lengths(idx, 2) == _docmeta_lengths(clean, 2)
     assert not {3, 4, 30} & set(_docmeta_lengths(idx, 2))
 
-    meta = os.path.join(clean, "docmeta", "group=00001.parquet")
-    t = pq.read_table(meta)
-    pq.write_table(t.filter(pa.array(t["doc_id"].to_numpy() != 40)), meta)
+    meta = maintain.read_docmeta(clean, "00001")
+    keep = meta["doc_id"] != 40
+    maintain.write_docmeta(clean, "00001",
+                           {c: a[keep] for c, a in meta.items()})
     with pytest.raises(ValueError, match="no docmeta row"):
         ShardData(clean, use_cache=False)
 
 
+def test_encoder_retry_counts_each_doc_once(tmp_path):
+    """An encoder batch writes its docmeta to a side file named by the
+    batch's doc ids, so a retried batch rewrites its own file; a retry
+    that split the batch another way leaves overlapping files, and the
+    build's merge still gives each doc once, in docmeta and in
+    ``num_docs``."""
+    from probly_search_ray.build import (
+        _FusedEncoder, _merge_side_files, finalize_group)
+    from probly_search_ray.maintain import write_docmeta
+    rows = _rows(np.random.default_rng(4), 0, 12)
+    batch = pa.table({
+        "doc_id": pa.array([r[0] for r in rows], type=pa.uint64()),
+        "f0": [r[1] for r in rows], "f1": [r[2] for r in rows]})
+    side = str(tmp_path / "side")
+    os.makedirs(side)
+    enc = _FusedEncoder("doc_id", ["f0", "f1"], "whitespace", 4096, side)
+    enc(batch)
+    once = _merge_side_files(side, 2)
+    enc(batch)                                    # the retry
+    assert len(os.listdir(side)) == 1
+    enc(batch.slice(0, 5))                        # a retry split in two
+    enc(batch.slice(5))
+    assert len(os.listdir(side)) == 3
+    meta = _merge_side_files(side, 2)
+    assert meta["doc_id"].tolist() == list(range(12))
+    assert set(meta) == set(once)
+    for c in once:
+        assert np.array_equal(meta[c], once[c]), c
+    idx = str(tmp_path / "index")
+    assert finalize_group(idx, str(tmp_path / "no_terms"),
+                          meta)["num_docs"] == 12
+    write_docmeta(idx, "00000", meta)
+    want = {r[0]: [len(r[1].split()), len(r[2].split())] for r in rows}
+    assert _docmeta_lengths(idx, 2) == want
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_stale_side_files_of_a_crashed_build_are_cleared(tmp_path):
+    """A build that crashed after its encoders ran, before the group's
+    finalize, leaves the group's docmeta side-file dir; building the
+    group again clears it, so a stale file's docs (here an id no input
+    holds) reach neither docmeta nor the stats."""
+    from probly_search_ray.state.manifest import Stats
+    rng = np.random.default_rng(6)
+    files = [str(tmp_path / f"g{g}.parquet") for g in range(2)]
+    _write(files[0], _rows(rng, 0, 20))
+    _write(files[1], _rows(rng, 20, 30))
+    idx = str(tmp_path / "index")
+    build_index(files[:1], idx, field_cols=["f0", "f1"], files_per_group=1)
+    stale = os.path.join(idx, "docmeta", "group=00001.tmp")
+    os.makedirs(stale)
+    one = np.ones(1, np.uint32)
+    np.savez(os.path.join(stale, "900-900-1.npz"),
+             doc_id=np.array([900], np.uint64), len_0=one, tot_0=one,
+             hv_0=one, len_1=one, tot_1=one, hv_1=one)
+    build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1)
+    assert sorted(os.listdir(os.path.join(idx, "docmeta"))) == [
+        "group=00000.npz", "group=00001.npz"]
+    assert sorted(_docmeta_lengths(idx, 2)) == list(range(30))
+    assert Manifest(idx).groups["00001"]["num_docs"] == 10
+    assert Stats(idx).data["num_docs"] == 30
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_last_dictionary_term_as_df0_witness(tmp_path):
+    """The lexicographically last dictionary term ends up a df-0 vacuum
+    witness (its only docs removed, then ``vacuum``): a cold load and a
+    cache load give it ``tf_max`` and ``len_min`` 0 in every field, and
+    bm25 and ``zero_to_one`` match the reference model."""
+    rng = np.random.default_rng(21)
+    rows = _rows(rng, 0, 30)
+    rows[4] = (4, rows[4][1] + " zzz", rows[4][2])
+    rows[17] = (17, rows[17][1], "zzz " + rows[17][2])
+    path = str(tmp_path / "w.parquet")
+    _write(path, rows)
+    idx = str(tmp_path / "index")
+    build_index(path, idx, field_cols=["f0", "f1"])
+    remove_documents(idx, [4, 17])
+    vacuum(idx)
+    ref = RefIndex(2)
+    for r in rows:
+        ref.add_document([r[1], r[2]], tok, r[0])
+    ref.remove_document(4)
+    ref.remove_document(17)
+    ref.vacuum()
+    for sd in (ShardData(idx, use_cache=False), ShardData(idx)):
+        last = len(sd.terms) - 1
+        assert sd.terms[last] == "zzz"
+        assert sd.post_off[last] == sd.post_off[last + 1] == len(sd.p_ord)
+        assert [int(t[last]) for t in sd.tf_max + sd.len_min] == [0] * 4
+    eng = SearchEngine(idx)
+    for q in ("zzz", "z", "x zzz", "k", "xy"):
+        assert_results(eng.query(q, "bm25"),
+                       ref.query(q, BM25(), tok, [1.0, 1.0]), q)
+        assert_results(eng.query(q, "zero_to_one"),
+                       ref.query(q, ZeroToOne(), tok, [1.0, 1.0]), q)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_format_v4_index_asks_for_rebuild(tmp_path):
-    """An index whose manifest records ``format_version`` 4 (posting
-    blobs with per-posting lengths) is not read: ``ShardData`` and an
-    appending ``build_index`` raise the rebuild error and leave the
-    index as it is; ``overwrite=True`` rebuilds it."""
+    """An index whose manifest records an older ``format_version`` — 4
+    (posting blobs with per-posting lengths) or 5 (docmeta as sentinel
+    rows in the term files and as parquet) — is not read: ``ShardData``,
+    an appending ``build_index`` and ``merge_indexes`` raise the rebuild
+    error and leave the index as it is; ``overwrite=True`` rebuilds
+    it."""
     import json
     rng = np.random.default_rng(8)
     files = [str(tmp_path / f"g{g}.parquet") for g in range(2)]
@@ -336,20 +438,23 @@ def test_format_v4_index_asks_for_rebuild(tmp_path):
     idx = str(tmp_path / "index")
     build_index(files[:1], idx, field_cols=["f0", "f1"], files_per_group=1)
     path = os.path.join(idx, "manifest.json")
-    with open(path) as f:
-        man = json.load(f)
-    man["config"]["format_version"] = 4
-    with open(path, "w") as f:
-        json.dump(man, f)
-    for use_cache in (True, False):
-        with pytest.raises(ValueError, match=r"format_version=4.*rebuild "
-                           r"with build_index"):
-            ShardData(idx, use_cache=use_cache)
-    with pytest.raises(ValueError, match=r"format_version=4.*rebuild "
-                       r"with build_index"):
-        build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1)
-    with open(path) as f:
-        assert json.load(f) == man
+    for old in (4, 5):
+        with open(path) as f:
+            man = json.load(f)
+        man["config"]["format_version"] = old
+        with open(path, "w") as f:
+            json.dump(man, f)
+        want = rf"format_version={old}.*rebuild with build_index"
+        for use_cache in (True, False):
+            with pytest.raises(ValueError, match=want):
+                ShardData(idx, use_cache=use_cache)
+        with pytest.raises(ValueError, match=want):
+            build_index(files, idx, field_cols=["f0", "f1"],
+                        files_per_group=1)
+        with pytest.raises(ValueError, match=want):
+            merge_indexes([idx, idx], str(tmp_path / "merged"))
+        with open(path) as f:
+            assert json.load(f) == man
     build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
                 overwrite=True)
     assert len(ShardData(idx).doc_ids) == 30

@@ -5,6 +5,7 @@ intermediate state)."""
 import glob
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -287,61 +288,61 @@ def test_count_docs_le_ignores_duplicate_docmeta_rows(tmp_path):
     idx = str(tmp_path / "index")
     _write_file(f1, [(0, "a b"), (1, "c"), (2, "d e f"), (7, "g")])
     build_index([f1], idx, field_cols=["f0"], files_per_group=1)
-    meta = sorted(glob.glob(os.path.join(idx, "docmeta", "*.parquet")))
-    shutil.copy(meta[0], os.path.join(idx, "docmeta", "group=stale.parquet"))
+    meta = sorted(glob.glob(os.path.join(idx, "docmeta", "*.npz")))
+    shutil.copy(meta[0], os.path.join(idx, "docmeta", "group=stale.npz"))
     assert _count_docs_le(idx, 2) == 3
     assert _count_docs_le(idx, 7) == 4
 
 
 def _scan_field_lengths(index_dir, doc_ids):
-    """The one-scan docmeta lookup ``remove_documents`` used before its
-    lookups were memoized: the oracle for the memo tests."""
-    import pyarrow.dataset as pads
-    files = sorted(glob.glob(os.path.join(index_dir, "docmeta", "*.parquet")))
-    if not files or not doc_ids:
-        return {}
-    t = pads.dataset(files).to_table(filter=pads.field("doc_id").isin(
-        pa.array([int(d) for d in doc_ids], type=pa.uint64())))
-    nf = sum(1 for c in t.column_names if c.startswith("len_"))
-    lens = [t[f"len_{f}"].to_numpy() for f in range(nf)]
-    return {int(d): [int(ln[i]) for ln in lens]
-            for i, d in enumerate(t["doc_id"].to_numpy())}
+    """A row-by-row scan of every docmeta file, a later row winning:
+    the oracle for the memo tests."""
+    want = {int(d) for d in doc_ids}
+    out = {}
+    for path in sorted(glob.glob(os.path.join(index_dir, "docmeta",
+                                              "*.npz"))):
+        with np.load(path) as z:
+            lens = [z[c].tolist() for c in z.files if c.startswith("len_")]
+            for i, d in enumerate(z["doc_id"].tolist()):
+                if d in want:
+                    out[d] = [ln[i] for ln in lens]
+    return out
 
 
-def _write_meta(path, ids, lens):
-    tmp = path + ".tmp"
-    pq.write_table(pa.table({
-        "doc_id": pa.array(ids, type=pa.uint64()),
-        "len_0": pa.array(lens, type=pa.uint32()),
-        "tot_0": pa.array(lens, type=pa.uint32())}), tmp)
-    os.replace(tmp, path)
+def _write_meta(idx, gid, ids, lens):
+    """Group ``gid``'s docmeta from rows in any order, as the writers
+    store it (``docmeta_union``: a repeated id keeps its last row)."""
+    from probly_search_ray.maintain import docmeta_union, write_docmeta
+    cols = {"doc_id": np.asarray(ids, np.uint64),
+            "len_0": np.asarray(lens, np.uint32),
+            "tot_0": np.asarray(lens, np.uint32),
+            "hv_0": np.ones(len(ids), np.uint8)}
+    write_docmeta(idx, gid, docmeta_union([cols], 1))
 
 
 def test_docmeta_lookup_last_row_wins_and_rereads(tmp_path):
-    """The memoized docmeta lookup resolves a duplicated id to its last
-    row (within a file and across files, as the scan did), re-reads a
-    file rewritten in place or by rename, and forgets files that left
-    the listing."""
+    """A duplicated id resolves to its last row — within a file as the
+    writer stores it (``docmeta_union``), across files in the memoized
+    lookup, as the scan does — and the lookup re-reads a file rewritten
+    in place or by rename, and forgets files that left the listing."""
     from probly_search_ray.maintain import _DOCMETA_MEMO, _docs_field_lengths
     idx = str(tmp_path / "idx")
     meta = os.path.join(idx, "docmeta")
-    os.makedirs(meta)
-    a, b = os.path.join(meta, "group=a.parquet"), \
-        os.path.join(meta, "group=b.parquet")
-    _write_meta(a, [9, 5, 2, 5], [1, 3, 4, 8])
+    a, b = os.path.join(meta, "group=a.npz"), os.path.join(meta, "group=b.npz")
+    _write_meta(idx, "a", [9, 5, 2, 5], [1, 3, 4, 8])
     ask = [5, 2, 9, 77, 2 ** 63 + 1]
     assert _docs_field_lengths(idx, ask) == {5: [8], 2: [4], 9: [1]} \
         == _scan_field_lengths(idx, ask)
-    _write_meta(b, [5, 2 ** 63 + 1], [6, 2])
+    _write_meta(idx, "b", [5, 2 ** 63 + 1], [6, 2])
     assert _docs_field_lengths(idx, ask) == \
         {5: [6], 2: [4], 9: [1], 2 ** 63 + 1: [2]} \
         == _scan_field_lengths(idx, ask)
-    _write_meta(a, [9, 2], [11, 12])                # rewritten by rename
+    _write_meta(idx, "a", [9, 2], [11, 12])         # rewritten by rename
     assert _docs_field_lengths(idx, ask) == _scan_field_lengths(idx, ask) \
         == {5: [6], 2: [12], 9: [11], 2 ** 63 + 1: [2]}
-    pq.write_table(pa.table({                     # rewritten in place
-        "doc_id": pa.array([9, 2, 3], type=pa.uint64()),
-        "len_0": pa.array([21, 22, 23], type=pa.uint32())}), a)
+    with open(a, "wb") as fh:                       # rewritten in place
+        np.savez(fh, doc_id=np.array([2, 3, 9], np.uint64),
+                 len_0=np.array([22, 23, 21], np.uint32))
     assert _docs_field_lengths(idx, [9, 3]) == {9: [21], 3: [23]}
     os.remove(b)
     assert _docs_field_lengths(idx, ask) == {2: [22], 9: [21]}

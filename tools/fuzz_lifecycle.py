@@ -7,6 +7,7 @@ fixed-seed lifecycle tests.
 Run from the repo root:  FUZZ_SEEDS=200 python tools/fuzz_lifecycle.py
 (owns its Ray session, like bench.py).  320 seeds x 5-9 ops x 5
 queries/op across two rounds: 0 failures."""
+import glob
 import os
 import sys
 import time
@@ -22,11 +23,14 @@ sys.path.insert(0, _REPO)
 sys.path.insert(0, os.path.join(_REPO, "tools"))
 
 from probly_search_ray.build import build_index  # noqa: E402
+from probly_search_ray.functions.codec import (  # noqa: E402
+    blob_buffers, decode_rows)
 from probly_search_ray.maintain import (  # noqa: E402
-    compact_groups, merge_indexes, remove_document, vacuum)
+    _docmeta_files, compact_groups, merge_indexes, remove_document, vacuum)
 from probly_search_ray.refmodel import (  # noqa: E402
     BM25, RefIndex, ZeroToOne, whitespace_tokenizer as tok)
 from probly_search_ray.search import SearchEngine  # noqa: E402
+from probly_search_ray.state.manifest import Manifest  # noqa: E402
 # tie-aware comparator: the vectorized engine and the sequential
 # refmodel sum floats in different orders, so scores that tie at the
 # last ulp on one side can differ by 1 ulp on the other and flip the
@@ -60,7 +64,25 @@ def _rand_rows(rng, base_id, n, nfields):
     return rows
 
 
+def _check_files(idx, nfields, ctx):
+    """The on-disk invariants: no term file holds a ``term == ""`` row,
+    docmeta is npz only, each docmeta file's ids are sorted and unique,
+    and docmeta covers every posted doc."""
+    metas = [m["doc_id"] for m in _docmeta_files(idx)]
+    assert all((ids[1:] > ids[:-1]).all() for ids in metas), ctx
+    assert not glob.glob(os.path.join(idx, "docmeta", "*.parquet")), ctx
+    known = np.concatenate(metas) if metas else np.empty(0, np.uint64)
+    for rec in Manifest(idx).term_files():
+        t = pq.read_table(os.path.join(idx, rec["path"]),
+                          columns=["term", "blob"])
+        assert "" not in t["term"].to_pylist(), (ctx, rec["path"])
+        docs = decode_rows(*blob_buffers(t["blob"].combine_chunks()),
+                           nfields)[0]
+        assert np.isin(docs, known).all(), (ctx, rec["path"])
+
+
 def _check(eng, ref, rng, nfields, ctx):
+    _check_files(eng.index_dir, nfields, ctx)
     boosts = [float(rng.choice([0.5, 1.0, 2.0])) for _ in range(nfields)]
     for q in ["common", "k", "ka mu", str(rng.choice(VOCAB)),
               " ".join(str(t) for t in rng.choice(VOCAB, size=3))]:
