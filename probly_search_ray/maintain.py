@@ -105,6 +105,13 @@ def remove_documents_by_key(index_dir: str, keys) -> int:
     return remove_documents(index_dir, [int(h) for h in hash_keys(list(keys))])
 
 
+def _load_npz(path: str, prefix=()) -> dict:
+    """The arrays of an npz file, or only those whose name starts with
+    one of ``prefix`` (a string or a tuple of strings)."""
+    with np.load(path) as z:
+        return {c: z[c] for c in z.files if not prefix or c.startswith(prefix)}
+
+
 # docmeta dir → {file: ((st_ino, st_mtime_ns, st_size), {"doc_id": sorted
 # ids, "len_f": ...})}; a file's entry is re-read once its stat changes
 _DOCMETA_MEMO: dict[str, dict] = {}
@@ -118,9 +125,7 @@ def _docmeta_lengths(path: str, old):
     key = (st.st_ino, st.st_mtime_ns, st.st_size)
     if old is not None and old[0] == key:
         return old
-    with np.load(path) as z:
-        return key, {c: z[c] for c in z.files
-                     if c == "doc_id" or c.startswith("len_")}
+    return key, _load_npz(path, ("doc_id", "len_"))
 
 
 def _docmeta_files(index_dir: str) -> list[dict]:
@@ -128,9 +133,14 @@ def _docmeta_files(index_dir: str) -> list[dict]:
     (``docmeta/group=G.npz``), in file order, memoized per file: the
     removal lookup, the cache build, ``build._count_docs_le`` and
     merge's disjointness check read docmeta here.  The memo keeps only
-    the current listing."""
+    the current listing.  Parquet docmeta and no npz is an index of an
+    older format: its rebuild error is raised (one manifest read, on
+    that path only)."""
     meta_dir = os.path.join(index_dir, "docmeta")
     files = sorted(glob.glob(os.path.join(meta_dir, "*.npz")))
+    if not files and glob.glob(os.path.join(meta_dir, "*.parquet")):
+        check_format_version(index_dir, Manifest(index_dir).data["config"]
+                             .get("format_version"))
     old = _DOCMETA_MEMO.pop(meta_dir, {})
     memo = _DOCMETA_MEMO[meta_dir] = {
         p: _docmeta_lengths(p, old.get(p)) for p in files}
@@ -185,7 +195,9 @@ def docmeta_table(index_dir: str, num_fields: int):
 
 def _save_npz(path: str, arrays: dict, compress: bool = False) -> None:
     """Write ``arrays`` to ``path`` (npz) by tmp + rename: a reader, or
-    a retried writer of the same file, never sees half of it."""
+    a retried writer of the same file, never sees half of it.  Only the
+    stored docmeta is compressed: a build's temporary side files are
+    not (zlib costs about 15 ms per 5,000 docs)."""
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "wb") as fh:
         (np.savez_compressed if compress else np.savez)(fh, **arrays)
@@ -194,11 +206,6 @@ def _save_npz(path: str, arrays: dict, compress: bool = False) -> None:
 
 def _docmeta_path(index_dir: str, gid: str) -> str:
     return os.path.join(index_dir, "docmeta", f"group={gid}.npz")
-
-
-def _load_npz(path: str) -> dict:
-    with np.load(path) as z:
-        return {c: z[c] for c in z.files}
 
 
 def read_docmeta(index_dir: str, gid: str) -> dict | None:
@@ -309,6 +316,26 @@ def _gc_unreferenced_group_dirs(index_dir: str, man: Manifest) -> None:
             shutil.rmtree(full)
 
 
+def _finish_compaction(index_dir: str, man: Manifest) -> None:
+    """Complete the docmeta step of every committed compaction: a group
+    record ``compacted_from`` other groups owns their docs, so those
+    groups' docmeta files still on disk (a crash between
+    ``compact_groups``' manifest commit and its docmeta write) are
+    merged into the group's file and removed.  Until then readers,
+    which take every docmeta file, see each doc; a re-run converges."""
+    for gid, rec in sorted(man.groups.items()):
+        rest = [g for g in rec.get("compacted_from", ())
+                if g != gid and os.path.exists(_docmeta_path(index_dir, g))]
+        if not rest:
+            continue
+        parts = [m for m in (read_docmeta(index_dir, g)
+                             for g in [gid, *rest]) if m is not None]
+        write_docmeta(index_dir, gid, docmeta_union(
+            parts, man.data["config"]["num_fields"]))
+        for g in rest:
+            write_docmeta(index_dir, g, None)
+
+
 def compact_groups(index_dir: str) -> int:
     """Merge ALL committed groups' term files into one globally sorted
     group (LSM-style compaction for append-heavy workflows): queries
@@ -318,9 +345,11 @@ def compact_groups(index_dir: str) -> int:
 
     Crash-safe like vacuum: the merged dir is written aside, ALL group
     records are swapped in ONE atomic manifest write (a partial swap
-    would double-count postings), and only then are old dirs deleted;
-    group ids stay in the manifest with empty term_files so the build's
-    resume contract (skip committed gids) is unchanged.
+    would double-count postings), and only then are the groups' docmeta
+    files merged into the first's (``_finish_compaction``, which a
+    later vacuum or compaction re-runs after a crash) and old dirs
+    deleted; group ids stay in the manifest with empty term_files so
+    the build's resume contract (skip committed gids) is unchanged.
 
     Returns the number of groups merged (0 = nothing to do).
     """
@@ -332,6 +361,7 @@ def compact_groups(index_dir: str) -> int:
 
     man = Manifest(index_dir)
     _gc_unreferenced_group_dirs(index_dir, man)
+    _finish_compaction(index_dir, man)
     gids = sorted(g for g, rec in man.groups.items() if rec["term_files"])
     if len(gids) <= 1:
         return 0
@@ -355,11 +385,11 @@ def compact_groups(index_dir: str) -> int:
     ds.repartition(nparts).sort(["term", "doc_lo"]).write_parquet(tmp_dir)
     os.replace(tmp_dir, new_dir)
 
-    # the union docmeta before the commit (an id in two files is
-    # benign for readers; the old files are removed after the swap)
+    # the records come from the union; the files stay per group until
+    # the swap (a union written before it would hold, for a crash in
+    # between, docs the uncompacted records count again)
     meta = docmeta_union([m for m in (read_docmeta(index_dir, g)
                                       for g in gids) if m is not None], nf)
-    write_docmeta(index_dir, gids[0], meta)
     first = dict(man.groups[gids[0]])
     first.update(finalize_group(index_dir, new_dir, meta))
     first["compact_gen"] = gen
@@ -371,12 +401,11 @@ def compact_groups(index_dir: str) -> int:
                       "field_len_sums": [0] * nf,
                       "field_last_val_doc": [-1] * nf, "doc_max": -1}
     man.commit_groups(updates)  # ONE atomic swap
+    _finish_compaction(index_dir, man)
     for d in old_dirs:
         if os.path.normpath(d) != os.path.normpath(new_dir) \
                 and os.path.exists(d):
             shutil.rmtree(d)
-    for g in gids[1:]:
-        write_docmeta(index_dir, g, None)
     from probly_search_ray.search import build_csr_cache
     build_csr_cache(index_dir)  # next engine start is cache-warm
     return len(gids)
@@ -406,6 +435,7 @@ def vacuum(index_dir: str) -> None:
     tomb_arr = np.sort(np.asarray(tomb.doc_ids, dtype=np.uint64))
     man = Manifest(index_dir)
     _gc_unreferenced_group_dirs(index_dir, man)
+    _finish_compaction(index_dir, man)
     if len(tomb_arr) == 0:
         return
     from probly_search_ray.build import finalize_group
@@ -477,10 +507,9 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
     to the existing distributed ``compact_groups``.
 
     Checked up front: identical build config across sources and
-    doc-id disjointness (the first and last of each source's sorted
-    docmeta ids; where those intervals overlap, one in-process
-    ``np.unique`` over the ids — the cache build that ends the merge
-    holds every doc id in one process anyway).  String-key indexes
+    doc-id disjointness (one in-process ``np.unique`` over the
+    sources' docmeta ids — the cache build that ends the merge holds
+    every doc id in one process anyway).  String-key indexes
     are refused: hashed ids can collide ACROSS sources and the keymap
     collision certificate is per-index.
 
@@ -516,13 +545,12 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
                     f"{cfg0.get(k)!r}, {s} has {m.data['config'].get(k)!r}")
 
     # --- doc-id disjointness ------------------------------------------
-    ids = [docmeta_table(s, cfg0["num_fields"])[0] for s in source_dirs]
-    spans = sorted((int(a[0]), int(a[-1])) for a in ids if len(a))
-    if any(lo <= hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
-        u, n = np.unique(np.concatenate(ids), return_counts=True)
-        if (n > 1).any():
-            raise ValueError(f"duplicate doc_id across sources (e.g. "
-                             f"{int(u[n > 1][0])})")
+    u, n = np.unique(np.concatenate([docmeta_table(s, cfg0["num_fields"])[0]
+                                     for s in source_dirs]),
+                     return_counts=True)
+    if (n > 1).any():
+        raise ValueError(f"duplicate doc_id across sources (e.g. "
+                         f"{int(u[n > 1][0])})")
 
     # --- link files + build the one atomic manifest commit ------------
     if overwrite and os.path.exists(dest_dir):
@@ -555,6 +583,9 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
                 nfiles.append({**tf, "path": rel})
             nrec["term_files"] = nfiles
             nrec["merged_from"] = os.path.join(s, f"group={gid}")
+            if "compacted_from" in rec:
+                nrec["compacted_from"] = [f"m{si:02d}-{g}"
+                                          for g in rec["compacted_from"]]
             records[ngid] = nrec
             mp = _docmeta_path(s, gid)
             if os.path.exists(mp):
@@ -567,6 +598,7 @@ def merge_indexes(source_dirs, dest_dir: str, compact: bool = False,
     cfg["input_files"] = input_files
     man.data["config"] = cfg
     man.commit_groups(records)  # ONE atomic write (config + all groups)
+    _finish_compaction(dest_dir, man)  # a source's crashed compaction
     Tombstones(dest_dir).add_many(tomb_ids)
 
     # --- stats from group partials (same contract as build_index,

@@ -426,18 +426,27 @@ def test_last_dictionary_term_as_df0_witness(tmp_path):
 def test_format_v4_index_asks_for_rebuild(tmp_path):
     """An index whose manifest records an older ``format_version`` — 4
     (posting blobs with per-posting lengths) or 5 (docmeta as sentinel
-    rows in the term files and as parquet) — is not read: ``ShardData``,
-    an appending ``build_index`` and ``merge_indexes`` raise the rebuild
-    error and leave the index as it is; ``overwrite=True`` rebuilds
-    it."""
+    rows in the term files) — with docmeta as parquet, as both wrote
+    it, is not read: ``ShardData``, an appending ``build_index``,
+    ``merge_indexes`` and ``remove_documents`` (also with a tombstone a
+    crashed removal left uncounted) raise the rebuild error and leave
+    the index's state as it is; ``overwrite=True`` rebuilds it."""
     import json
+
+    from probly_search_ray.state.manifest import Tombstones
     rng = np.random.default_rng(8)
     files = [str(tmp_path / f"g{g}.parquet") for g in range(2)]
     _write(files[0], _rows(rng, 0, 20))
     _write(files[1], _rows(rng, 20, 30))
     idx = str(tmp_path / "index")
     build_index(files[:1], idx, field_cols=["f0", "f1"], files_per_group=1)
+    for npz in glob.glob(os.path.join(idx, "docmeta", "*.npz")):
+        with np.load(npz) as z:
+            pq.write_table(pa.table({c: z[c] for c in z.files}),
+                           npz[:-len("npz")] + "parquet")
+        os.unlink(npz)
     path = os.path.join(idx, "manifest.json")
+    stats_path = os.path.join(idx, "stats.json")
     for old in (4, 5):
         with open(path) as f:
             man = json.load(f)
@@ -453,11 +462,25 @@ def test_format_v4_index_asks_for_rebuild(tmp_path):
                         files_per_group=1)
         with pytest.raises(ValueError, match=want):
             merge_indexes([idx, idx], str(tmp_path / "merged"))
+        with open(stats_path) as f:
+            stats = f.read()
+        with pytest.raises(ValueError, match=want):
+            remove_documents(idx, [1, 2])
+        assert not Tombstones(idx).doc_ids
+        Tombstones(idx).add_many([3])     # tombstoned, stats not saved
+        with pytest.raises(ValueError, match=want):
+            remove_documents(idx, [1, 2])
+        assert Tombstones(idx).doc_ids == [3]
+        Tombstones(idx).clear()
+        with open(stats_path) as f:
+            assert f.read() == stats
         with open(path) as f:
             assert json.load(f) == man
     build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
                 overwrite=True)
     assert len(ShardData(idx).doc_ids) == 30
+    assert sorted(os.listdir(os.path.join(idx, "docmeta"))) == [
+        "group=00000.npz", "group=00001.npz"]
 
 
 _NO_RAY_CACHE_BUILD = """

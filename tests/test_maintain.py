@@ -294,6 +294,61 @@ def test_count_docs_le_ignores_duplicate_docmeta_rows(tmp_path):
     assert _count_docs_le(idx, 7) == 4
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_compaction_crash_converges(tmp_path, monkeypatch):
+    """``compact_groups`` crashing before its manifest commit, or after
+    it and before its docmeta write, then ``vacuum`` and an appending
+    build: the records' ``num_docs``, ``stats.json``, docmeta and
+    results equal those of a run without the compaction (crash before
+    the commit) or with a clean one (crash after it)."""
+    import json
+    import shutil
+
+    import probly_search_ray.maintain as maintain
+    from probly_search_ray.maintain import compact_groups, docmeta_table
+    files = [str(tmp_path / f"p{g}.parquet") for g in range(4)]
+    for g, f in enumerate(files):
+        _write_file(f, [(10 * g + i, " ".join(["w%d" % ((g + i) % 5)]
+                                              * (1 + (g * i) % 4)))
+                        for i in range(6)])
+    base = str(tmp_path / "base")
+    build_index(files[:3], base, field_cols=["f0"], files_per_group=1)
+    remove_documents(base, [1, 12, 13, 24])
+
+    def crash(*a, **kw):
+        raise RuntimeError("crash")
+
+    def run(name, patch=None):
+        idx = str(tmp_path / name)
+        shutil.copytree(base, idx)
+        if patch is not None:
+            monkeypatch.setattr(*patch, crash)
+            with pytest.raises(RuntimeError, match="crash"):
+                compact_groups(idx)
+            monkeypatch.undo()
+        elif name == "clean":
+            assert compact_groups(idx) == 3
+        vacuum(idx)
+        build_index(files, idx, field_cols=["f0"], files_per_group=1,
+                    resume=True)
+        with open(os.path.join(idx, "stats.json")) as fh:
+            stats = json.load(fh)
+        ids, lens = docmeta_table(idx, 1)
+        metas = sorted(os.listdir(os.path.join(idx, "docmeta")))
+        eng = SearchEngine(idx)
+        return ({g: r["num_docs"] for g, r in Manifest(idx).groups.items()},
+                stats, ids.tolist(), lens[0].tolist(), metas,
+                [eng.query(q, "bm25") for q in ("w", "w1", "w3 w4")])
+
+    plain = run("plain")
+    clean = run("clean")
+    assert sum(plain[0].values()) == sum(clean[0].values()) == 20
+    assert plain[1:4] == clean[1:4]
+    assert clean[4] == ["group=00000.npz", "group=00003.npz"]
+    assert run("before_commit", (Manifest, "commit_groups")) == plain
+    assert run("after_commit", (maintain, "write_docmeta")) == clean
+
+
 def _scan_field_lengths(index_dir, doc_ids):
     """A row-by-row scan of every docmeta file, a later row winning:
     the oracle for the memo tests."""
