@@ -99,12 +99,24 @@ def _pareto_filter(tid, tf, ln, nt):
                 np.empty(0, np.uint32))
     tf64 = np.asarray(tf, np.int64)
     ln64 = np.asarray(ln, np.int64)
-    order = np.lexsort((ln64, -tf64, tid))
-    t_s, tf_s, ln_s = tid[order], tf64[order], ln64[order]
+    # sort by (term, tf desc, length): one np.sort of the three packed
+    # into an int64 key, unpacked after, where their bits fit in 63 —
+    # no permutation to gather — else a lexsort
+    tmax, lmax = int(tf64.max()), int(ln64.max())
+    b_tf, b_ln = tmax.bit_length(), lmax.bit_length()
+    if (nt - 1).bit_length() + b_tf + b_ln <= 63:
+        key = np.sort((np.asarray(tid, np.int64) << (b_tf + b_ln))
+                      | ((tmax - tf64) << b_ln) | ln64)
+        t_s = key >> (b_tf + b_ln)
+        tf_s = tmax - ((key >> b_ln) & ((1 << b_tf) - 1))
+        ln_s = key & ((1 << b_ln) - 1)
+    else:
+        order = np.lexsort((ln64, -tf64, tid))
+        t_s, tf_s, ln_s = tid[order], tf64[order], ln64[order]
     # segmented running-min of length over the tf-descending order via
     # an offset trick: give earlier terms LARGER offsets so a prefix
     # min never leaks across a term boundary
-    big = int(ln64.max()) + 1
+    big = lmax + 1
     v = (np.int64(nt) - t_s) * np.int64(big) + ln_s
     runmin = np.minimum.accumulate(v)
     prev = np.empty_like(runmin)
@@ -1125,6 +1137,57 @@ class ShardData:
             f, p = f[u], p[u]
         return self.doc_ids[u], f, p
 
+    def zero_to_one_winners(self, idx, prio):
+        """One query term's zero-to-one records, folded shard-side to
+        one row per (doc, field): of the live postings of dictionary
+        entries ``idx`` with tf > 0 in the field, the one whose entry
+        comes first in ``prio`` (each entry's place in the
+        coordinator's (score desc, expansion rank asc) order, a
+        permutation of the entries' positions) — the record the
+        reference's per-(doc, field) walk takes first for this term
+        (``src/score/default/zero_to_one.rs:84-126``).  Returns parallel
+        arrays (docs, field, entry = position in ``idx``, tf, field
+        length), one field's rows after another.
+
+        One scatter per field, as in ``score_bm25_reduced``:
+        ``minimum.at`` puts each slot's least priority, and the posting
+        holding it (one posting per (entry, doc)) is the winner.  The
+        slot is the doc ordinal where the postings are dense over the
+        doc table (``_dense``), else the index among the unique
+        ordinals.  Dead postings are dropped as in
+        ``gather_postings_many``."""
+        g, n = self._span(idx)
+        prio = np.asarray(prio, np.int64)
+        pr = np.repeat(prio, n)
+        ent_of = np.empty(len(prio), np.int64)
+        ent_of[prio] = np.arange(len(prio))
+        if self._dead is not None:
+            live = ~self._dead[g]
+            if isinstance(g, slice):
+                g = np.arange(g.start, g.stop)
+            g, pr = g[live], pr[live]
+        ords = self.p_ord[g]
+        if self._dense(len(ords)):
+            slot, n_slot = ords, len(self.doc_ids)
+        else:
+            u, slot = np.unique(ords, return_inverse=True)
+            n_slot = len(u)
+        none = np.iinfo(np.int64).max
+        cols = [[] for _ in range(5)]
+        for x in range(self.num_fields):
+            tf = self.p_tf[x][g]
+            m = np.flatnonzero(tf > 0)
+            sm, pm = slot[m], pr[m]
+            best = np.full(n_slot, none, dtype=np.int64)
+            np.minimum.at(best, sm, pm)
+            w = m[pm == best[sm]]
+            o = ords[w]
+            for c, v in zip(cols, (self.doc_ids[o], np.full(len(w), x),
+                                   ent_of[pr[w]], tf[w],
+                                   self.doc_len[x][o])):
+                c.append(v)
+        return tuple(np.concatenate(c) for c in cols)
+
     def bounds_arrays(self, idx):
         """Impact-bound inputs of dictionary entries ``idx``: (tf_max,
         len_min), each (n, F) float64 — the BM25 score upper bounds of
@@ -1139,7 +1202,9 @@ class ShardData:
         entry order: (entry of each posting, docs, tfs[F], lens[F]) —
         one slice of the entries' CSR span, dead postings dropped, the
         doc ids and field lengths gathered from the per-doc tables.
-        Raw inputs for the scorer plugins (zero_to_one etc.)."""
+        Raw inputs for the custom scorer path and for zero_to_one's
+        exact walk over docs whose node pool runs dry (the common case
+        folds shard-side, ``zero_to_one_winners``)."""
         g, n = self._span(idx)
         ent = np.repeat(np.arange(len(n)), n)
         if self._dead is not None:
@@ -2011,106 +2076,119 @@ class SearchEngine:
     # .. zero_to_one ........................................................
 
     def _query_zero_to_one(self, query_terms, qlen, expand):
-        """Vectorized record gathering + per-(doc,field) pool consumption
-        (``src/score/default/zero_to_one.rs:84-126``) over the
-        concatenated postings of every query term's expansions.
+        """Zero-to-one ``(docs, scores)``, docs ascending
+        (``src/score/default/zero_to_one.rs:84-126``).  The reference
+        walks each (doc, field)'s records in (score desc, then query
+        term and expansion rank asc) order, consumes per query term the
+        first record whose node pool is not exhausted, and sums
+        ``min(score/tf, 1)·tf / max(len, qlen)`` over the consumed ones;
+        a doc scores the max over its fields.
 
-        Record order within a (doc, field) group must equal the
-        reference's stable sort: score desc, ties in insertion order =
-        (query term index asc, trie-expansion rank asc)."""
+        A record's score ``1 − |blen − tl| / blen`` depends only on its
+        expansion, so per query term the coordinator ranks the
+        expansions once by (score desc, rank asc) and every shard folds
+        the term's postings to one winning row per (doc, field)
+        (``ShardData.zero_to_one_winners``).  Unless a node pool runs
+        dry, the walk consumes exactly those winners: one lexsort over
+        the winner rows puts each (doc, field)'s in walk order, a
+        ``bincount`` sums them in that order (bit-identical to the
+        walk's running sum) and the max over fields follows.  A pool
+        runs dry only where one expansion wins for more query terms
+        than its tf in the field (query terms sharing an expansion, as
+        "ab abc" over a doc holding ``abc`` once); only those docs are
+        rescored, by the exact per-record walk (``_z2o_exact``)."""
         self._prefetch_expansions(query_terms, expand)
-        ents = [(qti, t, self._exp(t, expand))
-                for qti, t in enumerate(query_terms) if t != ""]
-        ents = [x for x in ents if x[2].terms]
-        if not ents:
+        terms, pending = [], []
+        for qti, term in enumerate(query_terms):
+            e = self._exp(term, expand) if term != "" else _NO_EXP
+            if not e.terms:
+                continue
+            # score per expansion rank, and each rank's place in the
+            # (score desc, rank asc) order
+            sc = 1.0 - np.abs(e.blen - float(len(term.encode()))) / e.blen
+            prio = np.empty(len(sc), np.int64)
+            prio[np.argsort(-sc, kind="stable")] = np.arange(len(sc))
+            terms.append((qti, e, sc))
+            pending.append(self._submit(self._calls(
+                "zero_to_one_winners", e.idx, prio[e.pos])))
+        if not terms:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
-        # node uid: one id per distinct expansion term, across query terms
-        _, uid_cat = np.unique(
-            np.concatenate([np.asarray(e.terms) for _, _, e in ents]),
-            return_inverse=True)
-        F = self.num_fields
-        cols = {n: [] for n in ("doc", "rank", "qti", "score", "uid")}
-        tf_p, fl_p = [[] for _ in range(F)], [[] for _ in range(F)]
-        u0 = 0
-        for qti, term, e in ents:
-            rank, docs, tfs, lens = self._gather(e)
-            tl = float(len(term.encode()))
-            cols["doc"].append(docs)
-            cols["rank"].append(rank)
-            cols["qti"].append(np.full(len(docs), qti, np.int64))
-            cols["score"].append((1.0 - np.abs(e.blen - tl) / e.blen)[rank])
-            cols["uid"].append(uid_cat[u0 + rank])
-            u0 += len(e.terms)
-            for x in range(F):
-                tf_p[x].append(tfs[x])
-                fl_p[x].append(lens[x])
-        P = {n: np.concatenate(v) for n, v in cols.items()}
-        candidates = np.unique(P["doc"])
-        # one record per (posting, field with tf > 0)
-        TF = [np.concatenate(v) for v in tf_p]
-        FL = [np.concatenate(v) for v in fl_p]
-        sel = [np.flatnonzero(TF[x] > 0) for x in range(F)]
-        pi = np.concatenate(sel)
-        if not len(pi):
-            return candidates, np.zeros(len(candidates))
-        fld = np.repeat(np.arange(F, dtype=np.int64), [len(m) for m in sel])
-        tf_a = np.concatenate([TF[x][m] for x, m in enumerate(sel)]) \
-            .astype(np.int64)
-        fl_a = np.concatenate([FL[x][m] for x, m in enumerate(sel)]) \
-            .astype(np.int64)
-        doc, sc, qti_a, uid_a = (P["doc"][pi], P["score"][pi],
-                                 P["qti"][pi], P["uid"][pi])
-        order = np.lexsort((P["rank"][pi], qti_a, -sc, fld, doc))
+        # a doc's postings live in one shard: the shards' rows are disjoint
+        cols = [[] for _ in range(7)]   # doc, field, qti, uid, score, tf, len
+        for (qti, e, sc), h in zip(terms, pending):
+            for doc, fld, ent, tf, ln in self._collect(h):
+                for c, v in zip(cols, (doc, fld, np.full(len(doc), qti),
+                                       e.idx[ent], sc[e.pos[ent]], tf, ln)):
+                    c.append(v)
+        doc, fld, qti, uid, s, tf, ln = (np.concatenate(c) for c in cols)
+        tf = tf.astype(np.float64)
+        contrib = np.minimum(s / tf, 1.0) * tf \
+            / np.maximum(ln.astype(np.int64), qlen).astype(np.float64)
+        if len(terms) == 1:
+            return _reduce_max_by_doc(doc, contrib)
+        o = np.lexsort((qti, -s, fld, doc))
+        doc, fld, uid, tf, contrib = (a[o] for a in (doc, fld, uid, tf,
+                                                     contrib))
+        new = np.ones(len(doc), dtype=bool)
+        new[1:] = (doc[1:] != doc[:-1]) | (fld[1:] != fld[:-1])
+        gid = np.cumsum(new) - 1
+        # bincount returns int64 for EMPTY weighted input
+        acc = np.bincount(gid, weights=contrib,
+                          minlength=int(new.sum())).astype(np.float64)
+        gdoc = doc[new]
+        docs, scores = _reduce_max_by_doc(gdoc, acc)
+        # dry pools: (doc, field) groups where one node uid wins for
+        # more query terms than its tf — only an expansion that two
+        # query terms share can win twice
+        u, c = np.unique(np.concatenate([e.idx for _, e, _ in terms]),
+                         return_counts=True)
+        shared = u[c > 1]
+        if len(shared):
+            m = np.flatnonzero(_in_sorted(uid, shared))
+            key = gid[m] * len(shared) + np.searchsorted(shared, uid[m])
+            _, first, cnt = np.unique(key, return_index=True,
+                                      return_counts=True)
+            bad = np.unique(gdoc[gid[m][first[cnt > tf[m][first]]]])
+            if len(bad):
+                scores[np.searchsorted(docs, bad)] = self._z2o_exact(
+                    terms, qlen, bad)
+        return docs, scores
+
+    def _z2o_exact(self, ents, qlen, docs) -> np.ndarray:
+        """The reference's per-record zero-to-one walk over every live
+        posting of the docs ``docs`` (sorted) for the query terms
+        ``ents`` — (query term index, expansion entry, score per
+        expansion rank) — and those docs' scores, aligned.  One record
+        per (posting, field with tf > 0); a (doc, field)'s records walk
+        in (score desc, query term asc, expansion rank asc) order."""
+        rec = [[] for _ in range(8)]
+        for qti, e, sc in ents:
+            rank, d, tfs, lens = self._gather(e)
+            idx_of_rank = np.empty(len(e.idx), np.int64)
+            idx_of_rank[e.pos] = e.idx
+            keep = _in_sorted(d, docs)
+            for x in range(self.num_fields):
+                m = keep & (tfs[x] > 0)
+                for c, v in zip(rec, (d[m], np.full(m.sum(), x), np.full(
+                        m.sum(), qti), rank[m], sc[rank[m]],
+                        idx_of_rank[rank[m]], tfs[x][m], lens[x][m])):
+                    c.append(v)
+        doc, fld, qti_a, rank, sc, uid_a, tf_a, fl_a = (
+            np.concatenate(c) for c in rec)
+        tf_a, fl_a = tf_a.astype(np.int64), fl_a.astype(np.int64)
+        order = np.lexsort((rank, qti_a, -sc, fld, doc))
         doc, fld, sc = doc[order], fld[order], sc[order]
         qti_a, uid_a, tf_a, fl_a = (qti_a[order], uid_a[order],
                                     tf_a[order], fl_a[order])
-        # group boundaries per (doc, field); records within a group are
-        # already in the reference walk order (score desc, then
-        # (query term, expansion rank) asc)
-        newgrp = np.concatenate(
-            ([True], (doc[1:] != doc[:-1]) | (fld[1:] != fld[:-1])))
-        starts = np.flatnonzero(newgrp)
-        ends = np.concatenate((starts[1:], [len(doc)]))
-        n = len(doc)
-        gid = (np.cumsum(newgrp) - 1).astype(np.int64)
-        ngroups = len(starts)
-        # Vectorized pool walk.  The greedy walk consumes the FIRST
-        # record of each (group, qti) in walk order — UNLESS the node
-        # pool is exhausted when that record arrives, which can only
-        # happen if the ignore-pool selection would consume more records
-        # of one (group, node) than its tf.  So: select ignoring the
-        # pool, then detect violating groups and replay only those with
-        # the exact per-record loop (rare: needs the same expansion term
-        # under enough distinct query terms to out-count its tf).
-        o2 = np.lexsort((np.arange(n, dtype=np.int64), qti_a, gid))
-        g2, q2 = gid[o2], qti_a[o2]
-        first = np.ones(n, dtype=bool)
-        first[1:] = (g2[1:] != g2[:-1]) | (q2[1:] != q2[:-1])
-        consumed = np.zeros(n, dtype=bool)
-        consumed[o2[first]] = True
-        ci = np.flatnonzero(consumed)
-        o3 = np.lexsort((ci, uid_a[ci], gid[ci]))
-        gc_, uc_, tfc = gid[ci][o3], uid_a[ci][o3], tf_a[ci][o3]
-        newrun = np.ones(len(ci), dtype=bool)
-        newrun[1:] = (gc_[1:] != gc_[:-1]) | (uc_[1:] != uc_[:-1])
-        runs = np.flatnonzero(newrun)
-        runlen = np.diff(np.append(runs, len(ci)))
-        bad_groups = np.unique(gc_[runs[runlen > tfc[runs]]])
-        good = consumed
-        if len(bad_groups):
-            good = consumed & ~np.isin(gid, bad_groups)
-        tf_f = tf_a.astype(np.float64)
-        contrib = np.minimum(sc / tf_f, 1.0) * tf_f \
-            / np.maximum(fl_a, qlen).astype(np.float64)
-        # bincount returns int64 for EMPTY weighted input — cast, or the
-        # replay assignments below silently truncate to integers
-        acc = np.bincount(gid[good], weights=contrib[good],
-                          minlength=ngroups).astype(np.float64)
-        for g in bad_groups:  # exact replay of the reference walk
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (doc[1:] != doc[:-1]) | (fld[1:] != fld[:-1]))))
+        ends = np.append(starts[1:], len(doc))
+        out = np.zeros(len(docs))
+        for a, z in zip(starts, ends):
             pool: dict[int, int] = {}
             consumed_q: set[int] = set()
             accv = 0.0
-            for i in range(starts[g], ends[g]):
+            for i in range(a, z):
                 q = int(qti_a[i])
                 if q in consumed_q:
                     continue
@@ -2124,14 +2202,6 @@ class SearchEngine:
                 consumed_q.add(q)
                 accv += min(sc[i] / tf_a[i], 1.0) * tf_a[i] / float(
                     max(fl_a[i], qlen))
-            acc[g] = accv
-        # doc score = max over its (doc, field) pools; candidates with
-        # no positive record score 0
-        d0 = doc[starts]
-        o = np.argsort(d0, kind="stable")
-        d_s, v_s = d0[o], acc[o]
-        st2 = np.flatnonzero(np.concatenate(([True], d_s[1:] != d_s[:-1])))
-        scores = np.zeros(len(candidates))
-        scores[np.searchsorted(candidates, d_s[st2])] = \
-            np.maximum.reduceat(v_s, st2)
-        return candidates, scores
+            j = np.searchsorted(docs, doc[a])
+            out[j] = max(out[j], accv)
+        return out

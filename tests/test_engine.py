@@ -693,6 +693,35 @@ def test_frontier_bounds(tmp_path, seed, nfields):
                            [3.0] * nfields, 1.2, 0.75)[0] == 0.0
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_pareto_filter_matches_brute_force(wide):
+    """``_pareto_filter`` against a per-term brute force: the distinct
+    (tf, length) pairs with tf > 0 that no other posting of the term
+    dominates (tf' ≥ tf and length' ≤ length), tf descending.  ``wide``
+    values need 64 bits for (term, tf, length), more than the packed
+    sort key holds, so they take the lexsort."""
+    from probly_search_ray.search import _pareto_filter
+    rng = np.random.default_rng(7)
+    tfs, lens = np.array([0, 1, 2, 3, 5]), np.arange(1, 9)
+    if wide:
+        tfs[-1], lens[-1] = (1 << 32) - 2, (1 << 31) + 7
+    nt = 9
+    tid = np.sort(rng.integers(0, nt, 400))
+    tf = rng.choice(tfs, len(tid))
+    ln = rng.choice(lens, len(tid))
+    off, ftf, fln = _pareto_filter(tid, tf, ln, nt)
+    assert ftf.dtype == fln.dtype == np.uint32
+    for t in range(nt):
+        pts = {(int(a), int(b)) for a, b in zip(tf[tid == t], ln[tid == t])
+               if a > 0}
+        want = sorted(((a, b) for a, b in pts if not any(
+            a2 >= a and b2 <= b and (a2, b2) != (a, b) for a2, b2 in pts)),
+            key=lambda p: -p[0])
+        got = list(zip(ftf[off[t]:off[t + 1]].tolist(),
+                       fln[off[t]:off[t + 1]].tolist()))
+        assert got == want, t
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_fullrange_doc_ids_expansion_order(tmp_path):
     """Full-range uint64 doc ids (the hashed string-key shape): the

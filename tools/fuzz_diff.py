@@ -12,7 +12,13 @@ engine and the sequential refmodel sum floats in different orders, so
 docs whose true scores tie at the last ulp can land one ulp apart and
 flip — scores still agree at 1e-8 (and the driver oracle's 6dp
 rounding), so that flip is an fp-op-order artifact, not a semantic
-difference.  600 seeds x ~14 queries x 3 layouts: 0 failures."""
+difference.  600 seeds x ~14 queries x 3 layouts: 0 failures.
+
+Each seed also draws a few zero_to_one-only queries of repeated or
+prefix-overlapping terms ("ka kar ka"): query terms that share an
+expansion can exhaust its node pool, the one case the engine's
+per-(doc, field) fold hands to the exact per-record walk.  The summary
+line counts the seeds whose queries reached that walk."""
 import os
 import sys
 import time
@@ -110,6 +116,17 @@ def rand_queries(rng, vocab, n=14):
     return qs
 
 
+def overlap_queries(rng, vocab, n=4):
+    """2-4 prefixes of one vocabulary word, so the query terms share
+    expansions (and repeat one another when the prefixes coincide)."""
+    qs = []
+    for _ in range(n):
+        t = str(rng.choice(vocab))
+        qs.append(" ".join(t[:int(rng.integers(1, len(t) + 1))]
+                           for _ in range(int(rng.integers(2, 5)))))
+    return qs
+
+
 def main():
     ray.init(address="local", num_cpus=16, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
@@ -120,6 +137,14 @@ def main():
 
     import tempfile
     fails = 0
+    # seeds whose queries reached the exact zero_to_one walk
+    walked = set()
+    exact = SearchEngine._z2o_exact
+
+    def spy(self, *args):
+        walked.add(seed)
+        return exact(self, *args)
+    SearchEngine._z2o_exact = spy
     t_start = time.time()
     for seed in range(START, START + N_SEEDS):
         rng = np.random.default_rng(seed)
@@ -170,6 +195,15 @@ def main():
                                        k=kk)
                         gz = e.query(q, "zero_to_one", fields_boost=boosts)
                         assert_results(gz, exp_z, "z2o " + ctx)
+                # a separate rng: the draws above stay those of the
+                # seed's earlier runs
+                for q in overlap_queries(np.random.default_rng([seed, 1]),
+                                         vocab):
+                    exp_z = ref.query(q, z2o, tok, boosts)
+                    for e, tag in engines:
+                        gz = e.query(q, "zero_to_one")
+                        assert_results(gz, exp_z,
+                                       f"z2o seed={seed} {tag} q={q!r}")
             except Exception:
                 fails += 1
                 print(f"FAIL seed={seed}", flush=True)
@@ -181,6 +215,7 @@ def main():
             print(f"{seed - START + 1}/{N_SEEDS} seeds, {dt:.0f}s, "
                   f"fails={fails}", flush=True)
     print(f"FUZZ_DONE fails={fails} seeds={seed - START + 1} "
+          f"z2o_exact_walk_seeds={len(walked)} "
           f"elapsed={time.time() - t_start:.0f}s", flush=True)
     ray.shutdown()
     sys.exit(1 if fails else 0)

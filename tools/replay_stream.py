@@ -4,6 +4,7 @@
     python3 tools/replay_stream.py --workload serve --seed 1
     python3 tools/replay_stream.py --workload churn --seed 1 --passes 3
     python3 tools/replay_stream.py --workload serve --seed 1 --work DIR
+    python3 tools/replay_stream.py --workload serve --seed 1 --top 18
 
 It runs ``perfbench/run.py``'s own ``Run`` for the workload and seed up
 to its query loop: the same corpus, the lifecycle cycles under Ray
@@ -22,7 +23,9 @@ serve bit-identical results on the stream exactly when their digests
 match: run this file from each checkout with the same ``--work`` DIR,
 which keeps the drawn spec and the served index between runs so that
 both replay the same index.  Without ``--work`` everything goes to a
-temporary directory that is removed at the end.
+temporary directory that is removed at the end.  ``--top N`` adds one
+line before the digest: the class mix of the N slowest ops (N = 1% of
+the ops is the set that sets the p99).
 """
 
 from __future__ import annotations
@@ -141,6 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("--work", default=None,
                     help="keep the drawn stream and index here and reuse "
                          "them")
+    ap.add_argument("--top", type=int, default=0,
+                    help="also print the class mix of the N slowest ops")
     args = ap.parse_args(argv)
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="replay-"))
     try:
@@ -177,6 +182,13 @@ def main(argv=None) -> int:
     ms = lat * 1000.0
     print(f"{'all':<12} {len(ops):>5} {np.percentile(ms, 50):>8.3f} "
           f"{np.percentile(ms, 99):>8.3f} {100.0:>8.1f}%")
+    if args.top > 0:
+        top = np.argsort(-lat, kind="stable")[:args.top]
+        names, counts = np.unique(cls[top], return_counts=True)
+        mix = ", ".join(f"{n} {c}" for c, n in sorted(
+            zip(counts, names), key=lambda x: (-x[0], x[1])))
+        print(f"slowest {len(top)} ops (from {ms[top].min():.3f} ms): "
+              f"{mix}")
     if len(set(digests)) != 1:
         print(f"passes disagree: {digests}")
         return 1
