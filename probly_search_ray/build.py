@@ -14,10 +14,12 @@ Pipeline shape (SURVEY.md §3.1 "Ray shape"):
                                                          # compact encoded
                                                          # rows, not raw
                                                          # occurrences
-      → write_parquet(terms/group=G)                     # term-sorted shards
-      → finalize_group (in-process)                      # side files →
-                                                         # docmeta/group=G.npz
-                                                         # + lineage
+      → iter_batches(one block at a time)                # the driver decodes
+                                                         # each sorted block
+                                                         # once
+      → merge_segments + side files (in-process)         # ONE segment file,
+                                                         # group=G.npz, +
+                                                         # its manifest record
       → build_csr_cache (in-process)                     # the serving cache
 
 The input file list is split into *partition groups*; each group is
@@ -41,128 +43,48 @@ import shutil
 import time
 
 import numpy as np
-import pyarrow.parquet as pq
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
-from probly_search_ray.maintain import (
-    _docmeta_files, _load_npz, _save_npz, docmeta_union, write_docmeta)
+from probly_search_ray.functions.codec import (
+    FORMAT_VERSION, blob_buffers, check_format_version, decode_rows)
+from probly_search_ray.maintain import stats_for
 from probly_search_ray.sources.readers import read_parquet_clean
 from probly_search_ray.stages.segment import SegmentEncoder
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
+from probly_search_ray.state.segments import (
+    SEGMENTS_DIR, docmeta_union, empty_segment, load_npz, merge_segments,
+    save_npz, store_segment)
 
 
-def finalize_group(index_dir: str, group_dir: str, meta: dict) -> dict:
-    """Finalize the term files just written to ``group_dir`` (by a
-    build, a vacuum or a compaction) and the group's docmeta arrays
-    ``meta`` (``SegmentEncoder``'s columns, ids sorted and unique): drop
-    the empty files a repartition leaves and derive the group record's
-    fields — ``term_files`` with each file's footer row count,
-    ``term_rows``, ``term_bytes``, ``num_docs``, ``field_len_sums``
-    and the add-path stale-avg quirk inputs (src/index.rs:112-113: avg
-    only updates inside the per-value loop), ``field_last_val_doc``
-    (per field, the max doc_id with >=1 VALUE) and ``doc_max``; -1 =
-    none.  ``write_docmeta`` stores ``meta``: docmeta must hold every
-    doc a committed posting names, so a build or a compaction writes it
-    before its manifest commit, a vacuum (whose docmeta shrinks) after
-    it."""
-    term_files = []
-    for path in sorted(globmod.glob(os.path.join(group_dir, "*.parquet"))):
-        rows = pq.read_metadata(path).num_rows
-        if rows == 0:
-            os.unlink(path)  # empty block from repartition padding
-            continue
-        term_files.append({"path": os.path.relpath(path, index_dir),
-                           "rows": rows})
-    ids = meta["doc_id"]
-    nf = sum(c.startswith("len_") for c in meta)
-    hvs = [meta[f"hv_{f}"].astype(bool) for f in range(nf)]
-    return {"term_files": term_files,
-            "term_rows": sum(r["rows"] for r in term_files),
-            "term_bytes": sum(os.path.getsize(os.path.join(index_dir,
-                                                           r["path"]))
-                              for r in term_files),
-            "num_docs": len(ids),
-            # corpus sums accumulate ALL values (tot), not the stored
-            # last-value field_length (src/index.rs:112-114)
-            "field_len_sums": [int(meta[f"tot_{f}"].sum(dtype=np.int64))
-                               for f in range(nf)],
-            "field_last_val_doc": [int(ids[hv].max()) if hv.any() else -1
-                                   for hv in hvs],
-            "doc_max": int(ids.max()) if len(ids) else -1}
+def _block_segment(block: pa.Table, num_fields: int) -> dict:
+    """One sorted block of encoder rows as a segment piece: the blobs
+    decoded once, one entry per row (the rows of a term from several
+    encoder batches stay separate entries; ``merge_segments`` joins
+    them)."""
+    docs, tfs, rc = decode_rows(*blob_buffers(pc.cast(
+        block["blob"], pa.large_binary()).combine_chunks()), num_fields)
+    return {"terms": block["term"].to_pylist(),
+            "df": block["df"].to_numpy(),
+            "first_pos": block["first_pos"].to_numpy(),
+            "first_off": block["first_off"].to_numpy(),
+            "post_off": np.r_[0, np.cumsum(rc)], "p_doc": docs,
+            "p_tf": tfs, "meta": None}
 
 
 def _merge_side_files(meta_dir: str, num_fields: int) -> dict:
     """The group's docmeta from its encoders' side files: a doc in two
     (a retried batch split another way) counts once."""
-    return docmeta_union([_load_npz(p) for p in sorted(
+    return docmeta_union([load_npz(p) for p in sorted(
         globmod.glob(os.path.join(meta_dir, "*.npz")))], num_fields)
 
 
-def _count_docs_le(index_dir: str, doc_id: int) -> int:
-    """Count docs with id <= doc_id (rare path: only needed when some
-    field's last doc-with-values is not the corpus max, i.e. trailing
-    docs with empty multi-value lists)."""
-    # distinct ids, not rows: a crash between compact_groups' manifest
-    # commit and its file cleanup leaves a doc's docmeta row twice
-    heads = [m["doc_id"][:np.searchsorted(m["doc_id"], doc_id, "right")]
-             for m in _docmeta_files(index_dir)]
-    return len(np.unique(np.concatenate(heads))) if heads else 0
-
-
 def finalize_stats(index_dir: str, groups: dict, num_fields: int) -> None:
-    """Global stats from group partials, reproducing the reference's
-    add-path stale-avg quirk (src/index.rs:105-115): ``sum``
-    accumulates every value's kept-token count, but ``avg`` is only
-    assigned INSIDE the per-value loop — a doc whose accessor yields an
-    EMPTY value list does not update it.  So after a pure sequence of
-    adds, ``avg_f = sum_f / rank_f`` where ``rank_f`` is the 1-based
-    position (in doc_id order, the engine's insertion-order model) of
-    the last doc with >=1 value for field f — equal to N whenever the
-    max doc has values (every single-value string corpus, where even
-    empty text is one value), else a docmeta count.
-
-    The quirk path applies only when NO tombstones exist (fresh
-    builds, post-vacuum appends, clean merges) — there the whole
-    history is adds and the replay is exact.  With live tombstones the
-    true event order was adds → removes → appended adds, and the
-    reference's append re-updates ``avg = sum/N`` for every field the
-    new docs have values in (src/index.rs:112-113), so the aggregate
-    subtract + sum/N is exact unless the appended docs ALSO have
-    empty multi-value lists for a field — a corner of a corner where
-    sum/N is the documented approximation.  (The remove-stale quirk
-    when the LAST operation is a remove is handled incrementally by
-    ``Stats.apply_remove`` at remove time, never by a rebuild — a
-    resumed no-op build leaves stats.json untouched.)"""
-    total_docs = sum(rec["num_docs"] for rec in groups.values())
-    total_sums = np.zeros(num_fields, dtype=np.int64)
-    for rec in groups.values():
-        total_sums += np.asarray(rec["field_len_sums"], dtype=np.int64)
-    tomb_ids = Tombstones(index_dir).doc_ids
-    avgs = None
-    if tomb_ids:
-        from probly_search_ray.maintain import _docs_field_lengths
-        lens_by_doc = _docs_field_lengths(index_dir, tomb_ids)
-        for lens in lens_by_doc.values():
-            total_sums -= np.asarray(lens, dtype=np.int64)
-        total_docs -= len(lens_by_doc)
-    elif bool(groups) and all("field_last_val_doc" in rec
-                              and "doc_max" in rec
-                              for rec in groups.values()):
-        doc_max = max(rec["doc_max"] for rec in groups.values())
-        avgs = []
-        for f in range(num_fields):
-            m = max(rec["field_last_val_doc"][f] for rec in groups.values())
-            if m < 0:
-                avgs.append(0.0)  # FieldDetails::default() avg
-            elif m == doc_max:
-                avgs.append(total_sums[f] / total_docs if total_docs
-                            else 0.0)
-            else:
-                rank = _count_docs_le(index_dir, m)
-                avgs.append(total_sums[f] / rank if rank else 0.0)
-    Stats(index_dir).set_from_build(total_docs, list(total_sums), avgs,
-                                    tomb_applied=len(tomb_ids))
+    """Write ``stats.json`` from the group partials ``groups``
+    (``maintain.stats_for``)."""
+    stats_for(index_dir, groups, num_fields).save()
 
 
 class _FusedEncoder:
@@ -185,8 +107,9 @@ class _FusedEncoder:
         rows, meta = self.enc(batch)
         ids = meta["doc_id"]
         if len(ids):
-            _save_npz(os.path.join(self.meta_dir, f"{int(ids.min())}-"
-                                   f"{int(ids.max())}-{len(ids)}.npz"), meta)
+            save_npz(os.path.join(self.meta_dir, f"{int(ids.min())}-"
+                                  f"{int(ids.max())}-{len(ids)}.npz"), meta,
+                     compress=False)
         return rows
 
 
@@ -266,8 +189,6 @@ def build_index(
     groups = [files[i:i + files_per_group]
               for i in range(0, len(files), files_per_group)]
 
-    from probly_search_ray.functions.codec import (
-        FORMAT_VERSION, check_format_version)
     man = Manifest(index_dir)
     if man.groups:  # appending: never mix posting formats in one index
         check_format_version(index_dir,
@@ -311,14 +232,12 @@ def build_index(
                 "rebuild with overwrite=True.")
         built_any = True
         t0 = time.perf_counter()
-        out_dir = os.path.join(index_dir, "terms", f"group={gid}")
-        tmp_dir = out_dir + ".tmp"
+        name = f"group={gid}"
         # the encoders' docmeta side files, merged at finalize
-        meta_dir = os.path.join(index_dir, "docmeta", f"group={gid}.tmp")
-        for d in (tmp_dir, out_dir, meta_dir):
-            if os.path.exists(d):
-                shutil.rmtree(d)
-        os.makedirs(meta_dir)
+        side_dir = os.path.join(index_dir, SEGMENTS_DIR, name + ".side")
+        if os.path.exists(side_dir):
+            shutil.rmtree(side_dir)
+        os.makedirs(side_dir)
 
         if string_key:
             # (key, doc_id) sidecar for this group — same resume unit
@@ -335,7 +254,7 @@ def build_index(
         # and reuse warm workers across build invocations.
         fused = _FusedEncoder(
             key_col=key_col, field_cols=field_cols, tokenizer=tokenizer,
-            block_postings=block_postings, meta_dir=meta_dir,
+            block_postings=block_postings, meta_dir=side_dir,
             pre_transform=pre_transform)
         kwargs = {"concurrency": concurrency} if concurrency else {}
         rows = ds.map_batches(
@@ -347,18 +266,16 @@ def build_index(
         # thousands of tiny objects.  ~1 partition per CPU keeps the
         # shuffle matrix quadratic in CPUs, not in batches.
         nparts = max(16, 2 * int(ray.available_resources().get("CPU", 8)))
-        rows = rows.repartition(nparts)
-        rows = rows.sort(["term", "doc_lo"])
-        os.makedirs(tmp_dir)  # a group without terms writes no file
-        rows.write_parquet(tmp_dir)
-        os.replace(tmp_dir, out_dir)
+        rows = rows.repartition(nparts).sort(["term", "doc_lo"])
+        F = len(field_cols)
+        pieces = [_block_segment(b, F) for b in rows.iter_batches(
+            batch_size=None, batch_format="pyarrow") if len(b)]
         t_job = time.perf_counter() - t0
 
-        # --- group finalize: docmeta + lineage
-        meta = _merge_side_files(meta_dir, len(field_cols))
-        rec = finalize_group(index_dir, out_dir, meta)
-        write_docmeta(index_dir, gid, meta)
-        shutil.rmtree(meta_dir)
+        # --- group finalize: one segment (postings + docmeta) + lineage
+        pieces.append(empty_segment(F, _merge_side_files(side_dir, F)))
+        rec = store_segment(index_dir, name, merge_segments(pieces, F))
+        shutil.rmtree(side_dir)
         wall = time.perf_counter() - t0
         man.commit_group(gid, {
             "input_files": gfiles,
@@ -379,8 +296,10 @@ def build_index(
     # field_last_val_doc/doc_max partials.  The remove-stale quirk only
     # survives when the last operation was a remove — which is why a
     # resumed no-op build leaves stats.json untouched.
-    stats = Stats(index_dir)
-    if built_any or not os.path.exists(stats.path):
+    # A build that crashed between a group's commit and this write left
+    # stats that do not count every committed group: a re-run writes
+    # them (an engine meanwhile computes them in memory)
+    if built_any or not Stats(index_dir).covers(man.groups):
         finalize_stats(index_dir, man.groups, len(field_cols))
     Tombstones(index_dir)  # touch
     if warm_cache:

@@ -79,14 +79,12 @@ def cmd_remove(args):
 
 
 def cmd_vacuum(args):
-    _ensure_ray()
     from probly_search_ray.maintain import vacuum
     vacuum(args.index)
     print(json.dumps({"vacuumed": True}))
 
 
 def cmd_compact(args):
-    _ensure_ray()
     from probly_search_ray.maintain import compact_groups
     n = compact_groups(args.index)
     print(json.dumps({"groups_merged": n}))
@@ -101,8 +99,8 @@ def cmd_complete(args):
 
 def cmd_stats(args):
     """Index observability without starting an engine: manifest lineage
-    (per-group inputs/docs/timings), corpus stats, tombstone count,
-    term-file inventory, cache presence — all metadata reads."""
+    (per-group inputs/docs/timings/segment bytes), corpus stats,
+    tombstone count, cache presence — all metadata reads."""
     import os
 
     from probly_search_ray.search import ShardData
@@ -111,7 +109,6 @@ def cmd_stats(args):
     if not man.data["config"]:
         raise FileNotFoundError(f"no index at {args.index}")
     st = Stats(args.index)
-    tfiles = man.term_files()
     cache = ShardData._cache_path(args.index, man)
     # where the bytes are: file sizes only, no file is opened
     sizes = {}
@@ -121,7 +118,7 @@ def cmd_stats(args):
                 os.path.join(root, f))
     parts = {d: sum(n for p, n in sizes.items() if p.startswith(
         os.path.join(args.index, d) + os.sep))
-        for d in ("terms", "docmeta", "cache")}
+        for d in ("segments", "cache")}
     parts["other"] = sum(sizes.values()) - sum(parts.values())
     warm = {os.path.basename(p).rsplit(".", 1)[0]: n
             for p, n in sorted(sizes.items())
@@ -131,13 +128,13 @@ def cmd_stats(args):
         "fields": st.data["fields"],
         "tombstones": len(Tombstones(args.index).doc_ids),
         "groups": {g: {"docs": r["num_docs"],
-                       "term_files": len(r["term_files"]),
+                       "segment_bytes": os.path.getsize(os.path.join(
+                           args.index, r["segment"]))
+                       if r.get("segment") else 0,
                        "input_files": len(r.get("input_files", [])),
                        "wall_sec": r.get("wall_sec"),
                        "docs_per_sec": r.get("docs_per_sec")}
                    for g, r in sorted(man.groups.items())},
-        "term_files": len(tfiles),
-        "term_rows": sum(r["rows"] for r in tfiles),
         "cache_warm": os.path.isdir(cache),
         "index_bytes": sum(sizes.values()),
         "bytes": parts,
@@ -204,7 +201,6 @@ def cmd_pipeline(args):
 
 
 def cmd_merge(args):
-    _ensure_ray()
     from probly_search_ray.maintain import merge_indexes
     man = merge_indexes(args.sources.split(","), args.dest,
                         compact=args.compact, overwrite=args.overwrite)

@@ -1,25 +1,21 @@
-"""Vectorized LEB128 varint + delta posting-block codec.
+"""Vectorized LEB128 varint + delta posting-block codec: the wire
+format of the index build's one shuffle.
 
-Replaces the reference's arena linked-list posting storage
-(``/root/reference/src/index.rs:351-361,422-433``) with contiguous,
-docID-sorted, delta+varint-compressed posting blocks — the layout the
-north star asks for and the one that streams through Arrow binary
-columns with zero-copy.
+The build's fused encode stage (``stages/segment.py``) turns each batch
+of documents into one row per term whose blob holds that batch's
+postings of the term; Ray's sort moves those compact rows, and the
+group's finalize (``build._block_segment``) decodes each sorted block
+once into the group's segment (``state/segments.py``), which is the
+index's one stored copy.  No blob is stored: this module owns the
+layout of rows in flight only.  ``encode_rows`` writes it and
+``decode_rows`` reads it, both numpy-vectorized with no Python loop
+over values: encoding N values costs ~10 vectorized passes (one per
+possible varint byte position), decoding a whole buffer is a single
+vectorized scan (``varint_decode_all``).
 
-This module owns the posting-blob layout: ``encode_rows`` writes it
-(the index build's ``SegmentEncoder`` and vacuum's ``_Compactor``)
-and ``decode_rows`` reads it (the engine's cold load, ``_Compactor``
-and the ``index_postings`` export).  All encode/decode paths are
-numpy-vectorized: no Python loop over values.  Encoding N values costs
-~10 vectorized passes (one per possible varint byte position);
-decoding a whole buffer is a single vectorized scan
-(``varint_decode_all``, which ``decode_rows`` runs over its rows'
-bytes).
-
-Posting block layout (since format v5; a *row* is one term's postings
-within one doc range, its blob an ordered sequence of blocks of at
-most ``block_postings`` postings; a term's full posting list may
-spread over several dictionary rows):
+Posting block layout (a *row* is one term's postings within one
+encoder batch, its blob an ordered sequence of blocks of at most
+``block_postings`` postings):
 
     varint stream of:
       n                      number of postings in the block
@@ -27,15 +23,10 @@ spread over several dictionary rows):
       delta[1..n-1]          doc_id deltas (uint64 differences)
       for f in fields: tf_f[0..n-1]    per-field term frequency
 
-A doc's field lengths are not in the blobs, and since format v6 no
-term file row carries docmeta: every row is a real term's.  A doc's
-details live once, in its group's ``docmeta/group=G.npz`` (the
-reference's ``DocumentDetails.field_length``, src/index.rs:348), and
-every reader takes them from there.
-
-The per-doc occurrence count (df is occurrence-counted,
-src/index.rs:281-297) is NOT stored: occ ≡ Σ_f tf_f, reconstructed at
-decode — postings exist only for docs where the term occurs, and the
+A doc's field lengths travel beside the rows, as the encoders' docmeta
+side files (``build._FusedEncoder``).  The per-doc occurrence count
+(df is occurrence-counted, src/index.rs:281-297) is NOT stored: occ ≡
+Σ_f tf_f — postings exist only for docs where the term occurs, and the
 reference creates exactly one pointer per occurrence across all fields.
 """
 
@@ -43,14 +34,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# bump when the posting-block layout changes; stored in the manifest and
+# bump when the stored index layout changes; stored in the manifest and
 # checked at load so a stale index is rebuilt, not misread
-FORMAT_VERSION = 6  # v6: docmeta only in docmeta/group=G.npz
+FORMAT_VERSION = 7  # v7: one segments/group=G.npz per group
 
 
 def check_format_version(index_dir: str, ver) -> None:
-    """Refuse an index written in another posting format: no older
-    layout is read, the index is rebuilt instead."""
+    """Refuse an index written in another format: no older layout is
+    read, the index is rebuilt instead."""
     if ver != FORMAT_VERSION:
         raise ValueError(
             f"index at {index_dir} has format_version={ver}, engine "
@@ -195,9 +186,9 @@ def decode_rows(data: np.ndarray, offsets: np.ndarray, F: int):
     v_row = np.searchsorted(np.flatnonzero((stream & 0x80) == 0),
                             offsets[:-1] - offsets[0])
     v_row_end = np.concatenate((v_row[1:], [nvals]))
-    # zero-byte rows (df-0 creation-order witnesses kept by vacuum)
-    # own no values — drop them before the first header round or
-    # they would misread the NEXT row's block header
+    # zero-byte rows (``encode_rows`` of a zero count) own no values —
+    # drop them before the first header round or they would misread
+    # the NEXT row's block header
     alive = v_row < v_row_end
     act_v, act_row, act_end = (v_row[alive],
                                np.arange(nrows, dtype=np.int64)[alive],

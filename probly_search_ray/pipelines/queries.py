@@ -481,55 +481,40 @@ def bm25_top_per_source(sf_dir: str):
 
 
 def index_postings(sf_dir: str):
-    """Index-as-dataset export: read the committed term-shard parquet
-    files back as a Ray Dataset and decode the posting blocks
-    DISTRIBUTED (the vectorized ``codec.decode_rows`` kernel per
-    batch — no per-blob Python) into (term, doc_id, tf, field_len)
-    rows, ``field_len`` looked up by doc id in docmeta.  Gates the
-    whole build/encode path at posting granularity and doubles as the
-    escape hatch from the index format to columnar tooling (the
-    reference keeps its index in-memory only,
+    """Index-as-dataset export: the committed segment files read back
+    as a Ray Dataset, one task per segment, into (term, doc_id, tf,
+    field_len) rows — ``field_len`` from the segment's own docmeta.
+    Gates the whole build/encode path at posting granularity and
+    doubles as the escape hatch from the index format to columnar
+    tooling (the reference keeps its index in-memory only,
     `/root/reference/src/index.rs`)."""
-    import pyarrow.compute as _pc
-
-    import ray as _ray
-
-    from probly_search_ray.functions.codec import blob_buffers, decode_rows
-    from probly_search_ray.maintain import docmeta_table
     from probly_search_ray.state.manifest import Manifest
+    from probly_search_ray.state.segments import (
+        named_segments, read_segment)
 
     eng = _engine(sf_dir)
-    man = Manifest(eng.index_dir)
-    files = [os.path.join(eng.index_dir, r["path"])
-             for r in man.term_files()]
-    F = man.data["config"]["num_fields"]
-    meta_ids, meta_lens = docmeta_table(eng.index_dir, F)
-    meta = _ray.put((meta_ids, meta_lens[0]))
+    paths = [os.path.join(eng.index_dir, p)
+             for p in named_segments(Manifest(eng.index_dir).groups)]
 
     def decode(b: pa.Table) -> pa.Table:
-        empty = pa.table({"term": pa.array([], pa.string()),
-                          "doc_id": pa.array([], pa.int64()),
-                          "tf": pa.array([], pa.int64()),
-                          "field_len": pa.array([], pa.int64())})
-        if not len(b):
-            return empty
-        docs, tfs, rc = decode_rows(*blob_buffers(_pc.cast(
-            b["blob"], pa.large_binary()).combine_chunks()), F)
-        ids, len0 = _ray.get(meta)
-        ridx = np.repeat(np.arange(len(b), dtype=np.int64), rc)
-        occ = np.zeros(len(docs), dtype=np.int64)
-        for f in range(F):
-            occ += tfs[f].astype(np.int64)
-        return pa.table({
-            "term": b["term"].combine_chunks().take(pa.array(ridx)),
-            "doc_id": pa.array(docs.astype(np.int64)),
-            "tf": pa.array(occ),
-            "field_len": pa.array(
-                len0[np.searchsorted(ids, docs)].astype(np.int64)),
-        })
+        parts = []
+        for path in b["path"].to_pylist():
+            seg = read_segment(path)
+            docs, meta = seg["p_doc"], seg["meta"]
+            parts.append(pa.table({
+                "term": pa.array(seg["terms"], pa.string()).take(pa.array(np.repeat(
+                    np.arange(len(seg["terms"])),
+                    np.diff(seg["post_off"])))),
+                "doc_id": pa.array(docs.astype(np.int64)),
+                "tf": pa.array(sum(t.astype(np.int64)
+                                   for t in seg["p_tf"])),
+                "field_len": pa.array(meta["len_0"][np.searchsorted(
+                    meta["doc_id"], docs)].astype(np.int64)),
+            }))
+        return pa.concat_tables(parts)
 
-    ds = read_parquet_clean(files, columns=["term", "blob"])
-    return ds.map_batches(decode, batch_format="pyarrow")
+    return ray.data.from_items([{"path": p} for p in paths]).map_batches(
+        decode, batch_format="pyarrow", batch_size=1)
 
 
 def events_asof_orders(sf_dir: str):

@@ -42,10 +42,12 @@ from typing import NamedTuple
 import numpy as np
 
 from probly_search_ray.functions.codec import (
-    FORMAT_VERSION, blob_buffers, check_format_version, decode_rows,
-    grouped_arange)
+    FORMAT_VERSION, check_format_version, grouped_arange)
 from probly_search_ray.functions.tokenize import get_tokenizer
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
+from probly_search_ray.state.segments import (
+    _find_sorted, _in_sorted, _narrow, merge_segments, named_segments,
+    read_segment)
 
 
 def _tie_floor(kth: float) -> float:
@@ -224,16 +226,14 @@ class ShardData:
     """Term dictionary + postings of one doc partition, merged across
     build groups.  Loaded once (actor ``__init__``), served per query.
 
-    The on-disk varint blobs are decoded ONCE at load into flat CSR
-    posting arrays indexed by ``post_off`` per term: query-time posting
-    access is a zero-copy numpy slice, with no per-expansion decode
-    loop — the round-1 p95 tail was thousands of rare prefix expansions
-    each paying a Python per-block decode.  The whole load path is
-    vectorized (varint scans over byte-bounded chunks of the
-    concatenated blob stream, block headers parsed in rounds, segmented
-    cumsum for the doc-id deltas).  A cold load writes the mmap'd cache
-    that later loads read; ``build_csr_cache`` is that same load, run
-    ahead of serving.
+    The groups' segments are merged ONCE at load into flat CSR posting
+    arrays indexed by ``post_off`` per term: query-time posting access
+    is a zero-copy numpy slice, with no per-expansion decode loop — the
+    round-1 p95 tail was thousands of rare prefix expansions each
+    paying a Python per-block decode.  A cold load (``merge_segments``
+    over the segments the manifest names, NumPy only) writes the mmap'd
+    cache that later loads read; ``build_csr_cache`` is that same load,
+    run ahead of serving.
 
     A posting holds only what is its own: ``p_ord``, the doc's rank in
     the per-doc table ``doc_ids`` (sorted, so ordinals keep doc-id
@@ -254,7 +254,7 @@ class ShardData:
         per-query coordinator traffic is D·k rows instead of O(df).
         Hash (mod) partitioning balances arbitrary/skewed id spaces
         with no quantile estimation.  The view is derived from the
-        index's one CSR cache (or a fresh decode) and writes no cache of
+        index's one CSR cache (or a fresh merge) and writes no cache of
         its own."""
         self._open(index_dir, use_cache, doc_mod)
         self._index_docs()
@@ -272,76 +272,50 @@ class ShardData:
         check_format_version(index_dir, man.data["config"].get(
             "format_version"))
         self.num_fields = man.data["config"]["num_fields"]
-        # mmap'd decoded-CSR cache: the first load of a manifest state
-        # decodes the varint blobs and persists the flat arrays;
-        # later loads np.load(mmap_mode="r") them — engine startup is
-        # metadata-only and postings page in lazily per query (the
-        # north star's "actor pools holding mmap'd index shards")
+        # mmap'd CSR cache: the first load of a manifest state merges
+        # the segments and persists the flat arrays; later loads
+        # np.load(mmap_mode="r") them — engine startup is metadata-only
+        # and postings page in lazily per query (the north star's
+        # "actor pools holding mmap'd index shards")
         self._cache_dir = None
         if use_cache:
             self._cache_dir = self._cache_path(index_dir, man)
             if self._load_from_cache(self._cache_dir):
                 self._apply_doc_mod()
                 return
-        # a cold decode reads parquet: the only part of serving that
-        # needs pyarrow, so a warm-cache load never imports it
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
-        from probly_search_ray.stages.segment import SEGMENT_SCHEMA
-        cols = ["term", "doc_lo", "df", "first_pos", "first_off", "blob"]
-        want = pa.schema([SEGMENT_SCHEMA.field(n) for n in cols])
-        tables = [pads.dataset(os.path.join(index_dir, rec["path"]))
-                  .to_table(columns=cols).cast(want)
-                  for rec in man.term_files()]
-
         F = self.num_fields
-        self.terms: list[str] = []
-        self.df: np.ndarray = np.empty(0, np.int64)
-        self.first_pos: np.ndarray = np.empty(0, np.uint64)
-        self.first_off: np.ndarray = np.empty(0, np.uint32)
-        self.trie_rank: np.ndarray = np.empty(0, np.uint32)
-        self.post_off: np.ndarray = np.zeros(1, np.int64)
-        self.doc_ids: np.ndarray = np.empty(0, np.uint64)
-        self.doc_len: list[np.ndarray] = [np.empty(0, np.uint8)] * F
-        self.p_ord: np.ndarray = np.empty(0, np.uint32)
-        self.p_tf: list[np.ndarray] = [np.empty(0, np.uint8)] * F
-        self.tf_max: list[np.ndarray] = [np.empty(0, np.uint32)] * F
-        self.len_min: list[np.ndarray] = [np.empty(0, np.uint32)] * F
-        self.fr = {ch: (np.zeros(1, np.int64), np.empty(0, np.uint32),
-                        np.empty(0, np.uint32))
-                   for ch in _frontier_channels(F)}
-        if not tables:
-            return
-        full = pa.concat_tables(tables).sort_by(
-            [("term", "ascending"), ("doc_lo", "ascending")])
-        from probly_search_ray.maintain import docmeta_table
-        self._load_csr(full, F, docmeta_table(index_dir, F))
+        seg = merge_segments([read_segment(os.path.join(index_dir, p))
+                              for p in named_segments(man.groups)], F)
+        self.terms: list[str] = seg["terms"]
+        self.df = seg["df"]
+        self.first_pos, self.first_off = seg["first_pos"], seg["first_off"]
+        self.post_off = seg["post_off"]
+        self.p_tf = [_narrow(t) for t in seg["p_tf"]]
+        meta = seg["meta"]
+        self._attach_docs(seg["p_doc"], meta["doc_id"],
+                          [meta[f"len_{f}"] for f in range(F)])
+        self._compute_bounds()
         self.trie_rank = trie_rank(self.terms, self.first_pos,
                                    self.first_off)
-        if self._cache_dir:
+        if self._cache_dir and self.terms:
             # also for doc-mod views: at this point the arrays ARE the
             # cache content (the view filter applies below),
             # so a cache-cold doc-sharded pool seeds the cache for every
-            # later load instead of leaving D actors to re-decode
+            # later load instead of leaving D actors to re-merge
             self._write_cache(self._cache_dir)
         self._apply_doc_mod()
 
-    # -- mmap'd decoded-CSR cache ------------------------------------------
+    # -- mmap'd CSR cache ------------------------------------------------
 
     @staticmethod
     def _cache_path(index_dir: str, man: Manifest):
         import hashlib
         import json as _json
         sig_src = _json.dumps([
-            6,  # cache layout version (v6: per-doc tables, p_ord, narrow tf)
-            FORMAT_VERSION,
-            [(r["group"], r["path"], r["rows"]) for r in man.term_files()],
-        ], sort_keys=True)
+            7,  # cache layout version (v7: named by the segments alone)
+            FORMAT_VERSION, named_segments(man.groups)])
         sig = hashlib.md5(sig_src.encode()).hexdigest()[:12]
-        # a fixed middle part, which every existing cache's name carries
-        rng = hashlib.md5(repr((None, None)).encode()).hexdigest()[:8]
-        return os.path.join(index_dir, "cache", f"csr-{rng}-{sig}")
+        return os.path.join(index_dir, "cache", f"csr-{sig}")
 
     def _write_cache(self, cdir: str) -> None:
         """Save the arrays into a temp dir beside ``cdir``, after
@@ -520,80 +494,9 @@ class ShardData:
         """The removed-doc set this shard serves (see ``set_tombstones``)."""
         return self._tomb
 
-    # blob bytes per decode chunk (a row larger than this is one chunk):
-    # the varint scan allocates ~40 bytes of temporaries per value,
-    # about one value a byte, so a chunk's temporaries stay near 40 MB
-    # and the tuned allocator REUSES them from chunk to chunk; an
-    # unbounded scan touches fresh pages for all of them, and where
-    # first-touch page faults are slow they dominate the decode
-    _DECODE_CHUNK_BYTES = 1 << 20
-
-    def _load_csr(self, full: pa.Table, F: int, docs) -> None:
-        """Decode term-sorted rows into the CSR arrays; ``docs`` is the
-        per-doc table ``(doc_ids, [len_f])`` (``maintain.docmeta_table``)."""
-        import pyarrow as pa
-        nrows = len(full)
-        data, off_arr = blob_buffers(full["blob"].combine_chunks())
-
-        docs_p, rc_p = [], []
-        tf_p = [[] for _ in range(F)]
-        i1 = 0
-        while i1 < nrows:
-            i0 = i1
-            # the rows whose blobs end within the byte bound, at least one
-            i1 = max(i0 + 1, int(np.searchsorted(
-                off_arr, off_arr[i0] + self._DECODE_CHUNK_BYTES,
-                "right")) - 1)
-            d, tfs, rc = decode_rows(data, off_arr[i0:i1 + 1], F)
-            docs_p.append(d)
-            rc_p.append(rc)
-            for f in range(F):
-                tf_p[f].append(tfs[f])
-        p_docs = np.concatenate(docs_p)
-        self.p_tf = [_narrow(np.concatenate(x)) for x in tf_p]
-        row_counts = np.concatenate(rc_p)
-
-        # term dictionary: rows are term-sorted, so runs of equal codes
-        # are term runs
-        codes = full["term"].combine_chunks().dictionary_encode() \
-            .indices.to_numpy().astype(np.int64)
-        row_ts = np.flatnonzero(
-            np.concatenate(([True], codes[1:] != codes[:-1])))
-        term_col = full["term"].combine_chunks()
-        self.terms = term_col.take(pa.array(row_ts)).to_pylist()
-        dfs = full["df"].to_numpy().astype(np.int64)
-        fps = full["first_pos"].to_numpy()
-        fos = full["first_off"].to_numpy()
-        self.df = np.add.reduceat(dfs, row_ts)
-        # per-term first occurrence across files/batches: lexicographic
-        # min of (doc, off) pairs — rows within a term run come from
-        # multiple groups, so the run is not necessarily doc-ascending
-        self.first_pos = np.minimum.reduceat(fps, row_ts)
-        run_lens = np.diff(np.concatenate((row_ts, [len(fps)])))
-        at_min = fps == np.repeat(self.first_pos, run_lens)
-        fo_masked = np.where(at_min, fos, np.uint32(0xFFFFFFFF))
-        self.first_off = np.minimum.reduceat(fo_masked, row_ts) \
-            .astype(np.uint32)
-        term_counts = np.add.reduceat(row_counts, row_ts)
-        self.post_off = np.concatenate(
-            ([0], np.cumsum(term_counts))).astype(np.int64)
-        # With sequential doc ids, batch ranges are disjoint and the
-        # doc_lo-ordered block concat is already doc-sorted per term;
-        # hashed string keys overlap across batches — detect and do one
-        # segmented sort so "newest-first = descending doc id" holds.
-        if len(p_docs) > 1:
-            tid = np.repeat(np.arange(len(term_counts)), term_counts)
-            bad = p_docs[1:] < p_docs[:-1]
-            if bad.any() and (tid[:-1][bad] == tid[1:][bad]).any():
-                order = np.lexsort((p_docs, tid))
-                p_docs = p_docs[order]
-                self.p_tf = [t[order] for t in self.p_tf]
-        self._attach_docs(p_docs, *docs)
-        self._compute_bounds()
-
     def _attach_docs(self, p_docs, doc_ids, doc_len) -> None:
         """Set the per-doc tables and each posting's ordinal.  Every
-        writer commits a posting only once docmeta holds its doc, so a
+        segment holds the docmeta of every doc it posts, so a
         posting whose doc the table lacks is a damaged index: a
         ``ValueError``."""
         doc_ids = np.asarray(doc_ids, np.uint64)
@@ -1280,26 +1183,16 @@ class DictRange:
         return len(self.terms)
 
 
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """``a`` in the narrowest unsigned dtype that holds its max: the one
-    width rule of the cache's tf and field-length arrays."""
-    vmax = int(a.max()) if len(a) else 0
-    for dt in (np.uint8, np.uint16, np.uint32):
-        if vmax <= np.iinfo(dt).max:
-            return a.astype(dt, copy=False)
-    return a.astype(np.uint64, copy=False)
-
-
 def _ord_dtype(n_docs: int) -> np.dtype:
     """Doc ordinals are uint32 up to 2³² docs."""
     return np.dtype(np.uint32 if n_docs <= 1 << 32 else np.uint64)
 
 
 def build_csr_cache(index_dir: str) -> bool:
-    """Write the decoded-CSR mmap cache of the index's current manifest
-    state, so the first serving engine after a build or a maintenance
-    step starts from the cache instead of a cold varint decode.  It is
-    ``ShardData``'s own cold load (one in-process decode, the same
+    """Write the CSR mmap cache of the index's current manifest state,
+    so the first serving engine after a build or a maintenance step
+    starts from the cache instead of a cold segment merge.  It is
+    ``ShardData``'s own cold load (one in-process merge, the same
     bytes any cold load writes) without the serving-only parts: no
     doc-ordered posting index, no doc-mod view.  Every doc shard
     filters this one cache.  Returns True when a cache exists on
@@ -1311,6 +1204,10 @@ def build_csr_cache(index_dir: str) -> bool:
         return True
     sd = ShardData.__new__(ShardData)
     sd._open(index_dir, use_cache=True, doc_mod=None)
+    # read the removal lookup's docmeta of the new segments now: the
+    # first removal after a build or a maintenance step then finds it
+    from probly_search_ray.maintain import _docmeta_files
+    _docmeta_files(index_dir)
     return os.path.isdir(sd._cache_dir)
 
 
@@ -1346,21 +1243,6 @@ class _SizeOnlyDict(dict):
 
     def __len__(self):
         return self._n
-
-
-def _find_sorted(values: np.ndarray, sorted_arr: np.ndarray):
-    """Insertion positions of values in a sorted array, and whether
-    each value is there — one ``searchsorted``."""
-    if not len(sorted_arr):
-        return (np.zeros(len(values), dtype=np.int64),
-                np.zeros(len(values), dtype=bool))
-    idx = np.searchsorted(sorted_arr, values)
-    return idx, sorted_arr[np.minimum(idx, len(sorted_arr) - 1)] == values
-
-
-def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
-    """Membership of values in a sorted array (vectorized anti-join)."""
-    return _find_sorted(values, sorted_arr)[1]
 
 
 def _union_sorted(parts) -> np.ndarray:
@@ -1460,6 +1342,7 @@ class SearchEngine:
         self.num_fields = cfg["num_fields"]
         self.tokenizer = get_tokenizer(cfg["tokenizer"])
         self._manifest_sig = self._sig(man)
+        self._groups = man.groups
         self._open_shards()
         # new shards serve no tombstones and a new dictionary: start the
         # snapshot state afresh
@@ -1502,7 +1385,7 @@ class SearchEngine:
 
     @staticmethod
     def _sig(man: Manifest):
-        return [(gid, rec.get("vacuum_gen", 0), len(rec["term_files"]))
+        return [(gid, rec.get("segment"))
                 for gid, rec in sorted(man.groups.items())]
 
     def refresh(self) -> bool:
@@ -1546,6 +1429,12 @@ class SearchEngine:
         revalidation; any other change (a set that lost docs) empties
         the cache."""
         stats = Stats(self.index_dir)
+        if not stats.covers(self._groups):
+            # a build crashed between a group's commit and its stats
+            # write: the committed records' stats, in memory
+            from probly_search_ray.maintain import stats_for
+            stats = stats_for(self.index_dir, self._groups,
+                              self.num_fields)
         ids = Tombstones(self.index_dir).doc_ids
         if stats.pending(ids):
             # reads the docs' lengths from docmeta (``np.load``):

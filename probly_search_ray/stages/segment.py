@@ -2,11 +2,12 @@
 
 One ``map_batches`` call turns a batch of documents into *segment
 dictionary rows*: per distinct term in the batch, one row carrying a
-docID-sorted delta+varint posting block set for the docs of this batch.
-The batch's docmeta (per-doc field lengths, the reference's
-``DocumentDetails``, ``src/index.rs:348``) comes back beside the rows
-as NumPy arrays: the build keeps it out of the term files and the
-sort, and stores it once per group (``maintain.write_docmeta``).
+docID-sorted delta+varint posting block set for the docs of this batch
+(``SEGMENT_SCHEMA``, the wire format of the build's sort; nothing
+stores it).  The batch's docmeta (per-doc field lengths, the
+reference's ``DocumentDetails``, ``src/index.rs:348``) comes back
+beside the rows as NumPy arrays: the build keeps it out of the sort
+and stores it once, in the group's segment (``state/segments.py``).
 
 This replaces the reference's one-doc-at-a-time trie mutation
 (``src/index.rs:77-158``) with a fully vectorized, shuffle-free local

@@ -5,18 +5,23 @@ Index layout (the on-disk replacement for the reference's in-RAM
 
     index_dir/
       manifest.json            build config + per-group commit records
-                               (input files, counts, timings, output
-                               files with row counts) — the unit of
+                               (input files, counts, timings, the
+                               group's segment file) — the unit of
                                resumability ("per-partition lineage")
       stats.json               N + per-field sum/avg (src/index.rs:112-113
                                semantics; updated immediately on remove,
                                src/index.rs:175-185) + tomb_applied, the
                                count of tombstones those figures include
       tombstones.json          latent-deleted doc ids (src/index.rs:30-32)
-      terms/group=G/*.parquet  term-sorted dictionary+postings rows
-      docmeta/group=G.npz      one row per doc of the group, ids
-                               sorted and unique: doc_id, len_f (the
-                               stored field length), tot_f, hv_f
+      segments/group=G.npz     one file per group: its term dictionary,
+                               doc-sorted postings and docmeta
+                               (``state/segments.py``); a vacuum writes
+                               ``group=G.vN.npz``, a compaction
+                               ``group=G.cN.npz``.  Readers take only the
+                               files that group records name, so a
+                               group's postings and docmeta change in
+                               one manifest commit
+      cache/csr-*/             the serving cache (``search.build_csr_cache``)
 
 All JSON writes are atomic (tmp + rename) so a crashed build never
 leaves a half-written manifest.
@@ -69,7 +74,7 @@ class Manifest:
 
     def commit_groups(self, records: dict) -> None:
         """Atomically commit SEVERAL group records in one manifest write
-        (compaction must swap all groups' term_files at once — a partial
+        (compaction must swap all groups' segments at once — a partial
         swap would double-count postings)."""
         self.data["groups"].update(records)
         _atomic_write_json(self.path, self.data)
@@ -77,14 +82,6 @@ class Manifest:
     def set_config(self, cfg: dict) -> None:
         self.data["config"] = cfg
         _atomic_write_json(self.path, self.data)
-
-    def term_files(self) -> list[dict]:
-        """All committed term files with their group and row count."""
-        out = []
-        for gid, rec in sorted(self.data["groups"].items()):
-            for f in rec["term_files"]:
-                out.append({"group": gid, **f})
-        return out
 
 
 class Stats:
@@ -106,13 +103,15 @@ class Stats:
 
     def set_from_build(self, num_docs: int, sums: list[int],
                        avgs: list[float] | None = None, *,
-                       tomb_applied: int) -> None:
-        """``avgs`` carries the reference's add-path stale-avg quirk
-        (src/index.rs:112-113, computed by ``build.finalize_stats``);
-        without it avg falls back to sum/N (exact whenever the max doc
-        has >=1 value per field — every single-value string corpus).
-        ``tomb_applied``: how many leading tombstones the figures
-        already exclude (see ``pending``)."""
+                       tomb_applied: int, groups: int) -> None:
+        """Set (not save) the figures.  ``avgs`` carries the reference's
+        add-path stale-avg quirk (src/index.rs:112-113, computed by
+        ``maintain.stats_for``); without it avg falls back to sum/N
+        (exact whenever the max doc has >=1 value per field — every
+        single-value string corpus).  ``tomb_applied``: how many
+        leading tombstones the figures already exclude (see
+        ``pending``); ``groups``: how many committed groups they count
+        (see ``covers``)."""
         self.data = {
             "num_docs": int(num_docs),
             "fields": [{"sum": int(s),
@@ -120,8 +119,14 @@ class Stats:
                                 else (s / num_docs) if num_docs else 0.0)}
                        for f, s in enumerate(sums)],
             "tomb_applied": int(tomb_applied),
+            "groups": int(groups),
         }
-        _atomic_write_json(self.path, self.data)
+
+    def covers(self, groups: dict) -> bool:
+        """Whether these figures count every committed group of the
+        manifest's records ``groups`` (group ids are never deleted, so
+        a count suffices)."""
+        return self.data.get("groups") == len(groups)
 
     def pending(self, ids: list) -> list:
         """The tombstones of the list ``ids`` that these figures do not

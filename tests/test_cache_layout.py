@@ -3,8 +3,8 @@ field lengths live once per doc, tf and lengths take the narrowest
 unsigned dtype, and scoring through the per-doc length table is
 bit-identical to the per-posting BM25 formula."""
 
-import glob
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -13,13 +13,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from probly_search_ray.build import build_index
-from probly_search_ray.functions.codec import decode_rows
 from probly_search_ray.maintain import (
     compact_groups, merge_indexes, remove_documents, vacuum)
 from probly_search_ray.refmodel import (
     BM25, RefIndex, ZeroToOne, whitespace_tokenizer as tok)
 from probly_search_ray.search import SearchEngine, ShardData
 from probly_search_ray.state.manifest import Manifest
+from probly_search_ray.state.segments import named_segments, read_segment
 from tests.fixtures import assert_results
 
 VOCAB = np.array(["ka", "kar", "kex", "mu", "mux", "ma", "x", "xy"])
@@ -38,39 +38,44 @@ def _rows(rng, lo, hi):
             for d in range(lo, hi)]
 
 
-def _blob_postings(idx, F):
-    """The (term, doc id) pairs of the term files' blobs, decoded row
-    by row."""
+def _segments(idx):
+    """The segments the manifest names, read one by one."""
+    return [read_segment(os.path.join(idx, p))
+            for p in named_segments(Manifest(idx).groups)]
+
+
+def _segment_postings(idx):
+    """The (term, doc id) pairs of the named segments' postings."""
     out = set()
-    for rec in Manifest(idx).term_files():
-        t = pq.read_table(os.path.join(idx, rec["path"]),
-                          columns=["term", "blob"])
-        for term, blob in zip(t["term"].to_pylist(), t["blob"].to_pylist()):
-            if not blob:
-                continue
-            docs, _, _ = decode_rows(np.frombuffer(blob, np.uint8),
-                                     np.asarray([0, len(blob)]), F)
-            out.update((term, d) for d in docs.tolist())
+    for seg in _segments(idx):
+        off = seg["post_off"]
+        for i, term in enumerate(seg["terms"]):
+            out.update((term, d)
+                       for d in seg["p_doc"][off[i]:off[i + 1]].tolist())
     return out
 
 
+def _meta_lengths(meta, F):
+    """doc id → ``len_f`` of the docmeta columns ``meta``."""
+    lens = [meta[f"len_{f}"].tolist() for f in range(F)]
+    return {d: [ln[j] for ln in lens]
+            for j, d in enumerate(meta["doc_id"].tolist())}
+
+
 def _docmeta_lengths(idx, F):
-    """doc id → docmeta's ``len_f``, later files winning."""
+    """doc id → the named segments' docmeta ``len_f``."""
     out = {}
-    for path in sorted(glob.glob(os.path.join(idx, "docmeta", "*.npz"))):
-        with np.load(path) as z:
-            lens = [z[f"len_{f}"].tolist() for f in range(F)]
-            for j, d in enumerate(z["doc_id"].tolist()):
-                out[d] = [ln[j] for ln in lens]
+    for seg in _segments(idx):
+        out.update(_meta_lengths(seg["meta"], F))
     return out
 
 
 def _check_doc_tables(sd, idx, full=True):
-    """The loaded postings are the blobs' postings; every posting's
+    """The loaded postings are the segments' postings; every posting's
     ``doc_len_f[p_ord]`` equals docmeta's ``len_f``; the per-doc table
     is sorted and unique; dtypes follow the one width rule."""
     F = sd.num_fields
-    blob, meta = _blob_postings(idx, F), _docmeta_lengths(idx, F)
+    blob, meta = _segment_postings(idx), _docmeta_lengths(idx, F)
     assert sd.doc_ids.dtype == np.uint64 and sd.p_ord.dtype == np.uint32
     assert (np.diff(sd.doc_ids.astype(np.float64)) > 0).all()
     ent = np.repeat(np.arange(len(sd.terms)), np.diff(sd.post_off))
@@ -107,8 +112,8 @@ def _check_all_loads(idx):
 @pytest.mark.usefixtures("ray_session")
 def test_doc_tables_match_blobs_and_docmeta(tmp_path):
     """Build, append, remove, vacuum, compact and merge: in each state
-    the full load, a fresh decode and the doc-mod views all hold the
-    blobs' postings and read docmeta's lengths."""
+    the full load, a fresh merge and the doc-mod views all hold the
+    segments' postings and read their docmeta's lengths."""
     rng = np.random.default_rng(3)
     idx = str(tmp_path / "index")
     files = []
@@ -266,16 +271,15 @@ def test_zero_average_field_scores_without_warnings(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
-    """Docmeta holds every doc a committed posting names.  (a) A vacuum
-    that crashes after its manifest commit, before its docmeta write,
-    leaves docmeta a superset: the engine serves the pre-crash results,
-    ``build_csr_cache`` succeeds, and re-running ``vacuum`` converges to
-    a clean vacuum's results and docmeta.  (b) Docmeta that lacks a
-    live doc is a damaged index: a fresh decode raises ``ValueError``."""
-    import shutil
-
-    import probly_search_ray.maintain as maintain
+    """A segment's docmeta holds every doc its postings name.  (a) A
+    vacuum that crashes after its manifest commit, before it unlinks
+    the old segment, leaves the old file unnamed: the engine serves the
+    pre-crash results, ``build_csr_cache`` succeeds, and re-running
+    ``vacuum`` converges to a clean vacuum's results and docmeta and
+    unlinks the old file.  (b) A segment whose docmeta lacks a posted
+    doc is a damaged index: a fresh merge raises ``ValueError``."""
     from probly_search_ray.search import build_csr_cache
+    from probly_search_ray.state.segments import write_segment
     from probly_search_ray.state.manifest import Tombstones
     rng = np.random.default_rng(5)
     files = []
@@ -296,15 +300,18 @@ def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
                 for s in ("bm25", "zero_to_one")]
 
     before = results(idx)
+    unlink = os.unlink
 
-    def crash(*a, **kw):
-        raise RuntimeError("crash before the docmeta write")
-    monkeypatch.setattr(maintain, "write_docmeta", crash)
+    def crash(path, *a, **kw):
+        raise RuntimeError(f"crash before unlinking {path}")
+    monkeypatch.setattr(os, "unlink", crash)
     with pytest.raises(RuntimeError, match="crash"):
         vacuum(idx)
-    monkeypatch.undo()
+    monkeypatch.setattr(os, "unlink", unlink)
     assert Manifest(idx).groups["00000"]["vacuum_gen"] == 1
-    assert {3, 4} <= set(_docmeta_lengths(idx, 2))
+    seg_dir = os.path.join(idx, "segments")
+    assert "group=00000.npz" in os.listdir(seg_dir)   # unnamed now
+    assert not {3, 4} & set(_docmeta_lengths(idx, 2))
     assert Tombstones(idx).doc_ids == [3, 4, 30]
     assert results(idx) == before
     shutil.rmtree(os.path.join(idx, "cache"))
@@ -315,11 +322,14 @@ def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
     assert results(idx) == results(clean)
     assert _docmeta_lengths(idx, 2) == _docmeta_lengths(clean, 2)
     assert not {3, 4, 30} & set(_docmeta_lengths(idx, 2))
+    assert sorted(os.listdir(seg_dir)) == sorted(
+        os.path.basename(p) for p in named_segments(Manifest(idx).groups))
 
-    meta = maintain.read_docmeta(clean, "00001")
-    keep = meta["doc_id"] != 40
-    maintain.write_docmeta(clean, "00001",
-                           {c: a[keep] for c, a in meta.items()})
+    path = os.path.join(clean, Manifest(clean).groups["00001"]["segment"])
+    seg = read_segment(path)
+    keep = seg["meta"]["doc_id"] != 40
+    write_segment(path, {**seg, "meta": {c: a[keep]
+                                         for c, a in seg["meta"].items()}})
     with pytest.raises(ValueError, match="no docmeta row"):
         ShardData(clean, use_cache=False)
 
@@ -330,9 +340,9 @@ def test_encoder_retry_counts_each_doc_once(tmp_path):
     that split the batch another way leaves overlapping files, and the
     build's merge still gives each doc once, in docmeta and in
     ``num_docs``."""
-    from probly_search_ray.build import (
-        _FusedEncoder, _merge_side_files, finalize_group)
-    from probly_search_ray.maintain import write_docmeta
+    from probly_search_ray.build import _FusedEncoder, _merge_side_files
+    from probly_search_ray.state.segments import (
+        empty_segment, store_segment)
     rows = _rows(np.random.default_rng(4), 0, 12)
     batch = pa.table({
         "doc_id": pa.array([r[0] for r in rows], type=pa.uint64()),
@@ -353,11 +363,11 @@ def test_encoder_retry_counts_each_doc_once(tmp_path):
     for c in once:
         assert np.array_equal(meta[c], once[c]), c
     idx = str(tmp_path / "index")
-    assert finalize_group(idx, str(tmp_path / "no_terms"),
-                          meta)["num_docs"] == 12
-    write_docmeta(idx, "00000", meta)
+    rec = store_segment(idx, "group=00000", empty_segment(2, meta))
+    assert rec["num_docs"] == 12
     want = {r[0]: [len(r[1].split()), len(r[2].split())] for r in rows}
-    assert _docmeta_lengths(idx, 2) == want
+    assert _meta_lengths(read_segment(os.path.join(idx, rec["segment"]))
+                         ["meta"], 2) == want
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -365,7 +375,7 @@ def test_stale_side_files_of_a_crashed_build_are_cleared(tmp_path):
     """A build that crashed after its encoders ran, before the group's
     finalize, leaves the group's docmeta side-file dir; building the
     group again clears it, so a stale file's docs (here an id no input
-    holds) reach neither docmeta nor the stats."""
+    holds) reach neither the segment's docmeta nor the stats."""
     from probly_search_ray.state.manifest import Stats
     rng = np.random.default_rng(6)
     files = [str(tmp_path / f"g{g}.parquet") for g in range(2)]
@@ -373,14 +383,14 @@ def test_stale_side_files_of_a_crashed_build_are_cleared(tmp_path):
     _write(files[1], _rows(rng, 20, 30))
     idx = str(tmp_path / "index")
     build_index(files[:1], idx, field_cols=["f0", "f1"], files_per_group=1)
-    stale = os.path.join(idx, "docmeta", "group=00001.tmp")
+    stale = os.path.join(idx, "segments", "group=00001.side")
     os.makedirs(stale)
     one = np.ones(1, np.uint32)
     np.savez(os.path.join(stale, "900-900-1.npz"),
              doc_id=np.array([900], np.uint64), len_0=one, tot_0=one,
              hv_0=one, len_1=one, tot_1=one, hv_1=one)
     build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1)
-    assert sorted(os.listdir(os.path.join(idx, "docmeta"))) == [
+    assert sorted(os.listdir(os.path.join(idx, "segments"))) == [
         "group=00000.npz", "group=00001.npz"]
     assert sorted(_docmeta_lengths(idx, 2)) == list(range(30))
     assert Manifest(idx).groups["00001"]["num_docs"] == 10
@@ -425,12 +435,14 @@ def test_last_dictionary_term_as_df0_witness(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_format_v4_index_asks_for_rebuild(tmp_path):
     """An index whose manifest records an older ``format_version`` — 4
-    (posting blobs with per-posting lengths) or 5 (docmeta as sentinel
-    rows in the term files) — with docmeta as parquet, as both wrote
-    it, is not read: ``ShardData``, an appending ``build_index``,
-    ``merge_indexes`` and ``remove_documents`` (also with a tombstone a
-    crashed removal left uncounted) raise the rebuild error and leave
-    the index's state as it is; ``overwrite=True`` rebuilds it."""
+    (posting blobs with per-posting lengths), 5 (docmeta as sentinel
+    rows in the term files) or 6 (term files plus one
+    ``docmeta/group=G.npz`` per group) — laid out as v6 wrote it, is
+    not read: ``ShardData``, an appending ``build_index``,
+    ``merge_indexes``, ``remove_documents`` (also with a tombstone a
+    crashed removal left uncounted), ``vacuum`` and ``compact_groups``
+    raise the rebuild error and leave the index's state as it is;
+    ``overwrite=True`` rebuilds it."""
     import json
 
     from probly_search_ray.state.manifest import Tombstones
@@ -440,16 +452,27 @@ def test_format_v4_index_asks_for_rebuild(tmp_path):
     _write(files[1], _rows(rng, 20, 30))
     idx = str(tmp_path / "index")
     build_index(files[:1], idx, field_cols=["f0", "f1"], files_per_group=1)
-    for npz in glob.glob(os.path.join(idx, "docmeta", "*.npz")):
-        with np.load(npz) as z:
-            pq.write_table(pa.table({c: z[c] for c in z.files}),
-                           npz[:-len("npz")] + "parquet")
-        os.unlink(npz)
+    # the v6 layout: term files and a docmeta dir, records without a
+    # segment
     path = os.path.join(idx, "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    os.makedirs(os.path.join(idx, "docmeta"))
+    for gid, rec in man["groups"].items():
+        meta = read_segment(os.path.join(idx, rec.pop("segment")))["meta"]
+        np.savez(os.path.join(idx, "docmeta", f"group={gid}.npz"), **meta)
+        rec["term_files"] = [{"path": f"terms/group={gid}/0.parquet",
+                              "rows": 1}]
+    os.rename(os.path.join(idx, "segments"), os.path.join(idx, "terms"))
+    shutil.rmtree(os.path.join(idx, "cache"))
     stats_path = os.path.join(idx, "stats.json")
-    for old in (4, 5):
-        with open(path) as f:
-            man = json.load(f)
+
+    def state():
+        with open(stats_path) as f, open(path) as g:
+            return (f.read(), json.load(g), Tombstones(idx).doc_ids,
+                    sorted(os.listdir(idx)))
+
+    for old in (4, 5, 6):
         man["config"]["format_version"] = old
         with open(path, "w") as f:
             json.dump(man, f)
@@ -462,24 +485,26 @@ def test_format_v4_index_asks_for_rebuild(tmp_path):
                         files_per_group=1)
         with pytest.raises(ValueError, match=want):
             merge_indexes([idx, idx], str(tmp_path / "merged"))
-        with open(stats_path) as f:
-            stats = f.read()
-        with pytest.raises(ValueError, match=want):
-            remove_documents(idx, [1, 2])
-        assert not Tombstones(idx).doc_ids
+        before = state()
+        for op in (lambda: remove_documents(idx, [1, 2]),
+                   lambda: vacuum(idx), lambda: compact_groups(idx)):
+            with pytest.raises(ValueError, match=want):
+                op()
+        assert state() == before
         Tombstones(idx).add_many([3])     # tombstoned, stats not saved
-        with pytest.raises(ValueError, match=want):
-            remove_documents(idx, [1, 2])
-        assert Tombstones(idx).doc_ids == [3]
+        before = state()
+        for op in (lambda: remove_documents(idx, [1, 2]),
+                   lambda: vacuum(idx)):
+            with pytest.raises(ValueError, match=want):
+                op()
+        assert state() == before
         Tombstones(idx).clear()
-        with open(stats_path) as f:
-            assert f.read() == stats
-        with open(path) as f:
-            assert json.load(f) == man
     build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
                 overwrite=True)
     assert len(ShardData(idx).doc_ids) == 30
-    assert sorted(os.listdir(os.path.join(idx, "docmeta"))) == [
+    assert sorted(os.listdir(idx)) == [
+        "cache", "manifest.json", "segments", "stats.json"]
+    assert sorted(os.listdir(os.path.join(idx, "segments"))) == [
         "group=00000.npz", "group=00001.npz"]
 
 
@@ -496,7 +521,6 @@ man = Manifest(idx)
 sd = ShardData.__new__(ShardData)
 sd.num_fields = man.data["config"]["num_fields"]
 assert sd._load_from_cache(ShardData._cache_path(idx, man))
-ShardData._DECODE_CHUNK_BYTES = 37  # many chunks, some of one big row
 raw = ShardData(idx, use_cache=False)
 assert sd.terms == raw.terms
 pairs = [(getattr(sd, n), getattr(raw, n)) for n in (
@@ -514,11 +538,10 @@ print("ok", len(pairs))
 
 @pytest.mark.usefixtures("ray_session")
 def test_cache_build_needs_no_ray(tmp_path):
-    """``build_csr_cache`` is the engine's own in-process decode: in a
+    """``build_csr_cache`` is the engine's own in-process merge: in a
     process where ``import ray`` raises, it rebuilds the removed cache
-    of a 2-group index, and every cache array equals a fresh decode's,
-    dtype included, also when that decode runs in many small chunks."""
-    import shutil
+    of a 2-group index, and every cache array equals a fresh merge's,
+    dtype included."""
     import subprocess
     import sys
     rng = np.random.default_rng(9)
@@ -529,8 +552,7 @@ def test_cache_build_needs_no_ray(tmp_path):
         _write(files[-1], _rows(rng, lo, hi))
     build_index(files, idx, field_cols=["f0", "f1"], files_per_group=1,
                 batch_size=9)
-    assert sum(1 for g in Manifest(idx).groups.values()
-               if g["term_files"]) == 2
+    assert len(named_segments(Manifest(idx).groups)) == 2
     copy = str(tmp_path / "copy")
     shutil.copytree(idx, copy, ignore=shutil.ignore_patterns("cache"))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -37,9 +37,9 @@ def test_pipeline_command(tmp_path, capsys):
 
 @pytest.mark.usefixtures("ray_session")
 def test_stats_command_reports_index_bytes(tmp_path, capsys):
-    """`cli stats` splits the index's bytes into terms/, docmeta/,
-    cache/ and the rest, and lists the warm cache's arrays; the parts
-    add up to the directory's size."""
+    """`cli stats` splits the index's bytes into segments/, cache/ and
+    the rest, gives each group's segment bytes, and lists the warm
+    cache's arrays; the parts add up to the directory's size."""
     import os
 
     import pyarrow as pa
@@ -59,9 +59,12 @@ def test_stats_command_reports_index_bytes(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     total = sum(os.path.getsize(os.path.join(r, f))
                 for r, _, fs in os.walk(idx) for f in fs)
-    assert set(out["bytes"]) == {"terms", "docmeta", "cache", "other"}
+    assert set(out["bytes"]) == {"segments", "cache", "other"}
     assert out["index_bytes"] == sum(out["bytes"].values()) == total
-    assert min(out["bytes"][p] for p in ("terms", "docmeta", "cache")) > 0
+    assert min(out["bytes"][p] for p in ("segments", "cache")) > 0
+    assert out["bytes"]["segments"] == sum(
+        g["segment_bytes"] for g in out["groups"].values())
+    assert "term_files" not in out and "term_rows" not in out
     arrays = out["cache_array_bytes"]
     assert out["cache_warm"] and sum(arrays.values()) == out["bytes"]["cache"]
     assert {"p_ord", "p_tf_0", "doc_ids", "doc_len_0"} <= set(arrays)

@@ -1,7 +1,8 @@
 """A serving process loads what serving uses.  Importing the package,
-querying a warm-cache index and removing documents (also through an
-engine opened after a crash between a removal's two state writes) load
-none of Ray, pandas and pyarrow; the CLI's in-process
+querying a warm-cache index or one without a cache (the cold load
+merges the segments), removing documents (also through an engine
+opened after a crash between a removal's two state writes), vacuum and
+compaction load none of Ray, pandas and pyarrow; the CLI's in-process
 ``query``/``complete`` load no Ray.  Each case runs in a fresh
 interpreter: this one has all of them loaded already."""
 
@@ -42,19 +43,21 @@ def _run(code: str, *args) -> list[str]:
 
 @pytest.fixture(scope="module")
 def warm_index(tmp_path_factory, ray_session):
-    """A small two-field index with its CSR cache built."""
+    """A small two-field index of two groups with its CSR cache built."""
     d = tmp_path_factory.mktemp("footprint")
     rng = np.random.default_rng(3)
-    docs = range(200)
-    pq.write_table(pa.table({
-        "doc_id": pa.array(list(docs), type=pa.uint64()),
-        "f0": [" ".join(rng.choice(VOCAB, size=int(rng.integers(1, 8))))
-               for _ in docs],
-        "f1": [" ".join(rng.choice(VOCAB, size=int(rng.integers(0, 4))))
-               for _ in docs]}), str(d / "c.parquet"))
+    paths = []
+    for g, docs in enumerate((range(120), range(120, 200))):
+        paths.append(str(d / f"c{g}.parquet"))
+        pq.write_table(pa.table({
+            "doc_id": pa.array(list(docs), type=pa.uint64()),
+            "f0": [" ".join(rng.choice(VOCAB, size=int(rng.integers(1, 8))))
+                   for _ in docs],
+            "f1": [" ".join(rng.choice(VOCAB, size=int(rng.integers(0, 4))))
+                   for _ in docs]}), paths[-1])
     idx = str(d / "index")
-    build_index(str(d / "c.parquet"), idx, key_col="doc_id",
-                field_cols=["f0", "f1"], overwrite=True)
+    build_index(paths, idx, key_col="doc_id", field_cols=["f0", "f1"],
+                files_per_group=1, overwrite=True)
     assert os.path.isdir(os.path.join(idx, "cache"))
     return idx
 
@@ -78,6 +81,42 @@ assert eng.refresh() is False
     assert _run(code, warm_index) == []
 
 
+def test_cold_load_queries_load_nothing_heavy(warm_index, tmp_path):
+    """No cache dir: the engine merges the segments (NumPy only) and
+    writes the cache."""
+    idx = str(tmp_path / "index")
+    shutil.copytree(warm_index, idx, ignore=shutil.ignore_patterns("cache"))
+    want = SearchEngine(warm_index).query("k mu", "bm25", k=5)
+    code = f"""
+import sys
+from probly_search_ray.search import SearchEngine
+eng = SearchEngine(sys.argv[1])
+assert eng.query("k mu", "bm25", k=5) == {want!r}
+assert eng.query("k mu", "zero_to_one", k=5)
+assert eng.complete("k")
+"""
+    assert _run(code, idx) == []
+    assert os.path.isdir(os.path.join(idx, "cache"))
+
+
+def test_vacuum_and_compaction_load_nothing_heavy(warm_index, tmp_path):
+    """``vacuum`` and ``compact_groups`` rewrite segments in-process:
+    neither imports Ray (nor pandas or pyarrow)."""
+    idx = str(tmp_path / "index")
+    shutil.copytree(warm_index, idx)
+    code = """
+import sys
+from probly_search_ray import maintain
+from probly_search_ray.search import SearchEngine
+assert maintain.remove_documents(sys.argv[1], [3, 4, 150]) == 3
+maintain.vacuum(sys.argv[1])
+assert maintain.compact_groups(sys.argv[1]) == 2
+eng = SearchEngine(sys.argv[1])
+assert not {3, 4, 150} & {d for d, _ in eng.query("ka mu x", "bm25")}
+"""
+    assert _run(code, idx) == []
+
+
 def test_removal_loads_neither_ray_nor_pandas(warm_index, tmp_path):
     idx = str(tmp_path / "index")
     shutil.copytree(warm_index, idx)
@@ -98,8 +137,8 @@ def test_engine_after_a_removal_crash_loads_no_pyarrow(warm_index,
     """Tombstones written, ``stats.json`` not (a crash between the two
     writes of a removal): an engine opened on that index applies the
     uncounted removals to its stats in memory (``replay_pending``,
-    which reads the docs' lengths from docmeta) without loading
-    pyarrow, Ray or pandas."""
+    which reads the docs' lengths from the segments' docmeta) without
+    loading pyarrow, Ray or pandas."""
     from probly_search_ray.state.manifest import Stats, Tombstones
     idx = str(tmp_path / "index")
     shutil.copytree(warm_index, idx)

@@ -1,9 +1,10 @@
 """Maintenance-path tests: remove/append stats interplay, batch removal,
-and vacuum crash-safety (manifest-pointed files must exist at every
-intermediate state)."""
+and crash-safety of builds, vacuums and compactions (manifest-named
+segment files exist at every intermediate state, and a re-run
+converges)."""
 
-import glob
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -16,6 +17,7 @@ from probly_search_ray.refmodel import (
     BM25, RefIndex, whitespace_tokenizer as tok)
 from probly_search_ray.search import SearchEngine
 from probly_search_ray.state.manifest import Manifest, Stats
+from probly_search_ray.state.segments import named_segments, read_segment
 from tests.fixtures import TOL, assert_results
 
 
@@ -132,31 +134,31 @@ def test_refresh_interleaved_add_query(tmp_path):
                    ref.query("common", BM25(), tok, [1.0]), "refresh:vac")
 
 
+def _segment_files(idx):
+    """(the files under ``segments/``, the basenames the manifest names)."""
+    return (sorted(os.listdir(os.path.join(idx, "segments"))),
+            sorted(os.path.basename(p)
+                   for p in named_segments(Manifest(idx).groups)))
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_vacuum_swaps_atomically_and_gc(tmp_path):
-    """Vacuum writes the compacted group under a new versioned dir and
-    commits the manifest before deleting the old one: at every step the
-    manifest's term_files point at files that exist on disk; stale dirs
-    from a simulated crash are cleaned up."""
+    """Vacuum writes the group's filtered segment under a new versioned
+    name and commits the manifest before unlinking the old file: the
+    manifest's segments exist on disk; a stray file from a simulated
+    crash is unlinked."""
     f1 = str(tmp_path / "p.parquet")
     _write_file(f1, [(i, "alpha beta gamma w%d" % i) for i in range(20)])
     idx = str(tmp_path / "index")
     build_index([f1], idx, field_cols=["f0"])
     remove_documents(idx, [0, 5])
-    # simulate a crashed earlier vacuum: stray unreferenced dir
-    stray = os.path.join(idx, "terms", "group=00000.v9")
-    os.makedirs(stray)
-    with open(os.path.join(stray, "junk.parquet"), "w") as fh:
+    # simulate a crashed earlier vacuum: stray unnamed file
+    stray = os.path.join(idx, "segments", "group=00000.v9.npz")
+    with open(stray, "w") as fh:
         fh.write("junk")
     vacuum(idx)
-    man = Manifest(idx)
-    for rec in man.term_files():
-        assert os.path.exists(os.path.join(idx, rec["path"])), rec["path"]
-    # old and stray dirs are gone
-    dirs = set(os.listdir(os.path.join(idx, "terms")))
-    referenced = {os.path.dirname(r["path"]).split(os.sep)[-1]
-                  for r in man.term_files()}
-    assert dirs == referenced
+    files, named = _segment_files(idx)
+    assert files == named == ["group=00000.v1.npz"]
     # results still correct vs refmodel
     ref = RefIndex(1)
     for i in range(20):
@@ -172,11 +174,8 @@ def test_vacuum_swaps_atomically_and_gc(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_vacuum_all_docs_tombstoned(tmp_path):
-    """Vacuum where EVERY doc is tombstoned: every compactor batch takes
-    the all-rows-dropped path.  Regression: read_parquet on files under
-    terms/group=G/ hive-infers a `group` column, and the old empty-batch
-    `cast(SEGMENT_SCHEMA)` rejected the extra column (flaky — it fired
-    only when batch coalescing isolated a fully-dropped batch)."""
+    """Vacuum where EVERY doc is tombstoned: the filtered segment keeps
+    no posting and no docmeta row, only its terms as df-0 witnesses."""
     f1 = str(tmp_path / "p.parquet")
     _write_file(f1, [(i, "alpha beta w%d" % i) for i in range(8)])
     idx = str(tmp_path / "index")
@@ -184,6 +183,10 @@ def test_vacuum_all_docs_tombstoned(tmp_path):
     remove_documents(idx, list(range(8)))
     vacuum(idx)
     assert Stats(idx).num_docs == 0
+    seg = read_segment(os.path.join(
+        idx, Manifest(idx).groups["00000"]["segment"]))
+    assert not len(seg["p_doc"]) and not len(seg["meta"]["doc_id"])
+    assert "alpha" in seg["terms"] and not seg["df"].any()
     eng = SearchEngine(idx)
     assert eng.query("alpha", "bm25") == []
 
@@ -249,14 +252,13 @@ def test_compact_groups(tmp_path):
     assert compact_groups(idx) == 4
     man = Manifest(idx)
     assert sorted(man.groups) == ["00000", "00001", "00002", "00003"]
-    # compacted files carry EXACTLY the segment schema — the
-    # hive-inferred `group` partition column must not be written back
-    from probly_search_ray.stages.segment import SEGMENT_SCHEMA
-    for rec in man.term_files():
-        names = pq.ParquetFile(
-            os.path.join(idx, rec["path"])).schema_arrow.names
-        assert names == SEGMENT_SCHEMA.names, names
-    assert sum(1 for r in man.groups.values() if r["term_files"]) == 1
+    # one segment holds every group's postings and docs
+    assert _segment_files(idx) == (["group=00000.c1.npz"],) * 2
+    seg = read_segment(os.path.join(idx, man.groups["00000"]["segment"]))
+    assert seg["meta"]["doc_id"].tolist() == [
+        step * 100 + i for step in range(4) for i in range(25)]
+    assert [r["num_docs"] for _, r in sorted(man.groups.items())] == [
+        100, 0, 0, 0]
     eng2 = SearchEngine(idx)
     for q, want in before.items():
         assert_results(eng2.query(q, "bm25"), want, f"compact:{q!r}")
@@ -264,8 +266,7 @@ def test_compact_groups(tmp_path):
     # resume: no group rebuilt
     build_index(files, idx, field_cols=["f0"], files_per_group=1,
                 resume=True)
-    assert sum(1 for r in Manifest(idx).groups.values()
-               if r["term_files"]) == 1
+    assert len(named_segments(Manifest(idx).groups)) == 1
     # delete + vacuum still work on the compacted layout
     remove_document(idx, 100)
     vacuum(idx)
@@ -278,85 +279,175 @@ def test_compact_groups(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_count_docs_le_ignores_duplicate_docmeta_rows(tmp_path):
-    """A crash between compact_groups' manifest commit and its cleanup
-    of the old group files leaves a doc's docmeta row twice; the stale-
-    avg rank must count distinct ids, not rows."""
-    import shutil
-
-    from probly_search_ray.build import _count_docs_le
+    """A copy of a segment that no record names (the old file of a
+    compaction that crashed before unlinking it) is not read: the
+    stale-avg rank counts each doc once."""
+    from probly_search_ray.maintain import _count_docs_le
     f1 = str(tmp_path / "part1.parquet")
     idx = str(tmp_path / "index")
     _write_file(f1, [(0, "a b"), (1, "c"), (2, "d e f"), (7, "g")])
     build_index([f1], idx, field_cols=["f0"], files_per_group=1)
-    meta = sorted(glob.glob(os.path.join(idx, "docmeta", "*.npz")))
-    shutil.copy(meta[0], os.path.join(idx, "docmeta", "group=stale.npz"))
+    seg = os.path.join(idx, "segments")
+    shutil.copy(os.path.join(seg, "group=00000.npz"),
+                os.path.join(seg, "group=stale.npz"))
     assert _count_docs_le(idx, 2) == 3
     assert _count_docs_le(idx, 7) == 4
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_compaction_crash_converges(tmp_path, monkeypatch):
-    """``compact_groups`` crashing before its manifest commit, or after
-    it and before its docmeta write, then ``vacuum`` and an appending
-    build: the records' ``num_docs``, ``stats.json``, docmeta and
-    results equal those of a run without the compaction (crash before
-    the commit) or with a clean one (crash after it)."""
-    import json
-    import shutil
+def test_uncommitted_group_file_is_not_read(tmp_path):
+    """The segment of a group that ``build_index`` wrote but did not
+    commit (a crash between the two) holds docs no record counts: a
+    removal of one of them finds nothing, and ``stats.json`` stays."""
+    files = [str(tmp_path / f"p{g}.parquet") for g in range(2)]
+    _write_file(files[0], [(i, "w%d x" % (i % 3)) for i in range(14)])
+    _write_file(files[1], [(1000, "w1 y")])
+    idx, other = str(tmp_path / "index"), str(tmp_path / "other")
+    build_index(files[:1], idx, field_cols=["f0"], files_per_group=1)
+    build_index(files[1:], other, field_cols=["f0"], files_per_group=1)
+    shutil.copy(os.path.join(other, "segments", "group=00000.npz"),
+                os.path.join(idx, "segments", "group=00009.npz"))
+    before = Stats(idx).data
+    assert remove_documents(idx, [1000]) == 0
+    assert Stats(idx).data == before and before["num_docs"] == 14
+    assert 1000 not in {d for d, _ in SearchEngine(idx).query("w1", "bm25")}
 
+
+def _same(got, want, ctx):
+    """Equal result sets with scores within ``TOL`` (ties may order
+    differently between the engine and the reference model)."""
+    assert [d for d, _ in sorted(got)] == [d for d, _ in sorted(want)], ctx
+    for (_, a), (_, b) in zip(sorted(got), sorted(want)):
+        assert abs(a - b) < TOL, ctx
+
+
+def _after(fn):
+    """``fn``, raising once it has returned: a crash right after it."""
+    def crashed(*a, **kw):
+        fn(*a, **kw)
+        raise RuntimeError("crash")
+    return crashed
+
+
+# the calls after which each op's commit points lie
+_CRASH_POINTS = {
+    "segment_written": "store_segment",
+    "manifest_committed": "commit",
+    "old_file_unlinked": "unlink",
+}
+
+
+def _crash_converges(tmp_path, monkeypatch, op, point):
+    """Run ``op`` ("build", "vacuum" or "compact") on a 3-group index
+    with removals, crashing right after the call of ``point``: the index
+    opens and serves bm25 and zero_to_one results equal to the
+    reference model's before or after the op, and re-running the op
+    converges to a clean run's stats, records, files and results."""
+    import probly_search_ray.build as build
     import probly_search_ray.maintain as maintain
-    from probly_search_ray.maintain import compact_groups, docmeta_table
+    from probly_search_ray.maintain import compact_groups
+    from probly_search_ray.refmodel import ZeroToOne
     files = [str(tmp_path / f"p{g}.parquet") for g in range(4)]
+    rows = {}
     for g, f in enumerate(files):
-        _write_file(f, [(10 * g + i, " ".join(["w%d" % ((g + i) % 5)]
-                                              * (1 + (g * i) % 4)))
-                        for i in range(6)])
+        rows[g] = [(10 * g + i, " ".join("w%d" % ((g + i + k) % 7)
+                                         for k in range(1 + (g * i) % 4)))
+                   for i in range(6)]
+        _write_file(f, rows[g])
     base = str(tmp_path / "base")
     build_index(files[:3], base, field_cols=["f0"], files_per_group=1)
-    remove_documents(base, [1, 12, 13, 24])
+    removed = [1, 12, 13, 24]
+    remove_documents(base, removed)
+    run = {"build": lambda i: build_index(files, i, field_cols=["f0"],
+                                          files_per_group=1, resume=True),
+           "vacuum": vacuum, "compact": compact_groups}[op]
 
-    def crash(*a, **kw):
-        raise RuntimeError("crash")
+    def ref(state):
+        r = RefIndex(1)
+        for d, text in rows[0] + rows[1] + rows[2]:
+            r.add_document([text], tok, d)
+        for d in removed:
+            r.remove_document(d)
+        if state == "after" and op == "build":
+            for d, text in rows[3]:
+                r.add_document([text], tok, d)
+        return r
 
-    def run(name, patch=None):
-        idx = str(tmp_path / name)
-        shutil.copytree(base, idx)
-        if patch is not None:
-            monkeypatch.setattr(*patch, crash)
-            with pytest.raises(RuntimeError, match="crash"):
-                compact_groups(idx)
-            monkeypatch.undo()
-        elif name == "clean":
-            assert compact_groups(idx) == 3
-        vacuum(idx)
-        build_index(files, idx, field_cols=["f0"], files_per_group=1,
-                    resume=True)
-        with open(os.path.join(idx, "stats.json")) as fh:
-            stats = json.load(fh)
-        ids, lens = docmeta_table(idx, 1)
-        metas = sorted(os.listdir(os.path.join(idx, "docmeta")))
+    queries = [(q, s, c) for q in ("w", "w1", "w3 w4")
+               for s, c in (("bm25", BM25()), ("zero_to_one", ZeroToOne()))]
+
+    def matches(eng, r):
+        try:
+            for q, s, c in queries:
+                _same(eng.query(q, s), r.query(q, c, tok, [1.0]), (q, s))
+        except AssertionError:
+            return False
+        return True
+
+    def state(idx):
+        files_, named = _segment_files(idx)
+        assert files_ == named
         eng = SearchEngine(idx)
-        return ({g: r["num_docs"] for g, r in Manifest(idx).groups.items()},
-                stats, ids.tolist(), lens[0].tolist(), metas,
-                [eng.query(q, "bm25") for q in ("w", "w1", "w3 w4")])
+        return (Stats(idx).data, Tombstones(idx).doc_ids,
+                {g: r["num_docs"] for g, r in Manifest(idx).groups.items()},
+                named, [eng.query(q, s) for q, s, _ in queries])
 
-    plain = run("plain")
-    clean = run("clean")
-    assert sum(plain[0].values()) == sum(clean[0].values()) == 20
-    assert plain[1:4] == clean[1:4]
-    assert clean[4] == ["group=00000.npz", "group=00003.npz"]
-    assert run("before_commit", (Manifest, "commit_groups")) == plain
-    assert run("after_commit", (maintain, "write_docmeta")) == clean
+    from probly_search_ray.state.manifest import Tombstones
+    clean = str(tmp_path / "clean")
+    shutil.copytree(base, clean)
+    run(clean)
+    want = state(clean)
+    assert matches(SearchEngine(clean), ref("after"))
+
+    idx = str(tmp_path / "crashed")
+    shutil.copytree(base, idx)
+    name = _CRASH_POINTS[point]
+    owner = {"store_segment": build if op == "build" else maintain,
+             "unlink": os}.get(name, Manifest)
+    attr = {"commit": "commit_group" if op == "build" else
+            "commit_groups"}.get(name, name)
+    monkeypatch.setattr(owner, attr, _after(getattr(owner, attr)))
+    with pytest.raises(RuntimeError, match="crash"):
+        run(idx)
+    monkeypatch.undo()
+    files_, named = _segment_files(idx)
+    if point == "manifest_committed" and op == "build":
+        assert files_ == named      # the stats write is what is left
+        assert not Stats(idx).covers(Manifest(idx).groups)
+    elif point != "old_file_unlinked":  # the new or an old file is unnamed
+        assert set(files_) > set(named)
+    for eng in (SearchEngine(idx), SearchEngine(idx, doc_shards=2)):
+        assert matches(eng, ref("before")) or matches(eng, ref("after"))
+    run(idx)
+    assert state(idx) == want
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("point", list(_CRASH_POINTS))
+def test_compaction_crash_converges(tmp_path, monkeypatch, point):
+    _crash_converges(tmp_path, monkeypatch, "compact", point)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("point", list(_CRASH_POINTS))
+def test_vacuum_crash_converges(tmp_path, monkeypatch, point):
+    _crash_converges(tmp_path, monkeypatch, "vacuum", point)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("point", ["segment_written", "manifest_committed"])
+def test_build_crash_converges(tmp_path, monkeypatch, point):
+    """A build group has no old file to unlink."""
+    _crash_converges(tmp_path, monkeypatch, "build", point)
 
 
 def _scan_field_lengths(index_dir, doc_ids):
-    """A row-by-row scan of every docmeta file, a later row winning:
-    the oracle for the memo tests."""
+    """A row-by-row scan of the docmeta of every segment the manifest
+    names, a later row winning: the oracle for the memo tests."""
     want = {int(d) for d in doc_ids}
     out = {}
-    for path in sorted(glob.glob(os.path.join(index_dir, "docmeta",
-                                              "*.npz"))):
-        with np.load(path) as z:
+    for rel in named_segments(Manifest(index_dir).groups):
+        with np.load(os.path.join(index_dir, rel)) as z:
             lens = [z[c].tolist() for c in z.files if c.startswith("len_")]
             for i, d in enumerate(z["doc_id"].tolist()):
                 if d in want:
@@ -365,25 +456,32 @@ def _scan_field_lengths(index_dir, doc_ids):
 
 
 def _write_meta(idx, gid, ids, lens):
-    """Group ``gid``'s docmeta from rows in any order, as the writers
-    store it (``docmeta_union``: a repeated id keeps its last row)."""
-    from probly_search_ray.maintain import docmeta_union, write_docmeta
+    """Commit group ``gid`` as a segment of docmeta only, from rows in
+    any order, as the writers store it (``docmeta_union``: a repeated
+    id keeps its last row)."""
+    from probly_search_ray.functions.codec import FORMAT_VERSION
+    from probly_search_ray.state.segments import (
+        docmeta_union, empty_segment, store_segment)
     cols = {"doc_id": np.asarray(ids, np.uint64),
             "len_0": np.asarray(lens, np.uint32),
             "tot_0": np.asarray(lens, np.uint32),
             "hv_0": np.ones(len(ids), np.uint8)}
-    write_docmeta(idx, gid, docmeta_union([cols], 1))
+    man = Manifest(idx)
+    man.data["config"] = {"format_version": FORMAT_VERSION, "num_fields": 1}
+    man.commit_group(gid, store_segment(
+        idx, f"group={gid}", empty_segment(1, docmeta_union([cols], 1))))
 
 
 def test_docmeta_lookup_last_row_wins_and_rereads(tmp_path):
     """A duplicated id resolves to its last row — within a file as the
     writer stores it (``docmeta_union``), across files in the memoized
     lookup, as the scan does — and the lookup re-reads a file rewritten
-    in place or by rename, and forgets files that left the listing."""
+    in place or by rename, and forgets files whose record left the
+    manifest."""
     from probly_search_ray.maintain import _DOCMETA_MEMO, _docs_field_lengths
     idx = str(tmp_path / "idx")
-    meta = os.path.join(idx, "docmeta")
-    a, b = os.path.join(meta, "group=a.npz"), os.path.join(meta, "group=b.npz")
+    seg = os.path.join(idx, "segments")
+    a = os.path.join(seg, "group=a.npz")
     _write_meta(idx, "a", [9, 5, 2, 5], [1, 3, 4, 8])
     ask = [5, 2, 9, 77, 2 ** 63 + 1]
     assert _docs_field_lengths(idx, ask) == {5: [8], 2: [4], 9: [1]} \
@@ -399,20 +497,21 @@ def test_docmeta_lookup_last_row_wins_and_rereads(tmp_path):
         np.savez(fh, doc_id=np.array([2, 3, 9], np.uint64),
                  len_0=np.array([22, 23, 21], np.uint32))
     assert _docs_field_lengths(idx, [9, 3]) == {9: [21], 3: [23]}
-    os.remove(b)
+    man = Manifest(idx)
+    del man.groups["b"]
+    man.commit_groups({})                           # b leaves the manifest
     assert _docs_field_lengths(idx, ask) == {2: [22], 9: [21]}
-    assert set(_DOCMETA_MEMO[meta]) == {a}
+    assert set(_DOCMETA_MEMO[idx][2]) == {a}
     assert _docs_field_lengths(idx, []) == {}
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_remove_documents_memo_matches_scan(tmp_path, monkeypatch):
     """A scripted removal sequence — duplicates, unknown and already
-    removed ids, a vacuum that rewrites docmeta, an append — gives the
+    removed ids, a vacuum that rewrites segments, an append — gives the
     same counts, ``stats.json`` and tombstones with the memoized lookup
     as with the docmeta scan."""
     import json
-    import shutil
 
     import probly_search_ray.maintain as maintain
     f1, f2 = str(tmp_path / "p1.parquet"), str(tmp_path / "p2.parquet")
@@ -458,7 +557,6 @@ def test_remove_crash_between_state_writes(tmp_path, monkeypatch):
     the pending removal in memory and writes nothing.  An index whose
     stats predate ``tomb_applied`` reads as fully applied."""
     import json
-    import shutil
     f1 = str(tmp_path / "p.parquet")
     rows = [(i, " ".join(["w%d" % (i % 6)] * (1 + i % 3) + ["common"]))
             for i in range(40)]

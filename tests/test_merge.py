@@ -16,6 +16,7 @@ from probly_search_ray.maintain import (
     compact_groups, merge_indexes, remove_document)
 from probly_search_ray.search import SearchEngine
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
+from probly_search_ray.state.segments import named_segments
 
 SF_DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -69,12 +70,12 @@ def test_merge_matches_full_build(tmp_path):
     base = _queries(SearchEngine(full))
     _assert_same(base, _queries(SearchEngine(merged)))
 
-    # optional distributed compaction keeps results invariant and
-    # collapses the groups into one
+    # optional compaction keeps results invariant and collapses the
+    # groups into one segment
     merged_c = str(tmp_path / "merged_c")
     merge_indexes([ia, ib], merged_c, compact=True)
     man = Manifest(merged_c)
-    assert sum(1 for r in man.groups.values() if r["term_files"]) == 1
+    assert len(named_segments(man.groups)) == 1
     _assert_same(base, _queries(SearchEngine(merged_c)))
 
 

@@ -72,22 +72,20 @@ def test_resume_skips_committed_groups(tmp_path, pages_dir):
     assert len(man1["groups"]) == 4
 
     # simulate a crash that lost the last group
-    import shutil
     del man1["groups"]["00003"]
     with open(man_path, "w") as f:
         json.dump(man1, f)
-    shutil.rmtree(os.path.join(idx_dir, "terms", "group=00003"))
+    os.unlink(os.path.join(idx_dir, "segments", "group=00003.npz"))
 
-    # record mtimes of committed group files
-    g0 = os.path.join(idx_dir, "terms", "group=00000")
-    mtimes = {f: os.path.getmtime(os.path.join(g0, f)) for f in os.listdir(g0)}
+    # record the mtime of a committed group's segment
+    g0 = os.path.join(idx_dir, "segments", "group=00000.npz")
+    mtime = os.path.getmtime(g0)
 
     build_pages_index(pages_dir, idx_dir, overwrite=False, files_per_group=1)
     with open(man_path) as f:
         man2 = json.load(f)
     assert set(man2["groups"]) == {"00000", "00001", "00002", "00003"}
-    for f, m in mtimes.items():
-        assert os.path.getmtime(os.path.join(g0, f)) == m, "group 0 rebuilt!"
+    assert os.path.getmtime(g0) == mtime, "group 0 rebuilt!"
 
     # result equality vs a fresh build
     fresh = os.path.join(str(tmp_path), "fidx")
@@ -127,14 +125,13 @@ def test_incremental_append(tmp_path, pages_dir):
     build_pages_index(files[:2], idx, overwrite=True, files_per_group=1)
     man1 = json.load(open(os.path.join(idx, "manifest.json")))
     assert len(man1["groups"]) == 2
-    g0 = os.path.join(idx, "terms", "group=00000")
-    mtimes = {f: os.path.getmtime(os.path.join(g0, f)) for f in os.listdir(g0)}
+    g0 = os.path.join(idx, "segments", "group=00000.npz")
+    mtime = os.path.getmtime(g0)
 
     build_pages_index(files, idx, overwrite=False, files_per_group=1)
     man2 = json.load(open(os.path.join(idx, "manifest.json")))
     assert len(man2["groups"]) == 4
-    for f, m in mtimes.items():
-        assert os.path.getmtime(os.path.join(g0, f)) == m
+    assert os.path.getmtime(g0) == mtime
 
     fresh = os.path.join(str(tmp_path), "fresh")
     build_pages_index(files, fresh, overwrite=True, files_per_group=1)

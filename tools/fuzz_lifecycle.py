@@ -7,7 +7,6 @@ fixed-seed lifecycle tests.
 Run from the repo root:  FUZZ_SEEDS=200 python tools/fuzz_lifecycle.py
 (owns its Ray session, like bench.py).  320 seeds x 5-9 ops x 5
 queries/op across two rounds: 0 failures."""
-import glob
 import os
 import sys
 import time
@@ -23,14 +22,14 @@ sys.path.insert(0, _REPO)
 sys.path.insert(0, os.path.join(_REPO, "tools"))
 
 from probly_search_ray.build import build_index  # noqa: E402
-from probly_search_ray.functions.codec import (  # noqa: E402
-    blob_buffers, decode_rows)
 from probly_search_ray.maintain import (  # noqa: E402
-    _docmeta_files, compact_groups, merge_indexes, remove_document, vacuum)
+    compact_groups, merge_indexes, remove_document, vacuum)
 from probly_search_ray.refmodel import (  # noqa: E402
     BM25, RefIndex, ZeroToOne, whitespace_tokenizer as tok)
 from probly_search_ray.search import SearchEngine  # noqa: E402
 from probly_search_ray.state.manifest import Manifest  # noqa: E402
+from probly_search_ray.state.segments import (  # noqa: E402
+    named_segments, read_segment)
 # tie-aware comparator: the vectorized engine and the sequential
 # refmodel sum floats in different orders, so scores that tie at the
 # last ulp on one side can differ by 1 ulp on the other and flip the
@@ -65,20 +64,25 @@ def _rand_rows(rng, base_id, n, nfields):
 
 
 def _check_files(idx, nfields, ctx):
-    """The on-disk invariants: no term file holds a ``term == ""`` row,
-    docmeta is npz only, each docmeta file's ids are sorted and unique,
-    and docmeta covers every posted doc."""
-    metas = [m["doc_id"] for m in _docmeta_files(idx)]
-    assert all((ids[1:] > ids[:-1]).all() for ids in metas), ctx
-    assert not glob.glob(os.path.join(idx, "docmeta", "*.parquet")), ctx
-    known = np.concatenate(metas) if metas else np.empty(0, np.uint64)
-    for rec in Manifest(idx).term_files():
-        t = pq.read_table(os.path.join(idx, rec["path"]),
-                          columns=["term", "blob"])
-        assert "" not in t["term"].to_pylist(), (ctx, rec["path"])
-        docs = decode_rows(*blob_buffers(t["blob"].combine_chunks()),
-                           nfields)[0]
-        assert np.isin(docs, known).all(), (ctx, rec["path"])
+    """The on-disk invariants: no ``terms/`` or ``docmeta/`` dir, only
+    named files under ``segments/``, and in each named segment no
+    ``""`` term, sorted unique terms, doc ids sorted and unique within
+    each term and in docmeta, and docmeta covering every posting."""
+    assert not {"terms", "docmeta"} & set(os.listdir(idx)), ctx
+    named = named_segments(Manifest(idx).groups)
+    assert set(os.listdir(os.path.join(idx, "segments"))) == {
+        os.path.basename(p) for p in named}, ctx
+    for rel in named:
+        seg = read_segment(os.path.join(idx, rel))
+        terms, docs, off = seg["terms"], seg["p_doc"], seg["post_off"]
+        ids = seg["meta"]["doc_id"]
+        assert "" not in terms and terms == sorted(set(terms)), (ctx, rel)
+        assert (ids[1:] > ids[:-1]).all(), (ctx, rel)
+        same = np.repeat(np.arange(len(terms)), np.diff(off))
+        same = same[1:] == same[:-1]
+        assert (docs[1:][same] > docs[:-1][same]).all(), (ctx, rel)
+        assert np.isin(docs, ids).all(), (ctx, rel)
+        assert len(seg["p_tf"]) == nfields, (ctx, rel)
 
 
 def _check(eng, ref, rng, nfields, ctx):
