@@ -8,15 +8,10 @@ Pipeline shape (SURVEY.md §3.1 "Ray shape"):
                                                          # batch's docmeta
                                                          # goes to a side
                                                          # file
-      → repartition(~2 blocks/CPU)                       # bound the sort's
-                                                         # shuffle matrix
-      → sort(["term", "doc_lo"])                         # THE one wide op:
-                                                         # compact encoded
-                                                         # rows, not raw
-                                                         # occurrences
       → iter_batches(one block at a time)                # the driver decodes
-                                                         # each sorted block
-                                                         # once
+                                                         # each encoder block
+                                                         # once, as it streams
+                                                         # in
       → merge_segments + side files (in-process)         # ONE segment file,
                                                          # group=G.npz, +
                                                          # its manifest record
@@ -28,11 +23,12 @@ metrics), which is what makes the build resumable: a rerun skips
 committed groups.  Query actors merge groups at load time (df and
 first_pos are decomposable: sum / min over per-group partials).
 
-Skew: a hot term (stopword) contributes one dictionary row per input
-*batch*, already holding a compressed block — group sizes in the sort
-are bounded by #batches, not #docs, so no per-key salting is needed;
-row payloads are capped by ``block_postings``.  The sort itself range-
-partitions by value, so hot-term rows spread across output blocks.
+No shuffle: the encoders tokenize, count and compress in parallel, and
+the driver merges the group's per-batch rows (one per term and batch)
+into the segment, so its memory grows with one group's postings
+(``files_per_group`` bounds a group).  A term's rows are joined in
+order of their first doc id; only the terms whose batches' doc ranges
+overlap (hashed string keys) are doc-sorted.
 """
 
 from __future__ import annotations
@@ -46,8 +42,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 from probly_search_ray.functions.codec import (
     FORMAT_VERSION, blob_buffers, check_format_version, decode_rows)
 from probly_search_ray.maintain import stats_for
@@ -56,14 +50,13 @@ from probly_search_ray.stages.segment import SegmentEncoder
 from probly_search_ray.state.manifest import Manifest, Stats, Tombstones
 from probly_search_ray.state.segments import (
     SEGMENTS_DIR, docmeta_union, empty_segment, load_npz, merge_segments,
-    save_npz, store_segment)
+    remove_unnamed, save_npz, store_segment)
 
 
 def _block_segment(block: pa.Table, num_fields: int) -> dict:
-    """One sorted block of encoder rows as a segment piece: the blobs
-    decoded once, one entry per row (the rows of a term from several
-    encoder batches stay separate entries; ``merge_segments`` joins
-    them)."""
+    """One block of encoder rows as a segment piece: the blobs decoded
+    once, one entry per row (the rows of a term from several encoder
+    batches stay separate entries; ``merge_segments`` joins them)."""
     docs, tfs, rc = decode_rows(*blob_buffers(pc.cast(
         block["blob"], pa.large_binary()).combine_chunks()), num_fields)
     return {"terms": block["term"].to_pylist(),
@@ -163,11 +156,6 @@ def build_index(
     """
     from probly_search_ray.functions.mem import tune_allocator
     tune_allocator()
-    try:  # polars sorts the string dictionary noticeably faster
-        from ray.data import DataContext
-        DataContext.get_current().use_polars_sort = True
-    except Exception:
-        pass
     field_cols = field_cols or ["text"]
     if string_key:
         from probly_search_ray.state.keymap import add_doc_ids
@@ -210,6 +198,14 @@ def build_index(
     committed_inputs = {f: g for g in committed
                         for f in man.groups[g].get("input_files", [])}
 
+    # the new file of a build that crashed before its commit, or the
+    # old one of a rebuild that crashed after it
+    remove_unnamed(index_dir, man.groups)
+    if not resume and any(f"{gi:05d}" in man.groups
+                          for gi in range(len(groups))):
+        # rebuilt groups commit one by one: until the stats below are
+        # written, an engine computes them from the records
+        Stats(index_dir).uncover()
     built_any = False
     for gi, gfiles in enumerate(groups):
         gid = f"{gi:05d}"
@@ -232,7 +228,12 @@ def build_index(
                 "rebuild with overwrite=True.")
         built_any = True
         t0 = time.perf_counter()
-        name = f"group={gid}"
+        # a rebuilt group's file takes a new name (``gen`` counts the
+        # group's segment writes, none reuses a name): the serving
+        # cache and an engine's refresh key on the names
+        old = man.groups.get(gid)
+        gen = int(old.get("gen", 0)) + 1 if old else 0
+        name = f"group={gid}" + (f".b{gen}" if gen else "")
         # the encoders' docmeta side files, merged at finalize
         side_dir = os.path.join(index_dir, SEGMENTS_DIR, name + ".side")
         if os.path.exists(side_dir):
@@ -260,13 +261,6 @@ def build_index(
         rows = ds.map_batches(
             fused, batch_format="pyarrow", batch_size=batch_size,
             zero_copy_batch=True, **kwargs)
-        # Coalesce before the sort: Ray's sort-map slices every input
-        # block into one piece per output partition (blocks × partitions
-        # objects) — with hundreds of encoder blocks that's tens of
-        # thousands of tiny objects.  ~1 partition per CPU keeps the
-        # shuffle matrix quadratic in CPUs, not in batches.
-        nparts = max(16, 2 * int(ray.available_resources().get("CPU", 8)))
-        rows = rows.repartition(nparts).sort(["term", "doc_lo"])
         F = len(field_cols)
         pieces = [_block_segment(b, F) for b in rows.iter_batches(
             batch_size=None, batch_format="pyarrow") if len(b)]
@@ -285,7 +279,10 @@ def build_index(
             "finalize_sec": round(wall - t_job, 3),
             "docs_per_sec": (round(rec["num_docs"] / wall, 1) if wall > 0
                              else None),
+            "gen": gen,
         })
+        if old and old.get("segment"):
+            os.unlink(os.path.join(index_dir, old["segment"]))
 
     # --- global stats from group partials (reference replay) -------------
     # The model is "all current docs added in doc_id order, then the

@@ -1,17 +1,17 @@
 """Vectorized LEB128 varint + delta posting-block codec: the wire
-format of the index build's one shuffle.
+format of the index build's encoder rows.
 
 The build's fused encode stage (``stages/segment.py``) turns each batch
 of documents into one row per term whose blob holds that batch's
-postings of the term; Ray's sort moves those compact rows, and the
-group's finalize (``build._block_segment``) decodes each sorted block
-once into the group's segment (``state/segments.py``), which is the
-index's one stored copy.  No blob is stored: this module owns the
-layout of rows in flight only.  ``encode_rows`` writes it and
-``decode_rows`` reads it, both numpy-vectorized with no Python loop
-over values: encoding N values costs ~10 vectorized passes (one per
-possible varint byte position), decoding a whole buffer is a single
-vectorized scan (``varint_decode_all``).
+postings of the term; Ray moves those compact rows from the encoders
+to the driver, which decodes each block once (``build._block_segment``)
+and merges the group's segment (``state/segments.py``), the index's one
+stored copy.  No blob is stored: this module owns the layout of rows in
+flight only.  ``encode_rows`` writes it and ``decode_rows`` reads it,
+both numpy-vectorized with no Python loop over values: encoding N
+values costs ~10 vectorized passes (one per possible varint byte
+position), decoding a whole buffer is a single vectorized scan
+(``varint_decode_all``).
 
 Posting block layout (a *row* is one term's postings within one
 encoder batch, its blob an ordered sequence of blocks of at most
@@ -132,9 +132,9 @@ def grouped_arange(lengths: np.ndarray) -> np.ndarray:
 def encode_rows(docs: np.ndarray, tfs: list[np.ndarray],
                 row_counts: np.ndarray, block_postings: int) -> list[bytes]:
     """One blob per row: row ``r`` holds the next ``row_counts[r]``
-    postings of ``docs``/``tfs[F]`` in their order, split into blocks of
-    at most ``block_postings`` postings; a row of no postings gets
-    ``b""``.  All blocks go through one vectorized varint pass."""
+    (at least one) postings of ``docs``/``tfs[F]`` in their order,
+    split into blocks of at most ``block_postings`` postings.  All
+    blocks go through one vectorized varint pass."""
     docs = np.asarray(docs, dtype=np.uint64)
     F = len(tfs)
     rc = np.asarray(row_counts, dtype=np.int64)
@@ -170,8 +170,8 @@ def blob_buffers(col) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode_rows(data: np.ndarray, offsets: np.ndarray, F: int):
-    """Decode the contiguous rows whose blobs are
-    ``data[offsets[i]:offsets[i+1]]`` → ``(docs, tfs[F],
+    """Decode the contiguous rows (each of at least one posting) whose
+    blobs are ``data[offsets[i]:offsets[i+1]]`` → ``(docs, tfs[F],
     postings per row)``, docs uint64 and tfs uint32 (exact small ints;
     half the bytes)."""
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -185,17 +185,8 @@ def decode_rows(data: np.ndarray, offsets: np.ndarray, F: int):
     # construction)
     v_row = np.searchsorted(np.flatnonzero((stream & 0x80) == 0),
                             offsets[:-1] - offsets[0])
-    v_row_end = np.concatenate((v_row[1:], [nvals]))
-    # zero-byte rows (``encode_rows`` of a zero count) own no values —
-    # drop them before the first header round or they would misread
-    # the NEXT row's block header
-    alive = v_row < v_row_end
-    act_v, act_row, act_end = (v_row[alive],
-                               np.arange(nrows, dtype=np.int64)[alive],
-                               v_row_end[alive])
-    if not act_v.size:
-        return (np.empty(0, np.uint64), [np.empty(0, np.uint32)] * F,
-                np.zeros(nrows, dtype=np.int64))
+    act_v, act_row = v_row, np.arange(nrows, dtype=np.int64)
+    act_end = np.concatenate((v_row[1:], [nvals]))
     bv_parts, bn_parts, brow_parts = [], [], []
     while act_v.size:
         n = vals[act_v].astype(np.int64)

@@ -260,7 +260,8 @@ def _replace_segment(index_dir: str, man: Manifest, records: dict,
     """Commit the group ``records`` in ONE manifest write, then unlink
     the segment files ``old`` that they replace.  A crash before the
     commit leaves the new file unnamed, one after it the old files;
-    ``remove_unnamed`` clears either at the next vacuum or compaction."""
+    ``remove_unnamed`` clears either at the next build, vacuum or
+    compaction."""
     man.commit_groups(records)
     for rel in old:
         os.unlink(os.path.join(index_dir, rel))
@@ -290,10 +291,10 @@ def compact_groups(index_dir: str) -> int:
     old = [man.groups[g]["segment"] for g in gids]
     seg = merge_segments([read_segment(os.path.join(index_dir, p))
                           for p in old], nf)
-    gen = 1 + max(int(man.groups[g].get("compact_gen", 0)) for g in gids)
+    gen = 1 + max(int(man.groups[g].get("gen", 0)) for g in gids)
     first = {**man.groups[gids[0]],
              **store_segment(index_dir, f"group={gids[0]}.c{gen}", seg),
-             "compact_gen": gen}
+             "gen": gen}
     updates = {gids[0]: first}
     for g in gids[1:]:
         updates[g] = {**man.groups[g], "segment": None, "num_docs": 0,
@@ -330,11 +331,11 @@ def vacuum(index_dir: str) -> None:
         if not _in_sorted(load_npz(path, "doc_id")["doc_id"],
                           tomb_arr).any():
             continue
-        gen = int(rec.get("vacuum_gen", 0)) + 1
+        gen = int(rec.get("gen", 0)) + 1
         new = store_segment(index_dir, f"group={gid}.v{gen}",
                             drop_docs(read_segment(path), tomb_arr))
         _replace_segment(index_dir, man,
-                         {gid: {**rec, **new, "vacuum_gen": gen}},
+                         {gid: {**rec, **new, "gen": gen}},
                          [rec["segment"]])
     tomb.clear()
     # a crash before this write leaves a count above the empty list's

@@ -2,17 +2,16 @@
 
 One ``map_batches`` call turns a batch of documents into *segment
 dictionary rows*: per distinct term in the batch, one row carrying a
-docID-sorted delta+varint posting block set for the docs of this batch
-(``SEGMENT_SCHEMA``, the wire format of the build's sort; nothing
-stores it).  The batch's docmeta (per-doc field lengths, the
-reference's ``DocumentDetails``, ``src/index.rs:348``) comes back
-beside the rows as NumPy arrays: the build keeps it out of the sort
-and stores it once, in the group's segment (``state/segments.py``).
+delta+varint posting block set for the docs of this batch
+(``SEGMENT_SCHEMA``, the wire format from the encoders to the build's
+driver; nothing stores it).  The batch's docmeta (per-doc field
+lengths, the reference's ``DocumentDetails``, ``src/index.rs:348``)
+comes back beside the rows as NumPy arrays: the build stores it once,
+in the group's segment (``state/segments.py``).
 
 This replaces the reference's one-doc-at-a-time trie mutation
 (``src/index.rs:77-158``) with a fully vectorized, shuffle-free local
-build; the only wide operation in the whole index build is the later
-sort of these compact rows by ``(term, doc_lo)``.
+build; the driver merges these compact rows into the group's segment.
 
 Semantics preserved exactly (validated by differential tests):
 - empty-token filtering (``src/index.rs:100-110``)
@@ -49,8 +48,6 @@ POS_MASK = (1 << POS_BITS) - 1
 
 SEGMENT_SCHEMA = pa.schema([
     ("term", pa.string()),
-    ("doc_lo", pa.uint64()),
-    ("doc_hi", pa.uint64()),
     ("df", pa.uint64()),
     ("first_pos", pa.uint64()),
     ("first_off", pa.uint32()),
@@ -245,13 +242,9 @@ class SegmentEncoder:
                              np.uint32(0xFFFFFFFF))
         fp_off = np.minimum.reduceat(fo_masked, term_start) \
             .astype(np.uint32)
-        doc_lo = doc_s[term_start]
-        doc_hi = doc_s[term_end - 1]
 
         out = pa.table({
             "term": term_per_row.cast(pa.string()),
-            "doc_lo": pa.array(doc_lo, type=pa.uint64()),
-            "doc_hi": pa.array(doc_hi, type=pa.uint64()),
             "df": pa.array(df_per_term.astype(np.uint64), type=pa.uint64()),
             "first_pos": pa.array(fp_doc, type=pa.uint64()),
             "first_off": pa.array(fp_off, type=pa.uint32()),

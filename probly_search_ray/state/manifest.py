@@ -17,7 +17,10 @@ Index layout (the on-disk replacement for the reference's in-RAM
                                doc-sorted postings and docmeta
                                (``state/segments.py``); a vacuum writes
                                ``group=G.vN.npz``, a compaction
-                               ``group=G.cN.npz``.  Readers take only the
+                               ``group=G.cN.npz``, a rebuild over the
+                               group ``group=G.bN.npz`` (N counts the
+                               group's segment writes, so no name is
+                               written twice).  Readers take only the
                                files that group records name, so a
                                group's postings and docmeta change in
                                one manifest commit
@@ -127,6 +130,13 @@ class Stats:
         manifest's records ``groups`` (group ids are never deleted, so
         a count suffices)."""
         return self.data.get("groups") == len(groups)
+
+    def uncover(self) -> None:
+        """Save the figures as covering no group list: a build that
+        rewrites committed groups makes them stale until it saves new
+        ones."""
+        self.data["groups"] = None
+        self.save()
 
     def pending(self, ids: list) -> list:
         """The tombstones of the list ``ids`` that these figures do not

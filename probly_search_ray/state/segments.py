@@ -2,9 +2,10 @@
 and docmeta (format v7).
 
 Each committed group's manifest record names one file,
-``segments/group=G[.vN|.cN].npz`` (``.vN``: the N-th vacuum of the
-group, ``.cN``: the N-th compaction), and no reader takes a file that
-no record names.  A segment is a zlib-compressed npz of:
+``segments/group=G[.bN|.vN|.cN].npz`` (written by a rebuild, a vacuum
+or a compaction; N is the record's ``gen``, which every write of the
+group's segment raises, so no name is written twice), and no reader
+takes a file that no record names.  A segment is a zlib-compressed npz of:
 
     term_bytes, term_lens    the group's sorted term dictionary, as
                              concatenated utf8 and byte lengths
@@ -128,11 +129,12 @@ def docmeta_union(parts: list[dict], num_fields: int) -> dict:
 def merge_segments(segs: list[dict], num_fields: int) -> dict:
     """One segment from ``segs``: the union dictionary with df summed
     and ``(first_pos, first_off)`` the lexicographic min over the
-    entries of a term, each term's postings concatenated in ``segs``
-    order, and docmeta unioned.  An input may hold a term more than
-    once (a build block holds one entry per encoder batch).  A term's
-    postings are sorted by doc only where the inputs' doc ranges
-    overlap (hashed string keys); the inputs hold disjoint docs."""
+    entries of a term, each term's postings concatenated in the order
+    of their entries' first doc ids, and docmeta unioned.  An input may
+    hold a term more than once (a build piece holds one entry per
+    encoder batch).  A term's postings are sorted by doc only where
+    its entries' doc ranges overlap (hashed string keys); the inputs
+    hold disjoint docs."""
     segs = segs or [empty_segment(num_fields)]
     terms = [t for s in segs for t in s["terms"]]
     uniq = sorted(set(terms))
@@ -145,8 +147,12 @@ def merge_segments(segs: list[dict], num_fields: int) -> dict:
                     cat("first_off", np.uint32))
     n = np.concatenate([np.diff(s["post_off"]) for s in segs])
     src = np.cumsum(n) - n      # each entry's first posting
-    # entries by term, keeping ``segs`` order within a term
-    order = np.argsort(inv, kind="stable")
+    p_doc = cat("p_doc", np.uint64)
+    # entries by term, then by their first doc (an entry without
+    # postings, a vacuum witness, adds none)
+    lead = (p_doc[np.minimum(src, len(p_doc) - 1)] if len(p_doc)
+            else np.zeros(len(n), np.uint64))
+    order = np.lexsort((lead, inv))
     st = np.flatnonzero(np.r_[True, inv[order][1:] != inv[order][:-1]]) \
         if len(order) else np.empty(0, np.int64)
     run = np.diff(np.r_[st, len(order)])
@@ -158,7 +164,7 @@ def merge_segments(segs: list[dict], num_fields: int) -> dict:
     term_n = np.add.reduceat(n, st) if len(st) else n
     post_off = np.r_[0, np.cumsum(term_n)].astype(np.int64)
     sel = np.repeat(src, n) + grouped_arange(n)
-    p_doc = cat("p_doc", np.uint64)[sel]
+    p_doc = p_doc[sel]
     p_tf = [np.concatenate([s["p_tf"][f] for s in segs])[sel]
             for f in range(num_fields)]
     tid = np.repeat(np.arange(len(uniq)), term_n)

@@ -308,7 +308,7 @@ def test_docmeta_covers_every_posting(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="crash"):
         vacuum(idx)
     monkeypatch.setattr(os, "unlink", unlink)
-    assert Manifest(idx).groups["00000"]["vacuum_gen"] == 1
+    assert Manifest(idx).groups["00000"]["gen"] == 1
     seg_dir = os.path.join(idx, "segments")
     assert "group=00000.npz" in os.listdir(seg_dir)   # unnamed now
     assert not {3, 4} & set(_docmeta_lengths(idx, 2))

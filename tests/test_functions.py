@@ -33,19 +33,21 @@ def test_encode_many_boundaries():
 def test_block_roundtrip_multiblock():
     """Rows written by ``codec.encode_rows`` in blocks of at most
     ``block_postings`` postings decode with ``codec.decode_rows``: a
-    row of three blocks (the last one short), a row of no postings and
+    row of three blocks (the last one short), a row of one posting and
     a row of one block come back with their docs, per-field tfs and
     per-row posting counts; a block holds ``[n, first_doc, deltas…,
     tf_0…, tf_1…]`` and no field lengths (format v5)."""
     rng = np.random.default_rng(1)
     F, bp = 2, 50
-    counts = np.asarray([120, 0, 37])
+    counts = np.asarray([120, 1, 37])
     docs = np.concatenate([np.sort(rng.choice(10**9, c, replace=False))
                            for c in counts]).astype(np.uint64)
     tfs = [rng.integers(1, 300, len(docs)).astype(np.uint32),
            rng.integers(0, 3, len(docs)).astype(np.uint32)]
     blobs = encode_rows(docs, tfs, counts, bp)
-    assert len(blobs) == 3 and blobs[1] == b""
+    assert len(blobs) == 3
+    assert varint_decode_all(blobs[1]).tolist() == [
+        1, docs[120], tfs[0][120], tfs[1][120]]
     # the short third block of row 0: its n, first doc, deltas, tfs
     blk = varint_decode_all(blobs[0])
     assert blk[0] == 50 and blk[1 + 50 * 3] == 50 and \

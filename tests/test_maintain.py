@@ -4,6 +4,7 @@ segment files exist at every intermediate state, and a re-run
 converges)."""
 
 import os
+import re
 import shutil
 
 import numpy as np
@@ -192,6 +193,55 @@ def test_vacuum_all_docs_tombstoned(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_rebuild_over_changed_inputs(tmp_path):
+    """``build_index(..., resume=False)`` over an index whose input
+    changed writes the group under a new name, so neither a fresh engine
+    nor a refreshed one serves the old postings from a cache keyed on
+    the old name.  A vacuum after the rebuild does not reuse the name
+    of the vacuum before it either: the cache of that older state is
+    still on disk (the rebuild wrote none), and a fresh engine would
+    serve it."""
+    f1 = str(tmp_path / "p.parquet")
+    idx = str(tmp_path / "index")
+
+    def texts(v):
+        return {i: "alpha w%d v%d" % (i % (3 + v), v) for i in range(10)}
+
+    def ref(v, removed):
+        r = RefIndex(1)
+        for d, text in texts(v).items():
+            r.add_document([text], tok, d)
+        for d in removed:
+            r.remove_document(d)
+        return r
+
+    def check(eng, v, removed, ctx):
+        for q in ["alpha", "w1", "v%d w2" % v, "v0", "v1"]:
+            assert_results(eng.query(q, "bm25"), ref(v, removed).query(
+                q, BM25(), tok, [1.0]), (ctx, q))
+
+    def build(v, **kw):
+        _write_file(f1, sorted(texts(v).items()))
+        build_index([f1], idx, field_cols=["f0"], resume=False, **kw)
+
+    build(0)
+    eng = SearchEngine(idx)
+    check(eng, 0, [], "first build")
+    build(1)
+    assert _segment_files(idx) == (["group=00000.b1.npz"],) * 2
+    check(SearchEngine(idx), 1, [], "rebuild")
+    assert eng.refresh()
+    check(eng, 1, [], "refreshed")
+    remove_documents(idx, [4])
+    vacuum(idx)
+    build(2, warm_cache=False)
+    remove_documents(idx, [4])
+    vacuum(idx)
+    assert _segment_files(idx) == (["group=00000.v4.npz"],) * 2
+    check(SearchEngine(idx), 2, [4], "vacuum after a rebuild")
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_bulk_search_sharded_pool(tmp_path):
     """Sharded bulk mode (one resident shard pool + thin coordinator
     actors) returns exactly what the load-everything mode returns."""
@@ -338,11 +388,14 @@ _CRASH_POINTS = {
 
 
 def _crash_converges(tmp_path, monkeypatch, op, point):
-    """Run ``op`` ("build", "vacuum" or "compact") on a 3-group index
-    with removals, crashing right after the call of ``point``: the index
-    opens and serves bm25 and zero_to_one results equal to the
-    reference model's before or after the op, and re-running the op
-    converges to a clean run's stats, records, files and results."""
+    """Run ``op`` ("build", "rebuild", "vacuum" or "compact") on a
+    3-group index with removals, crashing right after the call of
+    ``point``: the index opens and serves bm25 and zero_to_one results
+    equal to the reference model's before or after the op, and
+    re-running the op converges to a clean run's stats, records, files
+    and results.  "rebuild" is ``resume=False`` over the three groups
+    after the first one's input changed; its re-run rebuilds every
+    group again, so file names are compared without their ``.bN``."""
     import probly_search_ray.build as build
     import probly_search_ray.maintain as maintain
     from probly_search_ray.maintain import compact_groups
@@ -360,11 +413,17 @@ def _crash_converges(tmp_path, monkeypatch, op, point):
     remove_documents(base, removed)
     run = {"build": lambda i: build_index(files, i, field_cols=["f0"],
                                           files_per_group=1, resume=True),
+           "rebuild": lambda i: build_index(files[:3], i, field_cols=["f0"],
+                                            files_per_group=1, resume=False),
            "vacuum": vacuum, "compact": compact_groups}[op]
+    new0 = [(d, text + " w5 w9") for d, text in rows[0]]
+    if op == "rebuild":
+        _write_file(files[0], new0)
 
     def ref(state):
         r = RefIndex(1)
-        for d, text in rows[0] + rows[1] + rows[2]:
+        after = state == "after" and op == "rebuild"
+        for d, text in (new0 if after else rows[0]) + rows[1] + rows[2]:
             r.add_document([text], tok, d)
         for d in removed:
             r.remove_document(d)
@@ -373,7 +432,7 @@ def _crash_converges(tmp_path, monkeypatch, op, point):
                 r.add_document([text], tok, d)
         return r
 
-    queries = [(q, s, c) for q in ("w", "w1", "w3 w4")
+    queries = [(q, s, c) for q in ("w", "w1", "w3 w4", "w9")
                for s, c in (("bm25", BM25()), ("zero_to_one", ZeroToOne()))]
 
     def matches(eng, r):
@@ -390,7 +449,8 @@ def _crash_converges(tmp_path, monkeypatch, op, point):
         eng = SearchEngine(idx)
         return (Stats(idx).data, Tombstones(idx).doc_ids,
                 {g: r["num_docs"] for g, r in Manifest(idx).groups.items()},
-                named, [eng.query(q, s) for q, s, _ in queries])
+                [re.sub(r"\.b\d+\.", ".", n) for n in named],
+                [eng.query(q, s) for q, s, _ in queries])
 
     from probly_search_ray.state.manifest import Tombstones
     clean = str(tmp_path / "clean")
@@ -402,11 +462,17 @@ def _crash_converges(tmp_path, monkeypatch, op, point):
     idx = str(tmp_path / "crashed")
     shutil.copytree(base, idx)
     name = _CRASH_POINTS[point]
-    owner = {"store_segment": build if op == "build" else maintain,
+    builds = op in ("build", "rebuild")
+    owner = {"store_segment": build if builds else maintain,
              "unlink": os}.get(name, Manifest)
-    attr = {"commit": "commit_group" if op == "build" else
+    attr = {"commit": "commit_group" if builds else
             "commit_groups"}.get(name, name)
-    monkeypatch.setattr(owner, attr, _after(getattr(owner, attr)))
+    crash = _after(getattr(owner, attr))
+    if name == "unlink":
+        def crash(path, *a, _crash=crash, _raw=os.unlink, **kw):
+            # not the unlinks of ``shutil.rmtree`` (a build's side files)
+            return (_raw if "dir_fd" in kw else _crash)(path, *a, **kw)
+    monkeypatch.setattr(owner, attr, crash)
     with pytest.raises(RuntimeError, match="crash"):
         run(idx)
     monkeypatch.undo()
@@ -439,6 +505,12 @@ def test_vacuum_crash_converges(tmp_path, monkeypatch, point):
 def test_build_crash_converges(tmp_path, monkeypatch, point):
     """A build group has no old file to unlink."""
     _crash_converges(tmp_path, monkeypatch, "build", point)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("point", list(_CRASH_POINTS))
+def test_rebuild_crash_converges(tmp_path, monkeypatch, point):
+    _crash_converges(tmp_path, monkeypatch, "rebuild", point)
 
 
 def _scan_field_lengths(index_dir, doc_ids):
